@@ -11,7 +11,6 @@ from .circuit import (
     QuantizedModel,
     RegisterLayout,
     build_pricing_circuit,
-    derive_mapping,
     fit_format,
     log_return_increment,
     post_process,
@@ -68,7 +67,6 @@ from .resources import (
 from .simulator import (
     Classical,
     Condition,
-    Inject,
     PhaseOracle,
     QubitRegister,
     Ry,
@@ -77,6 +75,7 @@ from .simulator import (
     allocate,
     apply_classical,
     inject_amplitudes,
+    injection_ops,
     invert,
     probability,
     sample,

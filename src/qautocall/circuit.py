@@ -32,11 +32,11 @@ from .simulator import (
     DEFAULT_QUBIT_BUDGET,
     Classical,
     Condition,
-    Inject,
     PrimitiveOp,
     QubitRegister,
     Ry,
     X,
+    injection_ops,
 )
 
 
@@ -202,17 +202,15 @@ class QuantizedModel:
         return raw
 
 
-def derive_mapping(
-    contract: AutocallableContract, grid: GaussianGridSpec, fmt: FixedPointFormat
-) -> AmplitudeMapping:
-    return QuantizedModel(contract, grid, fmt).mapping
+#: largest fractional width: codes must fit a signed 63-bit (int64) probe
+MAX_FRAC_BITS = 62
 
 
 def fit_format(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
 ) -> FixedPointFormat:
     """Smallest signed format whose accumulator covers every cumulative code."""
-    probe = FixedPointFormat(62 - frac_bits, frac_bits, True)
+    probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits, True)
     codes = [
         log_return_increment(g, 1, contract, grid, probe) for g in range(2**grid.k)
     ]
@@ -434,9 +432,9 @@ def build_pricing_circuit(
         )
 
     gauss = gaussian_amplitudes(grid)
-    ops: list[PrimitiveOp] = [
-        Inject(reg.qubits, gauss) for reg in layout.gaussians
-    ]
+    ops: list[PrimitiveOp] = []
+    for reg in layout.gaussians:
+        ops.extend(injection_ops(reg, gauss))
     if model.needs_comparator:
         spec = ExponentialPrepSpec(
             width=model.exp_width, a=model.rate_step, x0=0, x1=model.put_x1

@@ -2,7 +2,8 @@
 
 Subcommands: ``price`` (one method, one parameter point), ``sweep`` (grid over
 precision/discretization), ``resources`` (T-depth report), ``validate``
-(config check only). Exit codes: 0 success, 1 validation, 2 capacity,
+(config check only). Exit codes: 0 success, 1 validation (a config error,
+or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity,
 3 numerical.
 
 Identical config and seed produce byte-identical CSV; the wall_ms column is
@@ -23,9 +24,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .circuit import build_pricing_circuit, fit_format, post_process
+from .circuit import MAX_FRAC_BITS, build_pricing_circuit, fit_format, post_process
 from .contracts import AutocallableContract, BinaryOption, FixedPointFormat
-from .errors import CapacityError, ConfigError, NumericalError
+from .errors import CapacityError, ConfigError, MappingError, NumericalError
 from .estimation import IqaeConfig, exact_amplitude, iqae_estimate
 from .loading import GaussianGridSpec
 from .oracles import (
@@ -131,6 +132,10 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.replace(",", " ").split()]
 
 
+def _frac_bits_ok(p: int) -> bool:
+    return 0 <= p <= MAX_FRAC_BITS
+
+
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     problems: list[str] = []
@@ -165,7 +170,8 @@ def parse_config(text: str) -> RunConfig:
     s_min = gr.get("s_min", float, check=lambda v: v > 0, describe="must be positive")
 
     fx = _Reader(parser, "fixedpoint", problems)
-    frac_bits = fx.get("p", int, check=lambda v: v >= 0, describe="must be >= 0")
+    frac_bits = fx.get("p", int, check=_frac_bits_ok,
+                       describe=f"must be in [0, {MAX_FRAC_BITS}]")
     int_bits_raw = fx.raw.get("int_bits", "auto")
     int_bits = None
     if int_bits_raw.strip().lower() != "auto":
@@ -187,7 +193,9 @@ def parse_config(text: str) -> RunConfig:
     seed = est.get("seed", int, default=0)
 
     sw = _Reader(parser, "sweep", problems)
-    sweep_p = sw.get("p_values", _parse_int_list, default=[])
+    sweep_p = sw.get("p_values", _parse_int_list, default=[],
+                     check=lambda ps: all(map(_frac_bits_ok, ps)),
+                     describe=f"must all be in [0, {MAX_FRAC_BITS}]")
     sweep_k = sw.get("k_values", _parse_int_list, default=[])
     sweep_methods = sw.get(
         "methods", lambda t: [m.strip() for m in t.split(",")], default=[]
@@ -242,8 +250,9 @@ def parse_config(text: str) -> RunConfig:
 def _require(config: RunConfig, method: str, k: int | None, p: int | None):
     problems = []
     if method in ("mc-disc", "cf-disc", "cf-quant", "quantum-exact", "quantum-iqae"):
-        if config.grid is None and k is None:
-            problems.append(f"method {method} needs a [grid] section")
+        # s_min always comes from [grid], even when the sweep supplies k
+        if config.grid is None:
+            problems.append(f"method {method} needs a [grid] section with k and s_min")
     if method in ("cf-quant", "quantum-exact", "quantum-iqae"):
         if config.frac_bits is None and p is None:
             problems.append(f"method {method} needs fixedpoint.p")
@@ -337,9 +346,15 @@ def price_row(
 
 
 def _fixed_format(config, contract, grid, p) -> FixedPointFormat:
-    if config.int_bits is not None:
-        return FixedPointFormat(config.int_bits, p, True)
-    return fit_format(contract, grid, p)
+    fitted = fit_format(contract, grid, p)
+    if config.int_bits is None:
+        return fitted
+    if config.int_bits < fitted.int_bits:
+        raise ConfigError([
+            f"'fixedpoint.int_bits' = {config.int_bits} is too small at p = {p}, "
+            f"k = {grid.k}: the accumulated log-returns need int_bits >= {fitted.int_bits}"
+        ])
+    return FixedPointFormat(config.int_bits, p, True)
 
 
 def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> list[dict]:
@@ -456,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return 1
+    except MappingError as exc:
+        print(f"mapping error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:
         print(f"capacity error: {exc} (reduce k or p)", file=sys.stderr)

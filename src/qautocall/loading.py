@@ -2,8 +2,11 @@
 states, and the comparator-based integration that accumulates a loaded
 distribution into a target-qubit amplitude.
 
-All preparation routines are pure circuit builders plus thin wrappers that
-apply them to an owned statevector; independent preparations on distinct
+All preparation routines are pure circuit builders of the four primitive op
+kinds (``Ry``, ``X``, ``PhaseOracle``, ``Classical``) plus state-level loaders
+that apply them to an owned statevector. Only those loaders check that their
+register starts in the ground state (:func:`~.simulator.require_ground`); the
+built ops check nothing when applied. Independent preparations on distinct
 statevectors may run in parallel threads.
 """
 
@@ -14,17 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError, StructuralError
+from .errors import NumericalError, StructuralError
 from .simulator import (
     Classical,
-    Condition,
     PhaseOracle,
     PrimitiveOp,
     QubitRegister,
     Ry,
     Statevector,
     invert,
-    probability,
+    require_ground,
 )
 
 
@@ -131,7 +133,7 @@ def exponential_prep_ops(reg: QubitRegister, a: float) -> list[PrimitiveOp]:
 
 def prepare_exponential_full(state: Statevector, reg: QubitRegister, a: float) -> Statevector:
     """Load sqrt(e^{a*r}/Z) over the full register domain (n parallel RYs)."""
-    _require_ground(state, reg.qubits)
+    require_ground(state, reg.qubits)
     return state.apply_all(exponential_prep_ops(reg, a))
 
 
@@ -303,7 +305,7 @@ def prepare_exponential_partial(
     strategy: str = "auto",
     aux: int | None = None,
 ) -> Statevector:
-    _require_ground(state, reg.qubits + (() if aux is None else (aux,)))
+    require_ground(state, reg.qubits + (() if aux is None else (aux,)))
     return state.apply_all(partial_exponential_prep_ops(reg, spec, strategy, aux))
 
 
@@ -331,11 +333,3 @@ def integrate_compare(
     state: Statevector, r_reg: QubitRegister, x_reg: QubitRegister, target: int
 ) -> Statevector:
     return state.apply(integrate_compare_op(r_reg, x_reg, target))
-
-
-def _require_ground(state: Statevector, qubits: tuple[int, ...]):
-    leaked = 1.0 - probability(state, Condition(tuple((q, 0) for q in qubits)))
-    if leaked > 1e-12:
-        raise PreconditionError(
-            f"register {qubits} not in ground state (leak probability {leaked:.3e})"
-        )

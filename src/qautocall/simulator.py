@@ -4,6 +4,14 @@ Bit-order convention used across the whole package: qubit ``q`` is bit ``q``
 of the basis-state index (LSB-first), and a register occupying qubits
 ``offset .. offset+width-1`` stores value bit ``j`` on qubit ``offset+j``.
 
+Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
+:class:`X` (optionally controlled), :class:`PhaseOracle` and
+:class:`Classical`. Amplitude loading is not a primitive: :func:`injection_ops`
+expands it into ``Ry`` rotations when the circuit is built. No op checks the
+state it is applied to; only the state-level loaders that take a state from a
+caller (:func:`inject_amplitudes` here, the exponential preparations in
+``loading``) call :func:`require_ground`.
+
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
 exists, and randomness always enters through an explicit seed, so independent
@@ -176,47 +184,31 @@ class Classical:
         return f"Classical({self.name or hex(id(self))}, qubits={self.qubits})"
 
 
-class Inject:
-    """Load a real non-negative amplitude vector into a ground-state register.
-
-    Decomposed at construction into a binary tree of uniformly controlled Y
-    rotations, so the op (and every circuit containing it) stays invertible.
-    """
-
-    __slots__ = ("qubits", "amplitudes", "_decomposition")
-
-    def __init__(self, qubits: Sequence[int], amplitudes: np.ndarray | Sequence[float]):
-        self.qubits = tuple(int(q) for q in qubits)
-        if len(set(self.qubits)) != len(self.qubits):
-            raise StructuralError("inject qubits must be distinct")
-        amps = np.asarray(amplitudes, dtype=float)
-        if amps.shape != (2 ** len(self.qubits),):
-            raise StructuralError(
-                f"amplitude vector must have length {2 ** len(self.qubits)}, got {amps.shape}"
-            )
-        if (amps < 0).any():
-            raise StructuralError("inject supports real non-negative amplitudes only")
-        norm = float(np.sum(amps * amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise PreconditionError(f"amplitude vector not normalized: |amps|^2 = {norm!r}")
-        self.amplitudes = amps
-        self._decomposition = _injection_rotations(self.qubits, amps)
-
-    def inverse_ops(self) -> list["PrimitiveOp"]:
-        return [inv for op in reversed(self._decomposition) for inv in op.inverse_ops()]
-
-    def __repr__(self):
-        return f"Inject(qubits={self.qubits})"
-
-
-PrimitiveOp = Union[Ry, X, PhaseOracle, Classical, Inject]
+PrimitiveOp = Union[Ry, X, PhaseOracle, Classical]
 Circuit = list  # ordered sequence of PrimitiveOp
 
 
-def _injection_rotations(qubits: tuple[int, ...], amps: np.ndarray) -> list[Ry]:
-    """Binary-tree decomposition: one rotation layer per bit, MSB first."""
-    k = len(qubits)
+def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> list[Ry]:
+    """Rotations loading a real non-negative amplitude vector into ``reg``
+    from its ground state.
+
+    Binary-tree decomposition into uniformly controlled Y rotations, one
+    layer per bit, MSB first; being plain rotations, the ops invert and
+    repeat like any other gate.
+    """
+    amps = np.asarray(amps, dtype=float)
+    if amps.shape != (2**reg.width,):
+        raise StructuralError(
+            f"amplitude vector must have length {2 ** reg.width}, got {amps.shape}"
+        )
+    if (amps < 0).any():
+        raise StructuralError("injection supports real non-negative amplitudes only")
     probs = amps * amps
+    norm = float(np.sum(probs))
+    if abs(norm - 1.0) > 1e-12:
+        raise PreconditionError(f"amplitude vector not normalized: |amps|^2 = {norm!r}")
+    qubits = reg.qubits
+    k = reg.width
     ops: list[Ry] = []
     for t in range(k - 1, -1, -1):
         high_bits = range(t + 1, k)
@@ -275,11 +267,6 @@ class Statevector:
         elif isinstance(op, Classical):
             self._check_bounds(op.qubits)
             self._apply_classical(op)
-        elif isinstance(op, Inject):
-            self._check_bounds(op.qubits)
-            self._require_ground(op.qubits)
-            for rot in op._decomposition:
-                self._apply_rotation(rot.target, rot.angle, rot.controls)
         else:
             raise StructuralError(f"unknown primitive op {op!r}")
         return self
@@ -355,13 +342,6 @@ class Statevector:
             v |= ((idx >> q) & 1) << j
         return v
 
-    def _require_ground(self, qubits: tuple[int, ...]):
-        leaked = 1.0 - probability(self, Condition(tuple((q, 0) for q in qubits)))
-        if leaked > _GROUND_TOL:
-            raise PreconditionError(
-                f"register {qubits} not in ground state (leak probability {leaked:.3e})"
-            )
-
 
 def allocate(num_qubits: int, budget: int = DEFAULT_QUBIT_BUDGET) -> Statevector:
     """Fresh |0...0> state. Raises :class:`CapacityError` above the budget."""
@@ -378,10 +358,6 @@ def allocate(num_qubits: int, budget: int = DEFAULT_QUBIT_BUDGET) -> Statevector
     return Statevector(num_qubits, amps)
 
 
-def apply(state: Statevector, op: PrimitiveOp) -> Statevector:
-    return state.apply(op)
-
-
 def apply_classical(
     state: Statevector, reg: QubitRegister, f: Callable[[int], int] | np.ndarray, name: str = ""
 ) -> Statevector:
@@ -396,7 +372,19 @@ def apply_classical(
 def inject_amplitudes(
     state: Statevector, reg: QubitRegister, amps: np.ndarray | Sequence[float]
 ) -> Statevector:
-    return state.apply(Inject(reg.qubits, amps))
+    """Load ``amps`` into ``reg``, which must be in its ground state."""
+    ops = injection_ops(reg, amps)
+    require_ground(state, reg.qubits)
+    return state.apply_all(ops)
+
+
+def require_ground(state: Statevector, qubits: tuple[int, ...]):
+    """Raise :class:`PreconditionError` unless ``qubits`` are all |0> in ``state``."""
+    leaked = 1.0 - probability(state, Condition(tuple((q, 0) for q in qubits)))
+    if leaked > _GROUND_TOL:
+        raise PreconditionError(
+            f"register {qubits} not in ground state (leak probability {leaked:.3e})"
+        )
 
 
 def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:

@@ -6,7 +6,6 @@ import pytest
 from qautocall.circuit import (
     QuantizedModel,
     build_pricing_circuit,
-    derive_mapping,
     fit_format,
     log_return_increment,
     post_process,
@@ -30,11 +29,11 @@ def _run(pc):
 
 class TestMapping:
     def test_table2_f_max_is_discounted_second_binary(self, table2):
-        mapping = derive_mapping(table2, GRID1, fit_format(table2, GRID1, 2))
+        mapping = QuantizedModel(table2, GRID1, fit_format(table2, GRID1, 2)).mapping
         assert mapping.f_max == pytest.approx(5.0 * math.exp(-0.08), abs=1e-12)
 
     def test_zero_level_and_endpoints(self, table2):
-        mapping = derive_mapping(table2, GRID1, fit_format(table2, GRID1, 2))
+        mapping = QuantizedModel(table2, GRID1, fit_format(table2, GRID1, 2)).mapping
         assert 0.0 < mapping.zero_level < 1.0
         assert post_process(1.0, mapping) == pytest.approx(mapping.f_max, abs=1e-12)
         assert post_process(0.0, mapping) == mapping.p_min
@@ -42,14 +41,14 @@ class TestMapping:
 
     def test_p_min_is_discounted_put_floor(self, table2):
         fmt = fit_format(table2, GRID1, 2)
-        mapping = derive_mapping(table2, GRID1, fmt)
         model = QuantizedModel(table2, GRID1, fmt)
+        mapping = model.mapping
         wanted = (mapping.r_t_min - 1.0) * 18.0 * math.exp(-0.04 * 3)
         assert mapping.p_min == pytest.approx(wanted, abs=1e-12)
         assert mapping.r_t_min == pytest.approx(math.exp(model.l_min_code * 0.25), abs=1e-12)
 
     def test_flat_contract_clamps_floor_at_zero(self, table2_flat):
-        mapping = derive_mapping(table2_flat, GRID1, fit_format(table2_flat, GRID1, 2))
+        mapping = QuantizedModel(table2_flat, GRID1, fit_format(table2_flat, GRID1, 2)).mapping
         assert mapping.p_min == 0.0
         assert mapping.zero_level == 0.0
         assert mapping.scale == pytest.approx(mapping.f_max)
@@ -241,4 +240,4 @@ def test_derive_mapping_needs_some_payout():
     from qautocall.errors import MappingError
 
     with pytest.raises(MappingError, match="zero"):
-        derive_mapping(contract, grid, fit_format(contract, grid, 2))
+        QuantizedModel(contract, grid, fit_format(contract, grid, 2))

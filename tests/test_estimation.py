@@ -115,6 +115,20 @@ class TestIqae:
         assert not res.converged
         assert res.rounds == 1
 
+    def test_covers_exact_amplitude_on_pricing_circuit(self, table2):
+        # A and A^-1 are re-applied by every Grover step, so the circuit must
+        # carry no op that asserts anything about the state it acts on
+        from qautocall.circuit import build_pricing_circuit, fit_format
+        from qautocall.loading import GaussianGridSpec
+
+        grid = GaussianGridSpec(k=1, s_min=3.0)
+        pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, 2))
+        nq = pc.layout.num_qubits
+        res = iqae_estimate(pc.ops, nq, pc.good, IqaeConfig(epsilon=0.05, alpha=0.05, seed=1))
+        a = exact_amplitude(pc.ops, nq, pc.good)
+        assert res.converged
+        assert res.ci[0] <= a <= res.ci[1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IqaeConfig(epsilon=0.7, alpha=0.05)

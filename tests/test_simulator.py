@@ -9,7 +9,6 @@ from qautocall.errors import CapacityError, PreconditionError, StructuralError
 from qautocall.simulator import (
     Classical,
     Condition,
-    Inject,
     PhaseOracle,
     QubitRegister,
     Ry,
@@ -18,6 +17,7 @@ from qautocall.simulator import (
     allocate,
     apply_classical,
     inject_amplitudes,
+    injection_ops,
     invert,
     probability,
     sample,
@@ -141,7 +141,13 @@ def test_inject_requires_ground_register():
 
 def test_inject_requires_normalized_amplitudes():
     with pytest.raises(PreconditionError, match="normalized"):
-        Inject((0, 1), [0.5, 0.5, 0.5, 0.6])
+        injection_ops(QubitRegister(0, 2), [0.5, 0.5, 0.5, 0.6])
+
+
+@pytest.mark.parametrize("amps", [[1.0, 0.0, 0.0], [0.6, -0.8]])
+def test_inject_rejects_wrong_length_and_negative_amplitudes(amps):
+    with pytest.raises(StructuralError):
+        injection_ops(QubitRegister(0, 1), amps)
 
 
 @given(
@@ -169,7 +175,7 @@ def test_invert_reverses_order():
 
 def _random_circuit(num_qubits, rng, length=25):
     ops = []
-    ops.append(Inject((0, 1), np.sqrt([0.1, 0.2, 0.3, 0.4])))
+    ops.extend(injection_ops(QubitRegister(0, 2), np.sqrt([0.1, 0.2, 0.3, 0.4])))
     for _ in range(length):
         kind = rng.integers(4)
         target = int(rng.integers(num_qubits))
