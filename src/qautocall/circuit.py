@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import AutocallableContract, FixedPointFormat, int_bits_for
-from .errors import CapacityError, MappingError, StructuralError
+from .errors import CapacityError, ConfigError, MappingError, StructuralError
 from .loading import (
     ExponentialPrepSpec,
     GaussianGridSpec,
@@ -206,14 +206,36 @@ class QuantizedModel:
 MAX_FRAC_BITS = 62
 
 
+def _probe_codes(
+    contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
+) -> list[int] | None:
+    """Per-step increment codes at ``frac_bits``, or None if one overflows the probe."""
+    probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits, True)
+    try:
+        return [log_return_increment(g, 1, contract, grid, probe) for g in range(2**grid.k)]
+    except ValueError:
+        return None
+
+
 def fit_format(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
 ) -> FixedPointFormat:
-    """Smallest signed format whose accumulator covers every cumulative code."""
-    probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits, True)
-    codes = [
-        log_return_increment(g, 1, contract, grid, probe) for g in range(2**grid.k)
-    ]
+    """Smallest signed format whose accumulator covers every cumulative code.
+
+    Raises :class:`ConfigError`, naming the largest usable ``frac_bits``, when
+    a per-step increment does not fit the 63-bit probe.
+    """
+    codes = _probe_codes(contract, grid, frac_bits)
+    if codes is None:
+        usable = next(
+            (p for p in range(frac_bits - 1, -1, -1) if _probe_codes(contract, grid, p) is not None),
+            None,
+        )
+        raise ConfigError([
+            f"p = {frac_bits} is too large for this contract: a per-step log-return "
+            f"increment overflows {MAX_FRAC_BITS + 1} bits; "
+            + (f"the largest usable p is {usable}" if usable is not None else "no p is usable")
+        ])
     T = contract.steps
     envelope = [0, min(codes), max(codes), T * min(codes), T * max(codes)]
     return FixedPointFormat(int_bits_for(envelope, frac_bits, True), frac_bits, True)
@@ -419,7 +441,6 @@ def build_pricing_circuit(
     grid: GaussianGridSpec,
     fmt: FixedPointFormat,
     budget: int = DEFAULT_QUBIT_BUDGET,
-    prep_strategy: str = "auto",
 ) -> PricingCircuit:
     """Assemble the full pricing circuit; see the module docstring for the
     pipeline. The good state is the conjunction (target=1 and scale=1)."""
@@ -439,7 +460,7 @@ def build_pricing_circuit(
         spec = ExponentialPrepSpec(
             width=model.exp_width, a=model.rate_step, x0=0, x1=model.put_x1
         )
-        ops.extend(partial_exponential_prep_ops(layout.exponential, spec, prep_strategy))
+        ops.extend(partial_exponential_prep_ops(layout.exponential, spec))
 
     by_step = {b.step: i for i, b in enumerate(contract.binaries)}
     for t in range(1, contract.steps + 1):

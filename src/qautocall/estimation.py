@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .simulator import (
-    DEFAULT_QUBIT_BUDGET,
     Condition,
     PhaseOracle,
     PrimitiveOp,
@@ -84,10 +83,9 @@ def exact_amplitude(
     a_ops: Sequence[PrimitiveOp],
     num_qubits: int,
     good: Condition,
-    budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> float:
     """Exact good-state probability of A|0...0>."""
-    state = allocate(num_qubits, budget)
+    state = allocate(num_qubits)
     state.apply_all(a_ops)
     return probability(state, good)
 
@@ -121,14 +119,13 @@ def iqae_estimate(
     num_qubits: int,
     good: Condition,
     config: IqaeConfig,
-    budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> EstimateResult:
     """Estimate the good-state probability to half-width epsilon at
     confidence 1 - alpha. Deterministic for a fixed seed."""
     rng = np.random.default_rng(config.seed)
     grover = build_grover(a_ops, num_qubits, good)
 
-    state = allocate(num_qubits, budget)
+    state = allocate(num_qubits)
     state.apply_all(a_ops)
     current_k = 0
 

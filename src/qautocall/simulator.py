@@ -3,6 +3,9 @@
 Bit-order convention used across the whole package: qubit ``q`` is bit ``q``
 of the basis-state index (LSB-first), and a register occupying qubits
 ``offset .. offset+width-1`` stores value bit ``j`` on qubit ``offset+j``.
+The kernels index the state as a ``(2,)*n`` tensor, so qubit ``q`` is axis
+``n-1-q`` of that view; this needs C-contiguous amplitudes, and a
+:class:`Classical` op costs one state-sized temporary (see :class:`Statevector`).
 
 Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
 :class:`X` (optionally controlled), :class:`PhaseOracle` and
@@ -228,22 +231,23 @@ def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> lis
 
 
 class Statevector:
-    """Dense complex amplitude array over ``num_qubits`` qubits."""
+    """Dense complex amplitude array over ``num_qubits`` qubits.
 
-    __slots__ = ("num_qubits", "amplitudes", "_idx")
+    The kernels work on the ``(2,)*num_qubits`` reshape of ``amplitudes``, in
+    which qubit ``q`` is axis ``num_qubits-1-q``; they write through that view
+    in place and allocate no index arrays. ``amplitudes`` must therefore stay
+    C-contiguous (a reshape of anything else is a copy that would swallow the
+    writes), and a kernel given a non-contiguous array raises
+    :class:`StructuralError`. A :class:`Classical` op holds one
+    state-sized temporary while it permutes; the other kinds allocate
+    temporaries in proportion to the entries they touch.
+    """
+
+    __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray):
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
-        self._idx = None
-
-    def _indices(self) -> np.ndarray:
-        if self._idx is None:
-            self._idx = np.arange(2**self.num_qubits, dtype=np.int64)
-        return self._idx
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.num_qubits, self.amplitudes.copy())
 
     def norm_sq(self) -> float:
         a = self.amplitudes
@@ -278,69 +282,49 @@ class Statevector:
 
     # -- op kernels --------------------------------------------------------
 
-    def _control_mask(self, controls) -> np.ndarray | None:
-        if not controls:
-            return None
-        idx = self._indices()
-        mask = np.ones(idx.shape, dtype=bool)
-        for q, b in controls:
-            mask &= ((idx >> q) & 1) == b
-        return mask
+    def _view(self, fixed: Iterable[tuple[int, int]] = ()) -> np.ndarray:
+        """Writable tensor view with each ``(qubit, bit)`` of ``fixed`` pinned.
+
+        Pinned axes keep length 1 (``slice(b, b+1)``), so even a fully pinned
+        view is an array rather than a scalar.
+        """
+        if not self.amplitudes.flags.c_contiguous:
+            raise StructuralError("statevector amplitudes must be C-contiguous")
+        n = self.num_qubits
+        index = [slice(None)] * n
+        for q, b in fixed:
+            index[n - 1 - q] = slice(b, b + 1)
+        return self.amplitudes.reshape((2,) * n)[tuple(index)]
 
     def _apply_rotation(self, target: int, angle: float, controls):
-        idx = self._indices()
-        sel = ((idx >> target) & 1) == 0
-        cmask = self._control_mask(controls)
-        if cmask is not None:
-            sel &= cmask
-        i0 = idx[sel]
-        i1 = i0 | (1 << target)
+        v0 = self._view((*controls, (target, 0)))
+        v1 = self._view((*controls, (target, 1)))
         c = math.cos(angle / 2.0)
         s = math.sin(angle / 2.0)
-        a = self.amplitudes
-        a0 = a[i0]
-        a1 = a[i1]
-        a[i0] = c * a0 - s * a1
-        a[i1] = s * a0 + c * a1
+        a0 = v0.copy()
+        v0[...] = c * a0 - s * v1
+        v1[...] = s * a0 + c * v1
 
     def _apply_flip(self, target: int, controls):
-        idx = self._indices()
-        sel = ((idx >> target) & 1) == 0
-        cmask = self._control_mask(controls)
-        if cmask is not None:
-            sel &= cmask
-        i0 = idx[sel]
-        i1 = i0 | (1 << target)
-        a = self.amplitudes
-        a0 = a[i0].copy()
-        a[i0] = a[i1]
-        a[i1] = a0
+        v0 = self._view((*controls, (target, 0)))
+        v1 = self._view((*controls, (target, 1)))
+        a0 = v0.copy()
+        v0[...] = v1
+        v1[...] = a0
 
     def _apply_phase(self, op: PhaseOracle):
-        if op.qubits == tuple(range(self.num_qubits)):
-            v = self._indices()
-        else:
-            v = self._register_values(op.qubits)
-        sel = op.marked[v]
-        self.amplitudes[sel] *= complex(math.cos(op.phase), math.sin(op.phase))
+        # op qubits first, MSB first: the leading axes index the marked table
+        n, k = self.num_qubits, len(op.qubits)
+        view = np.moveaxis(self._view(), [n - 1 - q for q in reversed(op.qubits)], range(k))
+        view[op.marked.reshape((2,) * k)] *= complex(
+            math.cos(op.phase), math.sin(op.phase)
+        )
 
     def _apply_classical(self, op: Classical):
-        idx = self._indices()
-        v = self._register_values(op.qubits)
-        diff = v ^ op.table[v]
-        new_idx = idx.copy()
-        for j, q in enumerate(op.qubits):
-            new_idx ^= ((diff >> j) & 1) << q
-        out = np.empty_like(self.amplitudes)
-        out[new_idx] = self.amplitudes
-        self.amplitudes = out
-
-    def _register_values(self, qubits: tuple[int, ...]) -> np.ndarray:
-        idx = self._indices()
-        v = np.zeros(idx.shape, dtype=np.int64)
-        for j, q in enumerate(qubits):
-            v |= ((idx >> q) & 1) << j
-        return v
+        # value v moves to table[v]; the copy is the one state-sized temporary
+        n, k = self.num_qubits, len(op.qubits)
+        view = np.moveaxis(self._view(), [n - 1 - q for q in reversed(op.qubits)], range(k))
+        view[np.unravel_index(op.table, (2,) * k)] = view.copy().reshape(2**k, *view.shape[k:])
 
 
 def allocate(num_qubits: int, budget: int = DEFAULT_QUBIT_BUDGET) -> Statevector:
@@ -394,12 +378,8 @@ def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:
 
 def probability(state: Statevector, cond: Condition) -> float:
     """Exact probability mass of basis states satisfying ``cond``."""
-    a = state.amplitudes
-    if not cond.terms:
-        return float(np.real(np.vdot(a, a)))
     state._check_bounds(q for q, _ in cond.terms)
-    mask = state._control_mask(cond.terms)
-    sel = a[mask]
+    sel = state._view(cond.terms)
     return float(np.real(np.vdot(sel, sel)))
 
 

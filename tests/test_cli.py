@@ -69,8 +69,17 @@ def _rows(path):
             "methods = cf-quant\n",
             "sweep.p_values",
         ),
+        (
+            "price",
+            CONTRACT.replace("sigma = 0.2382", "sigma = 0.5")
+            + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 62\n[estimation]\nmethod = cf-quant\n",
+            "largest usable p is 61",
+        ),
     ],
-    ids=["k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large"],
+    ids=[
+        "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
+        "increment-overflows-probe",
+    ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
     code, out = _run(tmp_path, command, text)

@@ -219,6 +219,76 @@ def test_norm_preserved_within_bound():
     assert abs(state.norm_sq() - 1.0) <= len(ops) * 1e-12
 
 
+def _bit(i, q):
+    return (i >> q) & 1
+
+
+def _value(i, qubits):
+    return sum(_bit(i, q) << j for j, q in enumerate(qubits))
+
+
+def _reference_apply(op, amps):
+    """Apply ``op`` one basis state at a time, straight from its definition."""
+    out = amps.copy()
+    for i in range(len(amps)):
+        if isinstance(op, (Ry, X)):
+            if _bit(i, op.target) or any(_bit(i, q) != b for q, b in op.controls):
+                continue
+            j = i | (1 << op.target)
+            if isinstance(op, X):
+                out[i], out[j] = amps[j], amps[i]
+            else:
+                c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
+                out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
+        elif isinstance(op, PhaseOracle):
+            if op.marked[_value(i, op.qubits)]:
+                out[i] = amps[i] * complex(math.cos(op.phase), math.sin(op.phase))
+        else:
+            w = int(op.table[_value(i, op.qubits)])
+            j = i
+            for k, q in enumerate(op.qubits):
+                j = (j & ~(1 << q)) | (((w >> k) & 1) << q)
+            out[j] = amps[i]
+    return out
+
+
+_MARKED = np.random.default_rng(3).integers(2, size=16).astype(bool)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        Ry(1, -1.3),
+        Ry(2, 0.7, controls=((4, 1), (0, 0))),
+        X(0),
+        X(3, controls=((0, 1), (4, 0), (1, 1))),
+        PhaseOracle((3, 0, 2), _MARKED[:8], 0.9),
+        PhaseOracle((2, 4, 1, 0), _MARKED, math.pi),
+        PhaseOracle((4, 0, 3, 1, 2), np.tile(_MARKED, 2), -0.4),
+        Classical((3, 0, 2), np.random.default_rng(4).permutation(8), name="perm8"),
+        Classical((2, 4, 1, 0), np.random.default_rng(5).permutation(16), name="perm16"),
+    ],
+    ids=repr,
+)
+def test_kernels_match_per_basis_state_reference(op):
+    rng = np.random.default_rng(17)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    amps /= np.linalg.norm(amps)
+    state = Statevector(5, amps.copy()).apply(op)
+    want = _reference_apply(op, amps)
+    np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-14)
+    cond = Condition(((3, 1), (0, 0), (2, 1)))
+    mass = sum(abs(want[i]) ** 2 for i in range(32) if all(_bit(i, q) == b for q, b in cond.terms))
+    assert probability(state, cond) == pytest.approx(mass, abs=1e-14)
+
+
+def test_non_contiguous_amplitudes_rejected():
+    state = allocate(3)
+    state.amplitudes = np.zeros(16, dtype=complex)[::2]
+    with pytest.raises(StructuralError, match="contiguous"):
+        state.apply(X(0))
+
+
 def test_probability_basics():
     state = allocate(2)
     assert probability(state, Condition(((0, 1),))) == 0.0
