@@ -38,10 +38,8 @@ from .loading import (
     GaussianGridSpec,
     exp_angles,
     gaussian_amplitudes,
-    integrate_compare,
     integration_amplitude,
-    prepare_exponential_full,
-    prepare_exponential_partial,
+    partial_exponential_prep_ops,
 )
 from .oracles import (
     McResult,
@@ -73,8 +71,6 @@ from .simulator import (
     Statevector,
     X,
     allocate,
-    apply_classical,
-    inject_amplitudes,
     injection_ops,
     invert,
     probability,

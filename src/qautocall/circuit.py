@@ -29,7 +29,6 @@ from .loading import (
     partial_exponential_prep_ops,
 )
 from .simulator import (
-    DEFAULT_QUBIT_BUDGET,
     Classical,
     Condition,
     PrimitiveOp,
@@ -37,17 +36,16 @@ from .simulator import (
     Ry,
     X,
     injection_ops,
+    max_qubits,
 )
 
 
 def log_return_increment(
-    g: int, t: int, contract: AutocallableContract, grid: GaussianGridSpec, fmt: FixedPointFormat
+    g: int, contract: AutocallableContract, grid: GaussianGridSpec, fmt: FixedPointFormat
 ) -> int:
-    """Quantized per-step log-return for grid index ``g`` (same for every t)."""
+    """Quantized per-step log-return for grid index ``g``; every step shares it."""
     if not 0 <= g < 2**grid.k:
         raise ValueError(f"grid index {g} outside [0, {2 ** grid.k})")
-    if not 1 <= t <= contract.steps:
-        raise ValueError(f"timestep {t} outside [1, {contract.steps}]")
     value = contract.mu * contract.dt + contract.sigma * (
         g * grid.ds - grid.s_min
     ) * math.sqrt(contract.dt)
@@ -106,7 +104,7 @@ class QuantizedModel:
         T = contract.steps
 
         self.inc_codes = np.array(
-            [log_return_increment(g, 1, contract, grid, fmt) for g in range(2**grid.k)],
+            [log_return_increment(g, contract, grid, fmt) for g in range(2**grid.k)],
             dtype=np.int64,
         )
         lo, hi = int(self.inc_codes.min()), int(self.inc_codes.max())
@@ -195,12 +193,6 @@ class QuantizedModel:
         amp = integration_amplitude(self.rate_step, x, 0, self.put_x1)
         return amp * amp * self.put_scale_sq
 
-    def signed_values(self, raw: np.ndarray) -> np.ndarray:
-        if self.fmt.signed:
-            half = 2 ** (self.fmt.width - 1)
-            return raw - (raw >= half) * 2**self.fmt.width
-        return raw
-
 
 #: largest fractional width: codes must fit a signed 63-bit (int64) probe
 MAX_FRAC_BITS = 62
@@ -212,7 +204,7 @@ def _probe_codes(
     """Per-step increment codes at ``frac_bits``, or None if one overflows the probe."""
     probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits, True)
     try:
-        return [log_return_increment(g, 1, contract, grid, probe) for g in range(2**grid.k)]
+        return [log_return_increment(g, contract, grid, probe) for g in range(2**grid.k)]
     except ValueError:
         return None
 
@@ -331,7 +323,7 @@ def barrier_flag_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Cl
     """c_t ^= (l_t < quantize(ln b)), strict."""
     m = model.fmt.width
     vals = np.arange(2 ** (m + 1), dtype=np.int64)
-    acc = model.signed_values(vals & (2**m - 1))
+    acc = model.fmt.to_signed(vals & (2**m - 1))
     flip = (acc < model.barrier_code).astype(np.int64)
     table = vals ^ (flip << m)
     return Classical(
@@ -346,7 +338,7 @@ def binary_flag_op(model: QuantizedModel, layout: RegisterLayout, i: int) -> Cla
     m = model.fmt.width
     bits = m + i + 1
     vals = np.arange(2**bits, dtype=np.int64)
-    acc = model.signed_values(vals & (2**m - 1))
+    acc = model.fmt.to_signed(vals & (2**m - 1))
     earlier = (vals >> m) & (2**i - 1) if i else np.zeros_like(vals)
     flip = ((acc > model.strike_codes[i]) & (earlier == 0)).astype(np.int64)
     table = vals ^ (flip << (m + i))
@@ -375,7 +367,7 @@ def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Classical:
     j = len(model.contract.binaries)
     bits = m + T + j + 1
     vals = np.arange(2**bits, dtype=np.int64)
-    acc = model.signed_values(vals & (2**m - 1))
+    acc = model.fmt.to_signed(vals & (2**m - 1))
     crossed = ((vals >> m) & (2**T - 1)) != 0
     binaries_clear = ((vals >> (m + T)) & (2**j - 1)) == 0 if j else np.ones_like(vals, bool)
     flip = (binaries_clear & crossed & (acc < model.put_strike_code)).astype(np.int64)
@@ -390,13 +382,13 @@ def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Classical:
 
 
 def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Classical:
-    """Controlled integration comparator: target ^= flag and (r <= l_T - l_min)."""
+    """Controlled integration comparator: target ^= flag and (r <= l_T - l_min - 1)."""
     n = model.exp_width
     m = model.fmt.width
     bits = n + m + 2
     vals = np.arange(2**bits, dtype=np.int64)
     r = vals & (2**n - 1)
-    acc = model.signed_values((vals >> n) & (2**m - 1))
+    acc = model.fmt.to_signed((vals >> n) & (2**m - 1))
     flag = (vals >> (n + m)) & 1
     flip = ((flag == 1) & (r <= acc - model.l_min_code - 1)).astype(np.int64)
     table = vals ^ (flip << (n + m + 1))
@@ -440,16 +432,18 @@ def build_pricing_circuit(
     contract: AutocallableContract,
     grid: GaussianGridSpec,
     fmt: FixedPointFormat,
-    budget: int = DEFAULT_QUBIT_BUDGET,
 ) -> PricingCircuit:
     """Assemble the full pricing circuit; see the module docstring for the
-    pipeline. The good state is the conjunction (target=1 and scale=1)."""
+    pipeline. The good state is the conjunction (target=1 and scale=1).
+    Raises :class:`CapacityError` when the circuit needs more qubits than
+    :func:`~.simulator.max_qubits`."""
     model = QuantizedModel(contract, grid, fmt)
     layout = plan_layout(model)
-    if layout.num_qubits > budget:
+    cap = max_qubits()
+    if layout.num_qubits > cap:
         raise CapacityError(
-            f"pricing circuit needs {layout.num_qubits} qubits, budget is {budget} "
-            f"({layout.describe()})"
+            f"pricing circuit needs {layout.num_qubits} qubits, {cap} fit in physical "
+            f"memory ({layout.describe()})"
         )
 
     gauss = gaussian_amplitudes(grid)

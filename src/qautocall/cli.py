@@ -196,7 +196,8 @@ def parse_config(text: str) -> RunConfig:
     sweep_p = sw.get("p_values", _parse_int_list, default=[],
                      check=lambda ps: all(map(_frac_bits_ok, ps)),
                      describe=f"must all be in [0, {MAX_FRAC_BITS}]")
-    sweep_k = sw.get("k_values", _parse_int_list, default=[])
+    sweep_k = sw.get("k_values", _parse_int_list, default=[],
+                     check=lambda ks: all(k >= 1 for k in ks), describe="must all be >= 1")
     sweep_methods = sw.get(
         "methods", lambda t: [m.strip() for m in t.split(",")], default=[]
     )
@@ -208,13 +209,21 @@ def parse_config(text: str) -> RunConfig:
     resources = {}
     if parser.has_section("resources"):
         resources = {
-            "steps": res.get("steps", int, default=20),
-            "assets": res.get("assets", int, default=3),
-            "epsilon": res.get("epsilon", float, default=2e-3),
-            "layers": res.get("layers", int, default=0),
-            "gaussian_qubits": res.get("gaussian_qubits", int, default=2),
-            "binaries": res.get("binaries", int, default=2),
-            "m_values": res.get("m_values", _parse_int_list, default=[8]),
+            "steps": res.get("steps", int, default=20, check=lambda v: v >= 1,
+                             describe="must be >= 1"),
+            "assets": res.get("assets", int, default=3, check=lambda v: v >= 1,
+                              describe="must be >= 1"),
+            "epsilon": res.get("epsilon", float, default=2e-3, check=lambda v: 0 < v < 1,
+                               describe="must be in (0, 1)"),
+            "layers": res.get("layers", int, default=0, check=lambda v: v >= 0,
+                              describe="must be >= 0"),
+            "gaussian_qubits": res.get("gaussian_qubits", int, default=2,
+                                       check=lambda v: v >= 1, describe="must be >= 1"),
+            "binaries": res.get("binaries", int, default=2, check=lambda v: v >= 0,
+                                describe="must be >= 0"),
+            "m_values": res.get("m_values", _parse_int_list, default=[8],
+                                check=lambda ms: all(m >= 1 for m in ms),
+                                describe="must all be >= 1"),
             "sigma_max": res.get("sigma_max", float, default=0.2382),
             "mu": res.get("mu", float, default=0.1274),
             "dt": res.get("dt", float, default=1.0),

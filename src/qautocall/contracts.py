@@ -59,9 +59,6 @@ class AutocallableContract:
                 raise ValueError(f"binary payout must be positive, got {b.payout}")
             last = b.step
 
-    def binary_time(self, i: int) -> float:
-        return self.binaries[i].step * self.dt
-
     def discounted_payout(self, i: int) -> float:
         b = self.binaries[i]
         return b.payout * math.exp(-self.rate * b.step * self.dt)
@@ -107,10 +104,10 @@ class FixedPointFormat:
     def covers(self, code: int) -> bool:
         return self.min_code <= code <= self.max_code
 
-    def to_signed(self, raw: int) -> int:
-        """Interpret a raw register value as a code."""
-        if self.signed and raw >= 2 ** (self.width - 1):
-            return raw - 2**self.width
+    def to_signed(self, raw):
+        """Interpret raw register values (an int or an int array) as codes."""
+        if self.signed:
+            return raw - (raw >= 2 ** (self.width - 1)) * 2**self.width
         return raw
 
 

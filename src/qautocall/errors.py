@@ -6,7 +6,8 @@ class QAutocallError(Exception):
 
 
 class CapacityError(QAutocallError):
-    """A requested allocation or enumeration exceeds the configured budget."""
+    """A requested state does not fit in physical memory, or an enumeration
+    exceeds its limit."""
 
 
 class StructuralError(QAutocallError):
@@ -14,7 +15,7 @@ class StructuralError(QAutocallError):
 
 
 class PreconditionError(QAutocallError):
-    """An operation's runtime precondition on the quantum state does not hold."""
+    """An amplitude vector to be loaded is not normalized."""
 
 
 class MappingError(QAutocallError):

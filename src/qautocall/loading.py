@@ -1,13 +1,13 @@
-"""Distribution loading: discretized Gaussians, full and partial exponential
-states, and the comparator-based integration that accumulates a loaded
-distribution into a target-qubit amplitude.
+"""Distribution loading: discretized Gaussians, partial exponential states,
+and the closed form of the comparator-based integration that accumulates a
+loaded exponential into a target-qubit amplitude.
 
-All preparation routines are pure circuit builders of the four primitive op
-kinds (``Ry``, ``X``, ``PhaseOracle``, ``Classical``) plus state-level loaders
-that apply them to an owned statevector. Only those loaders check that their
-register starts in the ground state (:func:`~.simulator.require_ground`); the
-built ops check nothing when applied. Independent preparations on distinct
-statevectors may run in parallel threads.
+Every preparation is a pure circuit builder that returns a list of the four
+primitive op kinds (``Ry``, ``X``, ``PhaseOracle``, ``Classical``) for a
+register in its ground state; nothing here touches a statevector. The
+integration comparator itself is built with the pricing circuit
+(:func:`~.circuit.put_comparator_op`); :func:`integration_amplitude` is the
+amplitude it loads.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StructuralError
-from .simulator import (
-    Classical,
-    PhaseOracle,
-    PrimitiveOp,
-    QubitRegister,
-    Ry,
-    Statevector,
-    invert,
-    require_ground,
-)
+from .simulator import Classical, PhaseOracle, PrimitiveOp, QubitRegister, Ry, invert
 
 
 @dataclass(frozen=True)
@@ -123,20 +114,6 @@ def integration_amplitude(a: float, x: int, x0: int, x1: int) -> float:
     return math.sqrt(math.expm1(a * (x - x0 + 1)) / math.expm1(a * (x1 - x0 + 1)))
 
 
-# -- full exponential preparation -------------------------------------------
-
-
-def exponential_prep_ops(reg: QubitRegister, a: float) -> list[PrimitiveOp]:
-    angles = exp_angles(a, reg.width)
-    return [Ry(reg.qubit(i), float(angles[i])) for i in range(reg.width)]
-
-
-def prepare_exponential_full(state: Statevector, reg: QubitRegister, a: float) -> Statevector:
-    """Load sqrt(e^{a*r}/Z) over the full register domain (n parallel RYs)."""
-    require_ground(state, reg.qubits)
-    return state.apply_all(exponential_prep_ops(reg, a))
-
-
 # -- partial exponential preparation -----------------------------------------
 
 
@@ -194,55 +171,22 @@ def _add_constant_op(reg: QubitRegister, c: int) -> Classical:
     return Classical(reg.qubits, table, name=f"add_{c}")
 
 
-def _range_flag_op(reg: QubitRegister, aux: int, lo: int, hi: int) -> Classical:
-    """aux ^= (lo <= r <= hi), as one bijection over (reg, aux)."""
-    vals = np.arange(2 ** (reg.width + 1), dtype=np.int64)
-    r = vals & (2**reg.width - 1)
-    flip = ((r >= lo) & (r <= hi)).astype(np.int64)
-    table = vals ^ (flip << reg.width)
-    return Classical(reg.qubits + (aux,), table, name=f"range[{lo},{hi}]")
-
-
-def _range_phase_ops(
-    reg: QubitRegister, lo: int, hi: int, phase: float, aux: int | None
-) -> list[PrimitiveOp]:
-    """Phase e^{i*phase} on reg values in [lo, hi]; via an aux qubit if given."""
-    if aux is None:
-        marked = [(lo <= r <= hi) for r in range(2**reg.width)]
-        return [PhaseOracle(reg.qubits, tuple(marked), phase)]
-    flag = _range_flag_op(reg, aux, lo, hi)
-    return [flag, PhaseOracle((aux,), (False, True), phase), flag]
-
-
-def _zero_phase_op(reg: QubitRegister, phase: float) -> PhaseOracle:
-    marked = [r == 0 for r in range(2**reg.width)]
-    return PhaseOracle(reg.qubits, tuple(marked), phase)
-
-
 def partial_exponential_prep_ops(
-    reg: QubitRegister,
-    spec: ExponentialPrepSpec,
-    strategy: str = "auto",
-    aux: int | None = None,
+    reg: QubitRegister, spec: ExponentialPrepSpec
 ) -> list[PrimitiveOp]:
     """Circuit loading sqrt(e^{a*r}/Z') on [x0, x1] and zero elsewhere.
 
     Power-of-two spans are prepared directly on the low bits followed by an
-    in-place constant addition. Other spans get a full (or power-of-two
-    windowed) preparation followed by exact amplitude amplification whose
-    oracle marks the interval; the auxiliary, when used, is returned to |0>.
+    in-place constant addition; the full interval [0, 2**width - 1] is thus
+    ``width`` parallel RYs. Other spans get a full (or power-of-two windowed)
+    preparation followed by exact amplitude amplification whose oracle is a
+    phase on the interval's values.
     """
     if reg.width != spec.width:
         raise StructuralError(f"register width {reg.width} != spec width {spec.width}")
-    if strategy not in ("auto", "power2", "amplify"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     a, x0, x1 = spec.a, spec.x0, spec.x1
     span = spec.span
-    power_of_two = span & (span - 1) == 0
-
-    if strategy == "power2" and not power_of_two:
-        raise ValueError(f"span {span} is not a power of two")
-    if power_of_two and strategy != "amplify":
+    if span & (span - 1) == 0:
         return _power2_prep_ops(reg, a, x0, span)
 
     # Amplification path: prefer a full-domain preparation amplified in one
@@ -265,11 +209,15 @@ def partial_exponential_prep_ops(
 
     prep = _power2_prep_ops(reg, a, prep_lo, prep_span)
     unprep = invert(prep)
+    in_interval = PhaseOracle(
+        reg.qubits, tuple(x0 <= r <= x1 for r in range(domain_hi + 1)), phase
+    )
+    at_zero = PhaseOracle.on_value(reg.qubits, 0, phase)
     ops: list[PrimitiveOp] = list(prep)
     for _ in range(rounds):
-        ops.extend(_range_phase_ops(reg, x0, x1, phase, aux))
+        ops.append(in_interval)
         ops.extend(unprep)
-        ops.append(_zero_phase_op(reg, phase))
+        ops.append(at_zero)
         ops.extend(prep)
     return ops
 
@@ -296,40 +244,3 @@ def _heavy_end_window(a: float, x0: int, x1: int, domain_hi: int) -> tuple[int, 
     else:
         lo = max(0, min(x0, domain_hi - size + 1))
     return lo, lo + size - 1
-
-
-def prepare_exponential_partial(
-    state: Statevector,
-    reg: QubitRegister,
-    spec: ExponentialPrepSpec,
-    strategy: str = "auto",
-    aux: int | None = None,
-) -> Statevector:
-    require_ground(state, reg.qubits + (() if aux is None else (aux,)))
-    return state.apply_all(partial_exponential_prep_ops(reg, spec, strategy, aux))
-
-
-# -- integration comparator --------------------------------------------------
-
-
-def integrate_compare_op(
-    r_reg: QubitRegister, x_reg: QubitRegister, target: int
-) -> Classical:
-    """target ^= (r <= x), inclusive, as one bijection over (r, x, target)."""
-    if r_reg.width != x_reg.width:
-        raise StructuralError(
-            f"comparator width mismatch: r has {r_reg.width} qubits, x has {x_reg.width}"
-        )
-    n = r_reg.width
-    vals = np.arange(2 ** (2 * n + 1), dtype=np.int64)
-    r = vals & (2**n - 1)
-    x = (vals >> n) & (2**n - 1)
-    flip = (r <= x).astype(np.int64)
-    table = vals ^ (flip << (2 * n))
-    return Classical(r_reg.qubits + x_reg.qubits + (target,), table, name="r<=x")
-
-
-def integrate_compare(
-    state: Statevector, r_reg: QubitRegister, x_reg: QubitRegister, target: int
-) -> Statevector:
-    return state.apply(integrate_compare_op(r_reg, x_reg, target))

@@ -11,9 +11,9 @@ Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
 :class:`X` (optionally controlled), :class:`PhaseOracle` and
 :class:`Classical`. Amplitude loading is not a primitive: :func:`injection_ops`
 expands it into ``Ry`` rotations when the circuit is built. No op checks the
-state it is applied to; only the state-level loaders that take a state from a
-caller (:func:`inject_amplitudes` here, the exponential preparations in
-``loading``) call :func:`require_ground`.
+state it is applied to: a circuit is a list of ops built ahead of time and run
+only on a fresh :func:`allocate` state with :meth:`Statevector.apply_all`.
+:func:`max_qubits` bounds that state by the machine's physical memory.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
@@ -24,18 +24,17 @@ statevectors may be driven from different threads safely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+import os
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, StructuralError
 
-DEFAULT_QUBIT_BUDGET = 28
-HARD_QUBIT_CAP = 30
-
-#: probability below which a register is considered to be exactly in |0...0>
-_GROUND_TOL = 1e-12
+#: peak bytes per amplitude: the complex128 state plus the state-sized
+#: temporary a :class:`Classical` op holds while it permutes
+_BYTES_PER_AMPLITUDE = 32
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ class Classical:
 
 
 PrimitiveOp = Union[Ry, X, PhaseOracle, Classical]
-Circuit = list  # ordered sequence of PrimitiveOp
 
 
 def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> list[Ry]:
@@ -302,8 +300,12 @@ class Statevector:
         c = math.cos(angle / 2.0)
         s = math.sin(angle / 2.0)
         a0 = v0.copy()
-        v0[...] = c * a0 - s * v1
-        v1[...] = s * a0 + c * v1
+        # (c*a0 - s*v1, s*a0 + c*v1) in place: a0 and s * v1 are the only temporaries
+        v0 *= c
+        v0 -= s * v1
+        v1 *= c
+        a0 *= s
+        v1 += a0
 
     def _apply_flip(self, target: int, controls):
         v0 = self._view((*controls, (target, 0)))
@@ -327,48 +329,26 @@ class Statevector:
         view[np.unravel_index(op.table, (2,) * k)] = view.copy().reshape(2**k, *view.shape[k:])
 
 
-def allocate(num_qubits: int, budget: int = DEFAULT_QUBIT_BUDGET) -> Statevector:
-    """Fresh |0...0> state. Raises :class:`CapacityError` above the budget."""
-    cap = min(budget, HARD_QUBIT_CAP)
+def max_qubits() -> int:
+    """Most qubits whose state, with a :class:`Classical` op's temporary, fits
+    in the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return (memory // _BYTES_PER_AMPLITUDE).bit_length() - 1
+
+
+def allocate(num_qubits: int) -> Statevector:
+    """Fresh |0...0> state. Raises :class:`CapacityError` above :func:`max_qubits`."""
     if num_qubits < 1:
         raise StructuralError(f"need at least one qubit, got {num_qubits}")
+    cap = max_qubits()
     if num_qubits > cap:
         raise CapacityError(
-            f"requested {num_qubits} qubits exceeds the budget of {cap} "
-            f"(2**{num_qubits} amplitudes)"
+            f"requested {num_qubits} qubits exceeds the {cap} that fit in physical "
+            f"memory (2**{num_qubits} amplitudes at {_BYTES_PER_AMPLITUDE} bytes each)"
         )
     amps = np.zeros(2**num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(num_qubits, amps)
-
-
-def apply_classical(
-    state: Statevector, reg: QubitRegister, f: Callable[[int], int] | np.ndarray, name: str = ""
-) -> Statevector:
-    """Apply a register-local bijection ``f`` over basis values of ``reg``."""
-    if callable(f):
-        table = np.fromiter((f(v) for v in range(2**reg.width)), dtype=np.int64, count=2**reg.width)
-    else:
-        table = np.asarray(f, dtype=np.int64)
-    return state.apply(Classical(reg.qubits, table, name=name or "apply_classical"))
-
-
-def inject_amplitudes(
-    state: Statevector, reg: QubitRegister, amps: np.ndarray | Sequence[float]
-) -> Statevector:
-    """Load ``amps`` into ``reg``, which must be in its ground state."""
-    ops = injection_ops(reg, amps)
-    require_ground(state, reg.qubits)
-    return state.apply_all(ops)
-
-
-def require_ground(state: Statevector, qubits: tuple[int, ...]):
-    """Raise :class:`PreconditionError` unless ``qubits`` are all |0> in ``state``."""
-    leaked = 1.0 - probability(state, Condition(tuple((q, 0) for q in qubits)))
-    if leaked > _GROUND_TOL:
-        raise PreconditionError(
-            f"register {qubits} not in ground state (leak probability {leaked:.3e})"
-        )
 
 
 def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:

@@ -1,6 +1,17 @@
 import pytest
 
-from qautocall import AutocallableContract, BinaryOption
+from qautocall import AutocallableContract, BinaryOption, simulator
+
+
+@pytest.fixture
+def fake_memory(monkeypatch):
+    """Setter for the physical memory, in bytes, that the simulator reads."""
+
+    def set_bytes(num_bytes):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": num_bytes // 4096}
+        monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+
+    return set_bytes
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,21 @@ from qautocall.circuit import (
     build_pricing_circuit,
     fit_format,
     log_return_increment,
+    plan_layout,
     post_process,
+    put_comparator_op,
 )
 from qautocall.contracts import AutocallableContract, BinaryOption, FixedPointFormat
 from qautocall.errors import CapacityError
 from qautocall.estimation import exact_amplitude
-from qautocall.loading import GaussianGridSpec
+from qautocall.loading import (
+    ExponentialPrepSpec,
+    GaussianGridSpec,
+    integration_amplitude,
+    partial_exponential_prep_ops,
+)
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
-from qautocall.simulator import Condition, allocate, invert, probability
+from qautocall.simulator import Condition, QubitRegister, X, allocate, invert, probability
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
 GRID2 = GaussianGridSpec(k=2, s_min=3.0)
@@ -62,30 +70,30 @@ class TestMapping:
 class TestIncrements:
     def test_flat_volatility_constant_increment(self, table2_flat):
         fmt = fit_format(table2_flat, GRID1, 4)
-        codes = {log_return_increment(g, 1, table2_flat, GRID1, fmt) for g in range(2)}
+        codes = {log_return_increment(g, table2_flat, GRID1, fmt) for g in range(2)}
         assert codes == {fmt.quantize(0.1274)}
 
     def test_table2_up_move_frozen(self, table2):
         fmt = FixedPointFormat(2, 2)
         # mu*dt + sigma*3*sqrt(dt) = 0.842 -> 0.842*4 = 3.368 -> code 3
-        assert log_return_increment(1, 1, table2, GRID1, fmt) == 3
+        assert log_return_increment(1, table2, GRID1, fmt) == 3
 
     def test_symmetry_about_drift(self, table2):
         fmt = fit_format(table2, GRID2, 16)
         step = 2.0**-16
         for g in range(4):
-            lo = log_return_increment(g, 1, table2, GRID2, fmt) * step
-            hi = log_return_increment(3 - g, 1, table2, GRID2, fmt) * step
+            lo = log_return_increment(g, table2, GRID2, fmt) * step
+            hi = log_return_increment(3 - g, table2, GRID2, fmt) * step
             assert lo + hi == pytest.approx(2 * 0.1274, abs=2 * step)
 
     def test_overflow_names_required_int_bits(self, table2):
         # up-move 0.842 quantizes to code 1, above the 1-bit format's max of 0
         with pytest.raises(ValueError, match="int_bits"):
-            log_return_increment(1, 1, table2, GRID1, FixedPointFormat(0, 0))
+            log_return_increment(1, table2, GRID1, FixedPointFormat(0, 0))
 
     def test_grid_index_validated(self, table2):
         with pytest.raises(ValueError):
-            log_return_increment(2, 1, table2, GRID1, FixedPointFormat(2, 2))
+            log_return_increment(2, table2, GRID1, FixedPointFormat(2, 2))
 
 
 class TestFormatFitting:
@@ -164,11 +172,12 @@ class TestCircuitAgainstOracle:
         assert probability(state, Condition(((b0, 1),))) == pytest.approx(1.0, abs=1e-12)
         assert probability(state, Condition(((b1, 1),))) == pytest.approx(0.0, abs=1e-12)
 
-    def test_capacity_error_reports_register_breakdown(self, table2):
+    def test_capacity_error_reports_register_breakdown(self, table2, fake_memory):
         grid = GaussianGridSpec(k=2, s_min=3.0)
         fmt = fit_format(table2, grid, 4)
+        fake_memory(32 * 2**24)
         with pytest.raises(CapacityError) as err:
-            build_pricing_circuit(table2, grid, fmt, budget=24)
+            build_pricing_circuit(table2, grid, fmt)
         message = str(err.value)
         assert "accumulator" in message and "gaussians" in message
         assert "26" in message
@@ -190,6 +199,36 @@ class TestPutBranchValue:
         levels = [model.put_level(v) for v in range(model.l_min_code, model.put_strike_code)]
         assert all(0.0 <= lv <= 1.0 for lv in levels)
         assert levels == sorted(levels)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_put_comparator_loads_integration_amplitude(table2, p, k):
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    model = QuantizedModel(table2, grid, fit_format(table2, grid, p))
+    n, m = model.exp_width, model.fmt.width
+    # the comparator's registers packed onto n + m + 2 qubits, not the full circuit
+    layout = dataclasses.replace(
+        plan_layout(model),
+        exponential=QubitRegister(0, n),
+        accumulator=QubitRegister(n, m),
+        put_flag=n + m,
+        payoff_target=n + m + 1,
+        num_qubits=n + m + 2,
+    )
+    spec = ExponentialPrepSpec(width=n, a=model.rate_step, x0=0, x1=model.put_x1)
+    prep = partial_exponential_prep_ops(layout.exponential, spec)
+    compare = put_comparator_op(model, layout)
+    target = Condition(((layout.payoff_target, 1),))
+    for raw in range(2**m):
+        x = model.fmt.to_signed(raw) - model.l_min_code - 1
+        want = integration_amplitude(model.rate_step, x, 0, model.put_x1) ** 2
+        for flag in (0, 1):
+            state = allocate(layout.num_qubits).apply_all(prep)
+            state.apply_all(X(q) for j, q in enumerate(layout.accumulator.qubits) if raw >> j & 1)
+            if flag:
+                state.apply(X(layout.put_flag))
+            state.apply(compare)
+            assert probability(state, target) == pytest.approx(flag * want, abs=1e-12)
 
 
 def _tie_contract(barrier, strike, binaries=()):

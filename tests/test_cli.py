@@ -75,10 +75,20 @@ def _rows(path):
             + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 62\n[estimation]\nmethod = cf-quant\n",
             "largest usable p is 61",
         ),
+        (
+            "sweep",
+            CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n[sweep]\nk_values = 0\n"
+            "methods = cf-quant\n",
+            "sweep.k_values",
+        ),
+        ("resources", CONTRACT + "[resources]\nsteps = 0\n", "resources.steps"),
+        ("resources", CONTRACT + "[resources]\nepsilon = 2.0\n", "resources.epsilon"),
+        ("resources", CONTRACT + "[resources]\nm_values = 0\n", "resources.m_values"),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
-        "increment-overflows-probe",
+        "increment-overflows-probe", "sweep-k-zero", "resources-steps-zero",
+        "resources-epsilon-above-1", "resources-m-zero",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -90,12 +100,32 @@ def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, mess
     assert not out.exists()
 
 
+def test_resource_ranges_reported_together(tmp_path, capsys):
+    text = CONTRACT + "[resources]\nassets = 0\nlayers = -1\ngaussian_qubits = 0\nbinaries = -1\n"
+    code, out = _run(tmp_path, "resources", text)
+    err = capsys.readouterr().err
+    assert code == 1
+    for key in ("assets", "layers", "gaussian_qubits", "binaries"):
+        assert f"config error: 'resources.{key}' must be >= " in err
+    assert not out.exists()
+
+
 def test_degenerate_contract_exits_1_with_message(tmp_path, capsys):
     text = DEGENERATE + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
         "[estimation]\nmethod = cf-quant\n"
     code, out = _run(tmp_path, "price", text)
     assert code == 1
     assert "degenerate contract" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_circuit_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory):
+    fake_memory(32 * 2**18)
+    text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
+        "[estimation]\nmethod = quantum-exact\n"
+    code, out = _run(tmp_path, "price", text)
+    assert code == 2
+    assert "19 qubits, 18 fit in physical memory" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,25 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qautocall.errors import PreconditionError, StructuralError
 from qautocall.loading import (
     ExponentialPrepSpec,
     GaussianGridSpec,
     exp_angles,
     exp_weight_sum,
     gaussian_amplitudes,
-    integrate_compare,
     integration_amplitude,
     partial_exponential_prep_ops,
-    prepare_exponential_full,
-    prepare_exponential_partial,
     rounds_for_share,
 )
 from qautocall.simulator import (
+    Classical,
     Condition,
     QubitRegister,
     Ry,
-    X,
     allocate,
     probability,
 )
@@ -29,6 +25,12 @@ from qautocall.simulator import (
 
 def _register_probs(state, width):
     return np.abs(state.amplitudes[: 2**width]) ** 2
+
+
+def _prepared(width, a, x0, x1):
+    """Fresh ``width``-qubit state with the partial exponential loaded."""
+    spec = ExponentialPrepSpec(width, a, x0, x1)
+    return allocate(width).apply_all(partial_exponential_prep_ops(QubitRegister(0, width), spec))
 
 
 class TestGaussianGrid:
@@ -82,28 +84,20 @@ class TestExpAngles:
 
 class TestFullExponential:
     def test_rate_zero_uniform(self):
-        state = allocate(2)
-        prepare_exponential_full(state, QubitRegister(0, 2), 0.0)
+        state = _prepared(2, 0.0, 0, 3)
         assert np.allclose(np.abs(state.amplitudes) ** 2, 0.25)
 
     def test_log2_frozen_distribution(self):
-        state = allocate(2)
-        prepare_exponential_full(state, QubitRegister(0, 2), math.log(2.0))
+        state = _prepared(2, math.log(2.0), 0, 3)
         want = np.array([1, 2, 4, 8]) / 15.0
         assert np.abs(np.abs(state.amplitudes) ** 2 - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("a", [-1.0, -0.1, 0.1, 1.0])
     def test_exhaustive_against_weights(self, n, a):
-        state = allocate(n)
-        prepare_exponential_full(state, QubitRegister(0, n), a)
+        state = _prepared(n, a, 0, 2**n - 1)
         w = np.exp(a * np.arange(2**n))
         assert np.abs(np.abs(state.amplitudes) ** 2 - w / w.sum()).max() < 1e-12
-
-    def test_requires_ground_register(self):
-        state = allocate(2).apply(X(1))
-        with pytest.raises(PreconditionError):
-            prepare_exponential_full(state, QubitRegister(0, 2), 0.3)
 
 
 def _expected_partial(width, a, x0, x1):
@@ -115,54 +109,30 @@ def _expected_partial(width, a, x0, x1):
 
 class TestPartialExponential:
     def test_full_interval_degenerates_to_full_prep(self):
-        spec = ExponentialPrepSpec(3, 0.4, 0, 7)
-        state = allocate(3)
-        prepare_exponential_partial(state, QubitRegister(0, 3), spec)
-        ref = allocate(3)
-        prepare_exponential_full(ref, QubitRegister(0, 3), 0.4)
+        state = _prepared(3, 0.4, 0, 7)
+        ref = allocate(3).apply_all(Ry(i, float(t)) for i, t in enumerate(exp_angles(0.4, 3)))
         assert np.abs(state.amplitudes - ref.amplitudes).max() < 1e-12
 
     def test_log2_interval_frozen(self):
-        state = allocate(2)
-        prepare_exponential_partial(
-            state, QubitRegister(0, 2), ExponentialPrepSpec(2, math.log(2.0), 1, 2)
-        )
+        state = _prepared(2, math.log(2.0), 1, 2)
         want = np.array([0.0, 1 / 3, 2 / 3, 0.0])
         assert np.abs(np.abs(state.amplitudes) ** 2 - want).max() < 1e-12
 
     def test_non_power_of_two_interval(self):
-        spec = ExponentialPrepSpec(3, 0.7, 1, 5)
-        state = allocate(3)
-        prepare_exponential_partial(state, QubitRegister(0, 3), spec)
-        probs = _register_probs(state, 3)
+        probs = _register_probs(_prepared(3, 0.7, 1, 5), 3)
         assert np.abs(probs - _expected_partial(3, 0.7, 1, 5)).max() < 1e-10
         assert probs[0] < 1e-12 and probs[6] < 1e-12 and probs[7] < 1e-12
-
-    def test_auxiliary_returned_to_ground_exactly(self):
-        state = allocate(4)
-        prepare_exponential_partial(
-            state, QubitRegister(0, 3), ExponentialPrepSpec(3, 0.7, 1, 5), aux=3
-        )
-        assert probability(state, Condition(((3, 1),))) <= 1e-12
-        probs = np.abs(state.amplitudes[:8]) ** 2 + np.abs(state.amplitudes[8:]) ** 2
-        assert np.abs(probs - _expected_partial(3, 0.7, 1, 5)).max() < 1e-10
 
     @pytest.mark.parametrize("a", [-0.8, 0.0, 0.5])
     @pytest.mark.parametrize("x0,x1", [(2, 5), (0, 3), (4, 7)])
     def test_power_of_two_strategies_agree(self, a, x0, x1):
-        spec = ExponentialPrepSpec(3, a, x0, x1)
-        reg = QubitRegister(0, 3)
-        state_a = allocate(3)
-        prepare_exponential_partial(state_a, reg, spec, strategy="power2")
-        state_b = allocate(3)
-        prepare_exponential_partial(state_b, reg, spec, strategy="amplify")
-        fidelity = abs(np.vdot(state_a.amplitudes, state_b.amplitudes))
-        assert fidelity >= 1.0 - 1e-10
+        # power-of-two spans are loaded directly, without amplification
+        probs = _register_probs(_prepared(3, a, x0, x1), 3)
+        assert np.abs(probs - _expected_partial(3, a, x0, x1)).max() < 1e-12
 
     def test_rate_zero_uniform_over_interval(self):
-        state = allocate(3)
-        prepare_exponential_partial(state, QubitRegister(0, 3), ExponentialPrepSpec(3, 0.0, 2, 6))
-        assert np.abs(_register_probs(state, 3) - _expected_partial(3, 0.0, 2, 6)).max() < 1e-10
+        probs = _register_probs(_prepared(3, 0.0, 2, 6), 3)
+        assert np.abs(probs - _expected_partial(3, 0.0, 2, 6)).max() < 1e-10
 
     def test_low_share_interval_uses_extra_rounds(self):
         # interval pinned at the light end of a steep exponential: single-round
@@ -177,10 +147,6 @@ class TestPartialExponential:
         with pytest.raises(ValueError, match="empty"):
             ExponentialPrepSpec(3, 0.5, 4, 2)
 
-    def test_power2_strategy_rejects_other_spans(self):
-        with pytest.raises(ValueError, match="power of two"):
-            partial_exponential_prep_ops(QubitRegister(0, 3), ExponentialPrepSpec(3, 0.5, 1, 5), "power2")
-
     def test_rounds_for_share_thresholds(self):
         assert rounds_for_share(1.0) == 1
         assert rounds_for_share(0.25) == 1
@@ -190,6 +156,14 @@ class TestPartialExponential:
             rounds_for_share(0.0)
 
 
+def _compare_op(n):
+    """target ^= (r <= x), inclusive, over (r, x, target) on qubits 0 .. 2n."""
+    vals = np.arange(2 ** (2 * n + 1), dtype=np.int64)
+    r = vals & (2**n - 1)
+    x = (vals >> n) & (2**n - 1)
+    return Classical(range(2 * n + 1), vals ^ ((r <= x).astype(np.int64) << (2 * n)))
+
+
 class TestIntegrationComparator:
     def _amplitudes_for_all_x(self, n, prep_ops):
         """One simulation: x in uniform superposition, read conditional amplitudes."""
@@ -197,7 +171,7 @@ class TestIntegrationComparator:
         state.apply_all(prep_ops)
         for j in range(n, 2 * n):
             state.apply(Ry(j, math.pi / 2))
-        integrate_compare(state, QubitRegister(0, n), QubitRegister(n, n), 2 * n)
+        state.apply(_compare_op(n))
         out = []
         for x in range(2**n):
             terms = tuple((n + j, (x >> j) & 1) for j in range(n)) + ((2 * n, 1),)
@@ -207,9 +181,9 @@ class TestIntegrationComparator:
     @pytest.mark.parametrize("a", [-0.3, 0.6])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_prep_matches_closed_form(self, n, a):
-        from qautocall.loading import exponential_prep_ops
-
-        amps = self._amplitudes_for_all_x(n, exponential_prep_ops(QubitRegister(0, n), a))
+        spec = ExponentialPrepSpec(n, a, 0, 2**n - 1)
+        ops = partial_exponential_prep_ops(QubitRegister(0, n), spec)
+        amps = self._amplitudes_for_all_x(n, ops)
         for x in range(2**n):
             want = integration_amplitude(a, x, 0, 2**n - 1)
             assert amps[x] == pytest.approx(want, abs=1e-10)
@@ -229,10 +203,6 @@ class TestIntegrationComparator:
         ops = partial_exponential_prep_ops(QubitRegister(0, n), ExponentialPrepSpec(n, a, x0, x1))
         amps = self._amplitudes_for_all_x(n, ops)
         assert all(amps[x + 1] >= amps[x] - 1e-12 for x in range(2**n - 1))
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(StructuralError, match="width"):
-            integrate_compare(allocate(6), QubitRegister(0, 2), QubitRegister(2, 3), 5)
 
     def test_closed_form_frozen_example(self):
         # full prep, n=2, a=ln2, x=1: sqrt((1+2)/15)

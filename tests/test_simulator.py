@@ -15,13 +15,16 @@ from qautocall.simulator import (
     Statevector,
     X,
     allocate,
-    apply_classical,
-    inject_amplitudes,
     injection_ops,
     invert,
+    max_qubits,
     probability,
     sample,
 )
+
+
+def _loaded(width, amps):
+    return allocate(width).apply_all(injection_ops(QubitRegister(0, width), amps))
 
 
 def test_allocate_ground_state():
@@ -29,11 +32,17 @@ def test_allocate_ground_state():
     assert np.allclose(allocate(2).amplitudes, [1, 0, 0, 0])
 
 
-def test_allocate_capacity_error_names_limit():
+def test_allocate_capacity_error_names_limit(fake_memory):
+    # state plus one state-sized temporary: 32 bytes per amplitude
+    fake_memory(32 * 2**30)
+    assert max_qubits() == 30
     with pytest.raises(CapacityError, match="30"):
-        allocate(31, budget=30)
+        allocate(31)
+    fake_memory(32 * 2**13 - 4096)
+    assert max_qubits() == 12
     with pytest.raises(CapacityError, match="12"):
-        allocate(13, budget=12)
+        allocate(13)
+    assert allocate(12).num_qubits == 12
 
 
 def test_ry_pi_flips():
@@ -76,14 +85,14 @@ def test_classical_identity_noop():
     reg = QubitRegister(0, 2)
     state = allocate(3).apply(Ry(0, 0.7)).apply(Ry(2, 1.1))
     before = state.amplitudes.copy()
-    apply_classical(state, reg, lambda v: v)
+    state.apply(Classical(reg.qubits, range(4)))
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_classical_increment_register_local():
     reg = QubitRegister(0, 2)
     state = allocate(3)
-    apply_classical(state, reg, lambda v: (v + 1) % 4)
+    state.apply(Classical(reg.qubits, [(v + 1) % 4 for v in range(4)]))
     assert abs(state.amplitudes[0b001]) == pytest.approx(1.0)
 
 
@@ -92,8 +101,8 @@ def test_classical_bit_reversal_involution():
     rev = [0b00, 0b10, 0b01, 0b11]
     state = allocate(2).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, controls=((0, 1),)))
     before = state.amplitudes.copy()
-    apply_classical(state, reg, rev)
-    apply_classical(state, reg, rev)
+    state.apply(Classical(reg.qubits, rev))
+    state.apply(Classical(reg.qubits, rev))
     assert np.allclose(state.amplitudes, before, atol=1e-15)
 
 
@@ -115,11 +124,9 @@ def test_classical_preserves_probability_multiset(perm):
 
 
 def test_inject_trivial_vectors():
-    state = allocate(2)
-    inject_amplitudes(state, QubitRegister(0, 1), [1.0, 0.0])
+    state = allocate(2).apply_all(injection_ops(QubitRegister(0, 1), [1.0, 0.0]))
     assert abs(state.amplitudes[0]) == pytest.approx(1.0)
-    state = allocate(1)
-    inject_amplitudes(state, QubitRegister(0, 1), [1 / math.sqrt(2)] * 2)
+    state = _loaded(1, [1 / math.sqrt(2)] * 2)
     assert np.allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5])
 
 
@@ -128,15 +135,8 @@ def test_inject_matches_normalized_pdf_samples():
     points = np.array([-3.0, -1.0, 1.0, 3.0])
     pdf = np.exp(-0.5 * points**2) / math.sqrt(2 * math.pi)
     target = pdf / pdf.sum()
-    state = allocate(2)
-    inject_amplitudes(state, QubitRegister(0, 2), np.sqrt(target))
+    state = _loaded(2, np.sqrt(target))
     assert np.abs(np.abs(state.amplitudes) ** 2 - target).max() < 1e-12
-
-
-def test_inject_requires_ground_register():
-    state = allocate(2).apply(X(0))
-    with pytest.raises(PreconditionError, match="ground"):
-        inject_amplitudes(state, QubitRegister(0, 2), [0.5, 0.5, 0.5, 0.5])
 
 
 def test_inject_requires_normalized_amplitudes():
@@ -158,8 +158,7 @@ def test_inject_rejects_wrong_length_and_negative_amplitudes(amps):
 @settings(max_examples=40, deadline=None)
 def test_inject_reproduces_arbitrary_nonnegative_vectors(raw):
     amps = np.sqrt(np.asarray(raw) / np.sum(raw))
-    state = allocate(3)
-    inject_amplitudes(state, QubitRegister(0, 3), amps)
+    state = _loaded(3, amps)
     assert np.abs(np.abs(state.amplitudes) ** 2 - amps**2).max() < 1e-12
 
 
