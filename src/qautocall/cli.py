@@ -224,12 +224,17 @@ def parse_config(text: str) -> RunConfig:
             "m_values": res.get("m_values", _parse_int_list, default=[8],
                                 check=lambda ms: all(m >= 1 for m in ms),
                                 describe="must all be >= 1"),
-            "sigma_max": res.get("sigma_max", float, default=0.2382),
+            "sigma_max": res.get("sigma_max", float, default=0.2382, check=lambda v: v >= 0,
+                                 describe="must be non-negative"),
             "mu": res.get("mu", float, default=0.1274),
-            "dt": res.get("dt", float, default=1.0),
-            "notional": res.get("notional", float, default=18.0),
-            "strike": res.get("strike", float, default=1.0),
-            "f_max": res.get("f_max", float, default=5.0 * math.exp(-0.08)),
+            "dt": res.get("dt", float, default=1.0, check=lambda v: v > 0,
+                          describe="must be positive"),
+            "notional": res.get("notional", float, default=18.0, check=lambda v: v > 0,
+                                describe="must be positive"),
+            "strike": res.get("strike", float, default=1.0, check=lambda v: v > 0,
+                              describe="must be positive"),
+            "f_max": res.get("f_max", float, default=5.0 * math.exp(-0.08),
+                             check=lambda v: v >= 0, describe="must be non-negative"),
         }
 
     contract = None

@@ -2,6 +2,15 @@
 Carlo, an exact expectation over all grid paths, and the same expectation
 under the circuit's quantized semantics.
 
+The two exact expectations never enumerate paths. A path's payoff depends on
+it only through a Markov state: its running log-return (a float, or the
+accumulator's int64 code), whether the barrier has been crossed, and whether
+a binary has fired. Both run a forward recursion over the distinct
+``(value, crossed)`` states and their probability mass, expanding them by
+every grid shock in blocks of at most ``_CHUNK`` (state, shock) pairs. The
+enumeration limits of :func:`_check_enumeration` still apply to the number of
+grid paths, (2^k)^T.
+
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform block, so
 results are bit-stable for a fixed seed regardless of how callers batch.
@@ -143,24 +152,87 @@ def _check_enumeration(grid: GaussianGridSpec, steps: int) -> int:
     return total
 
 
-def _path_chunks(total: int, steps: int, base: int):
-    powers = base ** np.arange(steps, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % base
+def _identity(values):
+    return values
+
+
+def _successors(states, shocks, probs, observe, barrier):
+    """Every (state, shock) successor of ``states``, in blocks of at most
+    ``_CHUNK`` pairs (at least one block, possibly empty).
+
+    ``states`` is ``(values, crossed, mass)``; each block is ``(values,
+    observed, crossed, mass)`` where ``observed = observe(values)`` is what the
+    contract's thresholds compare with, and ``crossed`` adds the strict
+    ``observed < barrier`` test to the parent state's flag.
+    """
+    values, crossed, mass = states
+    n = len(shocks)
+    rows = max(1, _CHUNK // n)
+    for start in range(0, max(len(values), 1), rows):
+        block = slice(start, start + rows)
+        v = (values[block, None] + shocks).ravel()
+        r = observe(v)
+        c = np.repeat(crossed[block], n) | (r < barrier)
+        yield v, r, c, (mass[block, None] * probs).ravel()
+
+
+def _merge(values, crossed, mass):
+    """Sum the mass of states with equal ``(value, crossed)``."""
+    order = np.lexsort((values, crossed))
+    values, crossed, mass = values[order], crossed[order], mass[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = (values[1:] != values[:-1]) | (crossed[1:] != crossed[:-1])
+    starts = np.flatnonzero(first)
+    return values[starts], crossed[starts], np.add.reduceat(mass, starts)
+
+
+def _forward(contract, shocks, probs, observe, barrier, strikes):
+    """Carry the ``(value, crossed)`` states through steps 1 .. T-1.
+
+    Starting from value 0 with mass 1, each step adds every grid shock to
+    every state, moves the mass whose observed value is strictly above the
+    due binary's threshold in ``strikes`` out of the recursion, and merges
+    equal states.
+
+    Returns the mass each binary fired with and the ``(values, crossed,
+    mass)`` states alive before the last step, which the caller folds into
+    its expectation block by block.
+    """
+    due = {b.step: i for i, b in enumerate(contract.binaries)}
+    fired = [0.0] * len(contract.binaries)
+    states = (np.zeros(1, dtype=shocks.dtype), np.zeros(1, dtype=bool), np.ones(1))
+    for step in range(1, contract.steps):
+        kept = []
+        for v, r, c, m in _successors(states, shocks, probs, observe, barrier):
+            if step in due:
+                i = due[step]
+                hit = r > strikes[i]
+                fired[i] += float(m[hit].sum())
+                v, c, m = v[~hit], c[~hit], m[~hit]
+            kept.append(_merge(v, c, m))
+        states = _merge(*(np.concatenate(part) for part in zip(*kept)))
+    return fired, states
 
 
 def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSpec) -> float:
-    """Exact expectation over all grid paths in real arithmetic."""
-    total = _check_enumeration(grid, contract.steps)
+    """Exact expectation over all grid paths in real arithmetic.
+
+    A forward recursion over ``(log-return, crossed)`` states (see
+    :func:`_forward`). Each state's log-return is built by the same
+    sequential float additions as ``np.cumsum`` over the path, so every path
+    is classified exactly as :func:`path_outcome` classifies it; only the
+    order in which the weighted payoffs are summed differs.
+    """
+    _check_enumeration(grid, contract.steps)
     probs = grid.probabilities()
-    points = grid.points()
-    scale = contract.sigma * math.sqrt(contract.dt)
-    value = 0.0
-    for g in _path_chunks(total, contract.steps, 2**grid.k):
-        incs = contract.mu * contract.dt + scale * points[g]
-        weights = probs[g].prod(axis=1)
-        value += float(weights @ _payoffs_vector(incs, contract))
+    shocks = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
+    strikes = [b.strike for b in contract.binaries]
+    fired, states = _forward(contract, shocks, probs, np.exp, contract.barrier, strikes)
+    value = sum(contract.discounted_payout(i) * m for i, m in enumerate(fired))
+    discount_T = math.exp(-contract.rate * contract.maturity)
+    for _, r, c, m in _successors(states, shocks, probs, np.exp, contract.barrier):
+        put = c & (r < contract.strike)
+        value += float(m[put] @ (contract.notional * (r[put] - contract.strike) * discount_T))
     return value
 
 
@@ -171,26 +243,26 @@ def closed_form_quantized(
 
     Reuses :class:`QuantizedModel`: quantized increments and thresholds,
     strict comparators, and the put branch valued through the integration
-    amplitude, then post-processed, exactly as the circuit does.
+    amplitude, then post-processed, exactly as the circuit does. The states
+    of the forward recursion (see :func:`_forward`) are ``(accumulator code,
+    crossed)`` pairs, so paths are classified on the same int64 codes the
+    circuit's accumulator holds. The put level is evaluated once per
+    distinct put-active terminal code.
     """
     model = QuantizedModel(contract, grid, fmt)
-    total = _check_enumeration(grid, contract.steps)
+    _check_enumeration(grid, contract.steps)
     probs = grid.probabilities()
-    good_mass = 0.0
-    for g in _path_chunks(total, contract.steps, 2**grid.k):
-        v = np.cumsum(model.inc_codes[g], axis=1)
-        weights = probs[g].prod(axis=1)
-        levels = np.zeros(len(g))
-        alive = np.ones(len(g), dtype=bool)
-        for i, b in enumerate(contract.binaries):
-            trig = alive & (v[:, b.step - 1] > model.strike_codes[i])
-            levels[trig] = model.binary_levels[i]
-            alive &= ~trig
-        crossed = (v < model.barrier_code).any(axis=1)
-        put = alive & crossed & (v[:, -1] < model.put_strike_code) & model.put_reachable
-        if put.any():
-            levels[put] = [model.put_level(int(code)) for code in v[put, -1]]
-        zero = alive & ~put
-        levels[zero] = model.mapping.zero_level
-        good_mass += float(weights @ levels)
+    shocks = model.inc_codes
+    fired, states = _forward(
+        contract, shocks, probs, _identity, model.barrier_code, model.strike_codes
+    )
+    good_mass = sum(level * m for level, m in zip(model.binary_levels, fired))
+    puts = []
+    for v, _, c, m in _successors(states, shocks, probs, _identity, model.barrier_code):
+        put = c & (v < model.put_strike_code)
+        good_mass += model.mapping.zero_level * float(m[~put].sum())
+        puts.append(_merge(v[put], c[put], m[put]))
+    codes, _, mass = _merge(*(np.concatenate(part) for part in zip(*puts)))
+    levels = np.array([model.put_level(int(code)) for code in codes])
+    good_mass += float(mass @ levels)
     return model.mapping.to_payoff(good_mass)

@@ -84,11 +84,18 @@ def _rows(path):
         ("resources", CONTRACT + "[resources]\nsteps = 0\n", "resources.steps"),
         ("resources", CONTRACT + "[resources]\nepsilon = 2.0\n", "resources.epsilon"),
         ("resources", CONTRACT + "[resources]\nm_values = 0\n", "resources.m_values"),
+        ("resources", CONTRACT + "[resources]\ndt = 0\n", "resources.dt"),
+        ("resources", CONTRACT + "[resources]\nnotional = -5\n", "resources.notional"),
+        ("resources", CONTRACT + "[resources]\nstrike = -1\n", "resources.strike"),
+        ("resources", CONTRACT + "[resources]\nsigma_max = -1\n", "resources.sigma_max"),
+        ("resources", CONTRACT + "[resources]\nf_max = -100\n", "resources.f_max"),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
         "increment-overflows-probe", "sweep-k-zero", "resources-steps-zero",
-        "resources-epsilon-above-1", "resources-m-zero",
+        "resources-epsilon-above-1", "resources-m-zero", "resources-dt-zero",
+        "resources-notional-negative", "resources-strike-negative",
+        "resources-sigma-max-negative", "resources-f-max-negative",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):

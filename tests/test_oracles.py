@@ -1,11 +1,16 @@
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qautocall.circuit import fit_format
+from qautocall.circuit import QuantizedModel, fit_format
 from qautocall.contracts import AutocallableContract, BinaryOption
-from qautocall.errors import CapacityError
+from qautocall.errors import CapacityError, MappingError
 from qautocall.loading import GaussianGridSpec
 from qautocall.oracles import (
     _check_enumeration,
@@ -20,6 +25,69 @@ from qautocall.oracles import (
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
 GRID2 = GaussianGridSpec(k=2, s_min=3.0)
+
+
+def _grid_paths(contract, grid):
+    return itertools.product(range(2**grid.k), repeat=contract.steps)
+
+
+def brute_force_discretized(contract, grid):
+    """Probability-weighted payoff summed over every grid path."""
+    probs = grid.probabilities()
+    scale = contract.sigma * math.sqrt(contract.dt)
+    incs = contract.mu * contract.dt + scale * grid.points()
+    return sum(
+        probs[list(g)].prod() * payoff_of_path(incs[list(g)], contract)
+        for g in _grid_paths(contract, grid)
+    )
+
+
+def brute_force_quantized(model):
+    """Every grid path walked through the quantized model, one code at a time."""
+    contract = model.contract
+    probs = model.grid.probabilities()
+    strike_at = {b.step: code for b, code in zip(contract.binaries, model.strike_codes)}
+    level_at = {b.step: lv for b, lv in zip(contract.binaries, model.binary_levels)}
+    good_mass = 0.0
+    for g in _grid_paths(contract, model.grid):
+        v, crossed, level = 0, False, None
+        for step, gi in enumerate(g, start=1):
+            v += int(model.inc_codes[gi])
+            crossed = crossed or v < model.barrier_code
+            if step in strike_at and v > strike_at[step]:
+                level = level_at[step]
+                break
+        if level is None:
+            put = crossed and v < model.put_strike_code and model.put_reachable
+            level = model.put_level(v) if put else model.mapping.zero_level
+        good_mass += probs[list(g)].prod() * level
+    return model.mapping.to_payoff(good_mass)
+
+
+@st.composite
+def small_contracts(draw):
+    """Contracts whose barrier and strikes fall inside or outside the grid."""
+    steps = draw(st.integers(1, 4))
+    log_strike = draw(st.floats(-3.0, 3.0))
+    binary_steps = draw(
+        st.lists(st.integers(1, steps - 1), max_size=2, unique=True).map(sorted)
+        if steps > 1 else st.just([])
+    )
+    binaries = tuple(
+        BinaryOption(step, math.exp(draw(st.floats(-3.0, 3.0))), draw(st.floats(0.5, 5.0)))
+        for step in binary_steps
+    )
+    return AutocallableContract(
+        notional=draw(st.floats(1.0, 20.0)),
+        dt=draw(st.sampled_from([0.5, 1.0])),
+        steps=steps,
+        mu=draw(st.floats(-0.2, 0.2)),
+        sigma=draw(st.floats(0.0, 0.5)),
+        rate=draw(st.floats(0.0, 0.05)),
+        barrier=math.exp(log_strike - draw(st.floats(0.05, 3.0))),
+        strike=math.exp(log_strike),
+        binaries=binaries,
+    )
 
 
 class TestPathPayoff:
@@ -140,10 +208,61 @@ class TestClosedForms:
         fmt = fit_format(dead, GRID2, 3)
         assert closed_form_quantized(dead, GRID2, fmt) == pytest.approx(0.0, abs=1e-12)
 
-    def test_quantized_tracks_discretized_at_high_precision(self, table2):
-        cf = closed_form_discretized(table2, GRID2)
-        fmt = fit_format(table2, GRID2, 12)
-        assert closed_form_quantized(table2, GRID2, fmt) == pytest.approx(cf, rel=2e-4)
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_quantized_tracks_discretized_at_high_precision(self, table2, k):
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        cf = closed_form_discretized(table2, grid)
+        fmt = fit_format(table2, grid, 12)
+        assert closed_form_quantized(table2, grid, fmt) == pytest.approx(cf, rel=2e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        contract=small_contracts(),
+        k=st.integers(1, 3),
+        p=st.integers(0, 8),
+        s_min=st.floats(1.0, 3.0),
+    )
+    # Log-returns of +-0.5 add exactly: after (-, +) and (+, -) a path sits
+    # exactly at the binary's strike (the tie must not fire), and the two
+    # share a value but only the first has crossed the barrier, so merging
+    # states must keep the crossed flag apart.
+    @example(
+        contract=AutocallableContract(
+            notional=10.0, dt=1.0, steps=4, mu=0.0, sigma=0.5, rate=0.03,
+            barrier=0.7, strike=1.2, binaries=(BinaryOption(2, 1.0, 2.0),),
+        ),
+        k=1, p=2, s_min=1.0,
+    )
+    def test_closed_forms_match_brute_force(self, contract, k, p, s_min):
+        grid = GaussianGridSpec(k=k, s_min=s_min)
+        want = brute_force_discretized(contract, grid)
+        assert closed_form_discretized(contract, grid) == pytest.approx(want, abs=1e-12)
+        fmt = fit_format(contract, grid, p)
+        try:
+            model = QuantizedModel(contract, grid, fmt)
+        except MappingError:
+            with pytest.raises(MappingError):
+                closed_form_quantized(contract, grid, fmt)
+            return
+        want = brute_force_quantized(model)
+        assert closed_form_quantized(contract, grid, fmt) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("binaries", [True, False], ids=["table2", "no-binaries"])
+    def test_memory_stays_bounded_at_k8(self, table2, binaries):
+        contract = table2 if binaries else dataclasses.replace(table2, binaries=())
+        grid = GaussianGridSpec(k=8, s_min=3.0)
+        fmt = fit_format(contract, grid, 12)
+        for price in (
+            lambda: closed_form_discretized(contract, grid),
+            lambda: closed_form_quantized(contract, grid, fmt),
+        ):
+            tracemalloc.start()
+            try:
+                price()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20  # the path enumeration peaked at 28 MiB here
 
     def test_enumeration_guard_rails(self):
         big = GaussianGridSpec(k=8, s_min=3.0)
