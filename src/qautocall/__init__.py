@@ -28,7 +28,6 @@ from .errors import (
 from .estimation import (
     EstimateResult,
     IqaeConfig,
-    bernoulli_circuit,
     build_grover,
     exact_amplitude,
     iqae_estimate,

@@ -236,6 +236,19 @@ def parse_config(text: str) -> RunConfig:
             "f_max": res.get("f_max", float, default=5.0 * math.exp(-0.08),
                              check=lambda v: v >= 0, describe="must be non-negative"),
         }
+        # The truncation solver starts at w = 1, where the rescaling factor
+        # f_max + (strike - r_t_min) * notional must be positive; compared in
+        # logs because r_t_min = exp(...) can overflow.
+        r = resources
+        log_r_t_min = (r["mu"] * r["dt"] - r["sigma_max"] * math.sqrt(r["dt"])) * r["steps"]
+        floor = r["strike"] + r["f_max"] / r["notional"]
+        if log_r_t_min >= math.log(floor):
+            problems.append(
+                "'resources.mu', 'resources.sigma_max', 'resources.dt' and 'resources.steps' "
+                f"put the minimum terminal return at exp({log_r_t_min:.6g}), not below "
+                f"'resources.strike' + 'resources.f_max' / 'resources.notional' = {floor:.6g}, "
+                "so the payoff rescaling factor is not positive"
+            )
 
     contract = None
     if not problems:

@@ -21,8 +21,6 @@ from .simulator import (
     Condition,
     PhaseOracle,
     PrimitiveOp,
-    Ry,
-    Statevector,
     allocate,
     invert,
     probability,
@@ -58,14 +56,6 @@ class EstimateResult:
     rounds: int
     converged: bool
     shots_total: int
-
-
-def bernoulli_circuit(a: float) -> tuple[list[PrimitiveOp], int, Condition]:
-    """One-qubit test circuit with good-state probability exactly ``a``."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {a}")
-    ops = [Ry(0, 2.0 * math.asin(math.sqrt(a)))]
-    return ops, 1, Condition(((0, 1),))
 
 
 def build_grover(

@@ -1,11 +1,12 @@
-"""Dense statevector simulator with invertible primitive operations.
+"""Sparse statevector simulator with invertible primitive operations.
 
 Bit-order convention used across the whole package: qubit ``q`` is bit ``q``
 of the basis-state index (LSB-first), and a register occupying qubits
 ``offset .. offset+width-1`` stores value bit ``j`` on qubit ``offset+j``.
-The kernels index the state as a ``(2,)*n`` tensor, so qubit ``q`` is axis
-``n-1-q`` of that view; this needs C-contiguous amplitudes, and a
-:class:`Classical` op costs one state-sized temporary (see :class:`Statevector`).
+A :class:`Statevector` stores only the basis states it holds: their sorted
+indices and their amplitudes, so its memory scales with the support of the
+state, not with ``2**n`` (see :class:`Statevector`). Its kernels compute the
+same amplitudes as a dense simulation, bit for bit.
 
 Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
 :class:`X` (optionally controlled), :class:`PhaseOracle` and
@@ -13,7 +14,7 @@ Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
 expands it into ``Ry`` rotations when the circuit is built. No op checks the
 state it is applied to: a circuit is a list of ops built ahead of time and run
 only on a fresh :func:`allocate` state with :meth:`Statevector.apply_all`.
-:func:`max_qubits` bounds that state by the machine's physical memory.
+:func:`max_qubits` caps the qubit count by the machine's physical memory.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
@@ -32,8 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError, StructuralError
 
-#: peak bytes per amplitude: the complex128 state plus the state-sized
-#: temporary a :class:`Classical` op holds while it permutes
+#: bytes per basis state that :func:`max_qubits` budgets (see its docstring)
 _BYTES_PER_AMPLITUDE = 32
 
 
@@ -229,26 +229,37 @@ def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> lis
 
 
 class Statevector:
-    """Dense complex amplitude array over ``num_qubits`` qubits.
+    """Sparse complex state over ``num_qubits`` qubits: the basis states it
+    holds and their amplitudes.
 
-    The kernels work on the ``(2,)*num_qubits`` reshape of ``amplitudes``, in
-    which qubit ``q`` is axis ``num_qubits-1-q``; they write through that view
-    in place and allocate no index arrays. ``amplitudes`` must therefore stay
-    C-contiguous (a reshape of anything else is a copy that would swallow the
-    writes), and a kernel given a non-contiguous array raises
-    :class:`StructuralError`. A :class:`Classical` op holds one
-    state-sized temporary while it permutes; the other kinds allocate
-    temporaries in proportion to the entries they touch.
+    ``indices`` is a sorted int64 array of basis-state indices and ``values``
+    the complex128 amplitude of each; a basis state that is not listed has
+    amplitude 0. Memory therefore scales with the support (the number of
+    listed states), not with ``2**num_qubits``: a pricing circuit keeps only
+    its Gaussian, exponential, payoff-target and scale qubits in
+    superposition, so ``A|0>`` of the 22-qubit Table-2 circuit lists 1024
+    states.
+
+    Each kernel works on the listed entries only. :class:`Ry` pairs every
+    entry whose controls match with its partner ``i ^ (1 << target)``, reads
+    a missing partner as 0 and updates the pair with the same floating-point
+    operations in the same order as a dense 2x2 update, so every amplitude
+    equals the one a dense simulation computes, bit for bit; entries that
+    come out exactly 0 are dropped. :class:`X` and :class:`Classical` rewrite
+    the op's bits of each index and re-sort (they permute basis states, so
+    indices never collide), and :class:`PhaseOracle` multiplies the entries
+    whose value on its qubits is marked.
     """
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "indices", "values")
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
+    def __init__(self, num_qubits: int, indices: np.ndarray, values: np.ndarray):
         self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
+        self.indices = indices
+        self.values = values
 
     def norm_sq(self) -> float:
-        a = self.amplitudes
+        a = self.values
         return float(np.real(np.vdot(a, a)))
 
     def _check_bounds(self, qubits: Iterable[int]):
@@ -280,58 +291,86 @@ class Statevector:
 
     # -- op kernels --------------------------------------------------------
 
-    def _view(self, fixed: Iterable[tuple[int, int]] = ()) -> np.ndarray:
-        """Writable tensor view with each ``(qubit, bit)`` of ``fixed`` pinned.
-
-        Pinned axes keep length 1 (``slice(b, b+1)``), so even a fully pinned
-        view is an array rather than a scalar.
-        """
-        if not self.amplitudes.flags.c_contiguous:
-            raise StructuralError("statevector amplitudes must be C-contiguous")
-        n = self.num_qubits
-        index = [slice(None)] * n
-        for q, b in fixed:
-            index[n - 1 - q] = slice(b, b + 1)
-        return self.amplitudes.reshape((2,) * n)[tuple(index)]
-
     def _apply_rotation(self, target: int, angle: float, controls):
-        v0 = self._view((*controls, (target, 0)))
-        v1 = self._view((*controls, (target, 1)))
+        bit = 1 << target
+        matched = _matches(self.indices, controls)
+        # every matched entry plus its partner, a missing partner holding 0
+        indices = np.union1d(self.indices, self.indices[matched] ^ bit)
+        values = np.zeros(len(indices), dtype=np.complex128)
+        values[np.searchsorted(indices, self.indices)] = self.values
+        i0 = np.flatnonzero(_matches(indices, (*controls, (target, 0))))
+        i1 = np.searchsorted(indices, indices[i0] | bit)
+        v0, v1 = values[i0], values[i1]
         c = math.cos(angle / 2.0)
         s = math.sin(angle / 2.0)
         a0 = v0.copy()
-        # (c*a0 - s*v1, s*a0 + c*v1) in place: a0 and s * v1 are the only temporaries
+        # (c*a0 - s*v1, s*a0 + c*v1), in the order a dense in-place update uses
         v0 *= c
         v0 -= s * v1
         v1 *= c
         a0 *= s
         v1 += a0
+        values[i0] = v0
+        values[i1] = v1
+        keep = values != 0
+        self.indices, self.values = indices[keep], values[keep]
 
     def _apply_flip(self, target: int, controls):
-        v0 = self._view((*controls, (target, 0)))
-        v1 = self._view((*controls, (target, 1)))
-        a0 = v0.copy()
-        v0[...] = v1
-        v1[...] = a0
+        indices = self.indices.copy()
+        indices[_matches(indices, controls)] ^= 1 << target
+        self._reorder(indices)
 
     def _apply_phase(self, op: PhaseOracle):
-        # op qubits first, MSB first: the leading axes index the marked table
-        n, k = self.num_qubits, len(op.qubits)
-        view = np.moveaxis(self._view(), [n - 1 - q for q in reversed(op.qubits)], range(k))
-        view[op.marked.reshape((2,) * k)] *= complex(
-            math.cos(op.phase), math.sin(op.phase)
-        )
+        marked = op.marked[_gather(self.indices, op.qubits)]
+        self.values[marked] *= complex(math.cos(op.phase), math.sin(op.phase))
 
     def _apply_classical(self, op: Classical):
-        # value v moves to table[v]; the copy is the one state-sized temporary
-        n, k = self.num_qubits, len(op.qubits)
-        view = np.moveaxis(self._view(), [n - 1 - q for q in reversed(op.qubits)], range(k))
-        view[np.unravel_index(op.table, (2,) * k)] = view.copy().reshape(2**k, *view.shape[k:])
+        # value v on the op's qubits moves to table[v]
+        mask = sum(1 << q for q in op.qubits)
+        moved = _scatter(op.table[_gather(self.indices, op.qubits)], op.qubits)
+        self._reorder((self.indices & ~mask) | moved)
+
+    def _reorder(self, indices: np.ndarray):
+        order = np.argsort(indices)
+        self.indices, self.values = indices[order], self.values[order]
+
+
+def _matches(indices: np.ndarray, terms: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Boolean mask of the indices whose bit ``q`` is ``b`` for every term."""
+    mask = value = 0
+    for q, b in terms:
+        mask |= 1 << q
+        value |= b << q
+    return (indices & mask) == value
+
+
+def _gather(indices: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Value of each index on ``qubits``, LSB first."""
+    out = np.zeros_like(indices)
+    for j, q in enumerate(qubits):
+        out |= ((indices >> q) & 1) << j
+    return out
+
+
+def _scatter(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Inverse of :func:`_gather`: each value's bits placed on ``qubits``."""
+    out = np.zeros_like(values)
+    for j, q in enumerate(qubits):
+        out |= ((values >> j) & 1) << q
+    return out
 
 
 def max_qubits() -> int:
-    """Most qubits whose state, with a :class:`Classical` op's temporary, fits
-    in the machine's physical memory."""
+    """Most qubits a state may have: ``2**n`` basis states at 32 bytes each
+    must fit in the machine's physical memory.
+
+    The state itself grows with its support, not with ``2**n``, but the cap
+    stays: the ``S_0`` reflection of IQAE's Grover operator is a
+    :class:`PhaseOracle` on every qubit, whose ``marked`` table has ``2**n``
+    entries. Until that reflection stops depending on ``n``, the bound keeps
+    the value it had for a dense state plus one state-sized temporary, so
+    capacity errors and exit codes are unchanged.
+    """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     return (memory // _BYTES_PER_AMPLITUDE).bit_length() - 1
 
@@ -346,9 +385,9 @@ def allocate(num_qubits: int) -> Statevector:
             f"requested {num_qubits} qubits exceeds the {cap} that fit in physical "
             f"memory (2**{num_qubits} amplitudes at {_BYTES_PER_AMPLITUDE} bytes each)"
         )
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(num_qubits, amps)
+    return Statevector(
+        num_qubits, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
+    )
 
 
 def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:
@@ -359,7 +398,7 @@ def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:
 def probability(state: Statevector, cond: Condition) -> float:
     """Exact probability mass of basis states satisfying ``cond``."""
     state._check_bounds(q for q, _ in cond.terms)
-    sel = state._view(cond.terms)
+    sel = state.values[_matches(state.indices, cond.terms)]
     return float(np.real(np.vdot(sel, sel)))
 
 

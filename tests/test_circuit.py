@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_state import to_dense
 from qautocall.circuit import (
     QuantizedModel,
     build_pricing_circuit,
@@ -123,6 +124,14 @@ class TestCircuitAgainstOracle:
             closed_form_quantized(table2, grid, fmt), abs=1e-9
         )
 
+    @pytest.mark.parametrize("p,k,support", [(2, 1, 128), (3, 1, 256), (2, 2, 1024)])
+    def test_loaded_state_lists_only_its_support(self, table2, p, k, support):
+        # only the Gaussian, exponential, payoff-target and scale qubits are in
+        # superposition; every other register is a function of them
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        state = _run(build_pricing_circuit(table2, grid, fit_format(table2, grid, p)))
+        assert len(state.indices) == support
+
     def test_branch_families_partition_unity(self, table2):
         fmt = fit_format(table2, GRID1, 2)
         pc = build_pricing_circuit(table2, GRID1, fmt)
@@ -147,7 +156,7 @@ class TestCircuitAgainstOracle:
         state.apply_all(invert(pc.ops))
         target = np.zeros(2**pc.layout.num_qubits, dtype=complex)
         target[0] = 1.0
-        assert np.abs(state.amplitudes - target).max() < 1e-10
+        assert np.abs(to_dense(state) - target).max() < 1e-10
 
     def test_monotone_precision_toward_discretized_value(self, table2):
         reference = closed_form_discretized(table2, GRID1)

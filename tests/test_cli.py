@@ -89,6 +89,8 @@ def _rows(path):
         ("resources", CONTRACT + "[resources]\nstrike = -1\n", "resources.strike"),
         ("resources", CONTRACT + "[resources]\nsigma_max = -1\n", "resources.sigma_max"),
         ("resources", CONTRACT + "[resources]\nf_max = -100\n", "resources.f_max"),
+        ("resources", CONTRACT + "[resources]\nsigma_max = 0\n", "'resources.sigma_max'"),
+        ("resources", CONTRACT + "[resources]\nsigma_max = 0.0001\n", "'resources.sigma_max'"),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -96,6 +98,7 @@ def _rows(path):
         "resources-epsilon-above-1", "resources-m-zero", "resources-dt-zero",
         "resources-notional-negative", "resources-strike-negative",
         "resources-sigma-max-negative", "resources-f-max-negative",
+        "resources-sigma-max-zero", "resources-sigma-max-tiny",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):

@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from qautocall import estimation
 from qautocall.estimation import (
     EstimateResult,
     IqaeConfig,
-    bernoulli_circuit,
     build_grover,
     exact_amplitude,
     iqae_estimate,
 )
-from qautocall.simulator import Condition, allocate, probability
+from qautocall.simulator import Condition, Ry, allocate, probability
+
+
+def bernoulli_circuit(a):
+    """One-qubit circuit with good-state probability exactly ``a``."""
+    return [Ry(0, 2.0 * math.asin(math.sqrt(a)))], 1, Condition(((0, 1),))
 
 
 class TestGrover:
@@ -55,8 +60,6 @@ class TestGrover:
 
     def test_works_on_wider_registers(self):
         # same Bernoulli amplitude embedded in a 3-qubit circuit with bystanders
-        from qautocall.simulator import Ry
-
         ops = [Ry(1, 2 * math.asin(math.sqrt(0.3))), Ry(0, 1.1), Ry(2, 0.4, ((0, 1),))]
         good = Condition(((1, 1),))
         grover = build_grover(ops, 3, good)
@@ -115,7 +118,7 @@ class TestIqae:
         assert not res.converged
         assert res.rounds == 1
 
-    def test_covers_exact_amplitude_on_pricing_circuit(self, table2):
+    def test_covers_exact_amplitude_on_pricing_circuit(self, table2, monkeypatch):
         # A and A^-1 are re-applied by every Grover step, so the circuit must
         # carry no op that asserts anything about the state it acts on
         from qautocall.circuit import build_pricing_circuit, fit_format
@@ -124,10 +127,30 @@ class TestIqae:
         grid = GaussianGridSpec(k=1, s_min=3.0)
         pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, 2))
         nq = pc.layout.num_qubits
+        # record each round's Grover power and the good-state probability it samples
+        powers, probs = [], []
+        find_next_k, sample = estimation._find_next_k, estimation.sample
+
+        def recording_find_next_k(*args):
+            result = find_next_k(*args)
+            powers.append(result[0])
+            return result
+
+        def recording_sample(state, cond, *args):
+            probs.append(probability(state, cond))
+            return sample(state, cond, *args)
+
+        monkeypatch.setattr(estimation, "_find_next_k", recording_find_next_k)
+        monkeypatch.setattr(estimation, "sample", recording_sample)
         res = iqae_estimate(pc.ops, nq, pc.good, IqaeConfig(epsilon=0.05, alpha=0.05, seed=1))
         a = exact_amplitude(pc.ops, nq, pc.good)
         assert res.converged
         assert res.ci[0] <= a <= res.ci[1]
+        # the good-state probability after k Grover steps is sin^2((2k+1) theta)
+        theta = math.asin(math.sqrt(a))
+        assert len(powers) == len(probs) == res.rounds and max(powers) > 1
+        for k, prob in zip(powers, probs):
+            assert prob == pytest.approx(math.sin((2 * k + 1) * theta) ** 2, abs=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_state import to_dense
 from qautocall.loading import (
     ExponentialPrepSpec,
     GaussianGridSpec,
@@ -24,7 +25,7 @@ from qautocall.simulator import (
 
 
 def _register_probs(state, width):
-    return np.abs(state.amplitudes[: 2**width]) ** 2
+    return np.abs(to_dense(state)[: 2**width]) ** 2
 
 
 def _prepared(width, a, x0, x1):
@@ -85,19 +86,19 @@ class TestExpAngles:
 class TestFullExponential:
     def test_rate_zero_uniform(self):
         state = _prepared(2, 0.0, 0, 3)
-        assert np.allclose(np.abs(state.amplitudes) ** 2, 0.25)
+        assert np.allclose(np.abs(to_dense(state)) ** 2, 0.25)
 
     def test_log2_frozen_distribution(self):
         state = _prepared(2, math.log(2.0), 0, 3)
         want = np.array([1, 2, 4, 8]) / 15.0
-        assert np.abs(np.abs(state.amplitudes) ** 2 - want).max() < 1e-12
+        assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("a", [-1.0, -0.1, 0.1, 1.0])
     def test_exhaustive_against_weights(self, n, a):
         state = _prepared(n, a, 0, 2**n - 1)
         w = np.exp(a * np.arange(2**n))
-        assert np.abs(np.abs(state.amplitudes) ** 2 - w / w.sum()).max() < 1e-12
+        assert np.abs(np.abs(to_dense(state)) ** 2 - w / w.sum()).max() < 1e-12
 
 
 def _expected_partial(width, a, x0, x1):
@@ -111,12 +112,12 @@ class TestPartialExponential:
     def test_full_interval_degenerates_to_full_prep(self):
         state = _prepared(3, 0.4, 0, 7)
         ref = allocate(3).apply_all(Ry(i, float(t)) for i, t in enumerate(exp_angles(0.4, 3)))
-        assert np.abs(state.amplitudes - ref.amplitudes).max() < 1e-12
+        assert np.abs(to_dense(state) - to_dense(ref)).max() < 1e-12
 
     def test_log2_interval_frozen(self):
         state = _prepared(2, math.log(2.0), 1, 2)
         want = np.array([0.0, 1 / 3, 2 / 3, 0.0])
-        assert np.abs(np.abs(state.amplitudes) ** 2 - want).max() < 1e-12
+        assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
 
     def test_non_power_of_two_interval(self):
         probs = _register_probs(_prepared(3, 0.7, 1, 5), 3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_state import from_dense, to_dense
 from qautocall.errors import CapacityError, PreconditionError, StructuralError
 from qautocall.simulator import (
     Classical,
@@ -12,7 +13,6 @@ from qautocall.simulator import (
     PhaseOracle,
     QubitRegister,
     Ry,
-    Statevector,
     X,
     allocate,
     injection_ops,
@@ -28,8 +28,8 @@ def _loaded(width, amps):
 
 
 def test_allocate_ground_state():
-    assert np.allclose(allocate(1).amplitudes, [1, 0])
-    assert np.allclose(allocate(2).amplitudes, [1, 0, 0, 0])
+    assert np.allclose(to_dense(allocate(1)), [1, 0])
+    assert np.allclose(to_dense(allocate(2)), [1, 0, 0, 0])
 
 
 def test_allocate_capacity_error_names_limit(fake_memory):
@@ -47,23 +47,23 @@ def test_allocate_capacity_error_names_limit(fake_memory):
 
 def test_ry_pi_flips():
     state = allocate(1).apply(Ry(0, math.pi))
-    assert abs(state.amplitudes[1]) == pytest.approx(1.0, abs=1e-15)
+    assert abs(to_dense(state)[1]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ry_half_pi_uniform():
     state = allocate(1).apply(Ry(0, math.pi / 2))
-    assert np.allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5])
+    assert np.allclose(np.abs(to_dense(state)) ** 2, [0.5, 0.5])
 
 
 def test_toffoli_truth_table():
     # |110> (qubits 0,1 set) -> |111>
     state = allocate(3).apply(X(0)).apply(X(1))
     state.apply(X(2, controls=((0, 1), (1, 1))))
-    assert abs(state.amplitudes[0b111]) == pytest.approx(1.0)
+    assert abs(to_dense(state)[0b111]) == pytest.approx(1.0)
     # control not satisfied: nothing happens
     state = allocate(3).apply(X(0))
     state.apply(X(2, controls=((0, 1), (1, 1))))
-    assert abs(state.amplitudes[0b001]) == pytest.approx(1.0)
+    assert abs(to_dense(state)[0b001]) == pytest.approx(1.0)
 
 
 def test_controlled_ry_acts_only_when_controls_match():
@@ -72,6 +72,12 @@ def test_controlled_ry_acts_only_when_controls_match():
     assert probability(state, Condition(((1, 1),))) == pytest.approx(0.0, abs=1e-15)
     state = allocate(2).apply(X(0)).apply(Ry(1, angle, controls=((0, 1),)))
     assert probability(state, Condition(((1, 1),))) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_rotation_lists_no_exact_zeros():
+    # a zero-angle rotation pairs |01> with |11> but leaves |11> exactly 0
+    state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, 0.0))
+    assert state.indices.tolist() == [0, 1]
 
 
 def test_control_target_overlap_rejected():
@@ -84,26 +90,26 @@ def test_control_target_overlap_rejected():
 def test_classical_identity_noop():
     reg = QubitRegister(0, 2)
     state = allocate(3).apply(Ry(0, 0.7)).apply(Ry(2, 1.1))
-    before = state.amplitudes.copy()
+    before = to_dense(state)
     state.apply(Classical(reg.qubits, range(4)))
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(to_dense(state), before)
 
 
 def test_classical_increment_register_local():
     reg = QubitRegister(0, 2)
     state = allocate(3)
     state.apply(Classical(reg.qubits, [(v + 1) % 4 for v in range(4)]))
-    assert abs(state.amplitudes[0b001]) == pytest.approx(1.0)
+    assert abs(to_dense(state)[0b001]) == pytest.approx(1.0)
 
 
 def test_classical_bit_reversal_involution():
     reg = QubitRegister(0, 2)
     rev = [0b00, 0b10, 0b01, 0b11]
     state = allocate(2).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, controls=((0, 1),)))
-    before = state.amplitudes.copy()
+    before = to_dense(state)
     state.apply(Classical(reg.qubits, rev))
     state.apply(Classical(reg.qubits, rev))
-    assert np.allclose(state.amplitudes, before, atol=1e-15)
+    assert np.allclose(to_dense(state), before, atol=1e-15)
 
 
 def test_classical_rejects_non_bijection():
@@ -114,20 +120,19 @@ def test_classical_rejects_non_bijection():
 @given(perm=st.permutations(range(8)))
 @settings(max_examples=40, deadline=None)
 def test_classical_preserves_probability_multiset(perm):
-    state = allocate(3)
     rng = np.random.default_rng(7)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state.amplitudes = amps / np.linalg.norm(amps)
-    before = np.sort(np.abs(state.amplitudes) ** 2)
+    state = from_dense(3, amps / np.linalg.norm(amps))
+    before = np.sort(np.abs(to_dense(state)) ** 2)
     state.apply(Classical((0, 1, 2), list(perm)))
-    assert np.allclose(np.sort(np.abs(state.amplitudes) ** 2), before, atol=1e-15)
+    assert np.allclose(np.sort(np.abs(to_dense(state)) ** 2), before, atol=1e-15)
 
 
 def test_inject_trivial_vectors():
     state = allocate(2).apply_all(injection_ops(QubitRegister(0, 1), [1.0, 0.0]))
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0)
+    assert abs(to_dense(state)[0]) == pytest.approx(1.0)
     state = _loaded(1, [1 / math.sqrt(2)] * 2)
-    assert np.allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5])
+    assert np.allclose(np.abs(to_dense(state)) ** 2, [0.5, 0.5])
 
 
 def test_inject_matches_normalized_pdf_samples():
@@ -136,7 +141,7 @@ def test_inject_matches_normalized_pdf_samples():
     pdf = np.exp(-0.5 * points**2) / math.sqrt(2 * math.pi)
     target = pdf / pdf.sum()
     state = _loaded(2, np.sqrt(target))
-    assert np.abs(np.abs(state.amplitudes) ** 2 - target).max() < 1e-12
+    assert np.abs(np.abs(to_dense(state)) ** 2 - target).max() < 1e-12
 
 
 def test_inject_requires_normalized_amplitudes():
@@ -159,7 +164,7 @@ def test_inject_rejects_wrong_length_and_negative_amplitudes(amps):
 def test_inject_reproduces_arbitrary_nonnegative_vectors(raw):
     amps = np.sqrt(np.asarray(raw) / np.sum(raw))
     state = _loaded(3, amps)
-    assert np.abs(np.abs(state.amplitudes) ** 2 - amps**2).max() < 1e-12
+    assert np.abs(np.abs(to_dense(state)) ** 2 - amps**2).max() < 1e-12
 
 
 def test_invert_single_rotation():
@@ -207,7 +212,7 @@ def test_invert_round_trip_random_circuits():
         state.apply_all(invert(ops))
         target = np.zeros(16, dtype=complex)
         target[0] = 1.0
-        assert np.abs(state.amplitudes - target).max() < 1e-10
+        assert np.abs(to_dense(state) - target).max() < 1e-10
 
 
 def test_norm_preserved_within_bound():
@@ -273,19 +278,26 @@ def test_kernels_match_per_basis_state_reference(op):
     rng = np.random.default_rng(17)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
-    state = Statevector(5, amps.copy()).apply(op)
+    state = from_dense(5, amps).apply(op)
     want = _reference_apply(op, amps)
-    np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(to_dense(state), want, rtol=0, atol=1e-14)
     cond = Condition(((3, 1), (0, 0), (2, 1)))
     mass = sum(abs(want[i]) ** 2 for i in range(32) if all(_bit(i, q) == b for q, b in cond.terms))
     assert probability(state, cond) == pytest.approx(mass, abs=1e-14)
 
 
-def test_non_contiguous_amplitudes_rejected():
-    state = allocate(3)
-    state.amplitudes = np.zeros(16, dtype=complex)[::2]
-    with pytest.raises(StructuralError, match="contiguous"):
-        state.apply(X(0))
+def test_random_circuits_match_per_basis_state_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        ops = _random_circuit(5, rng, length=40)
+        want = to_dense(allocate(5))
+        for op in ops:
+            want = _reference_apply(op, want)
+        state = allocate(5).apply_all(ops)
+        np.testing.assert_allclose(to_dense(state), want, rtol=0, atol=1e-12)
+        # the stored entries stay sorted and unique, and no exact zero is kept
+        assert (np.diff(state.indices) > 0).all()
+        assert (state.values != 0).all()
 
 
 def test_probability_basics():
@@ -320,8 +332,8 @@ def test_sample_determinism_and_edges():
 def test_phase_oracle_marks_values():
     state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, math.pi / 2))
     state.apply(PhaseOracle((0, 1), [False, False, False, True], math.pi))
-    assert state.amplitudes[3].real == pytest.approx(-0.5, abs=1e-12)
-    assert state.amplitudes[0].real == pytest.approx(0.5, abs=1e-12)
+    assert to_dense(state)[3].real == pytest.approx(-0.5, abs=1e-12)
+    assert to_dense(state)[0].real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_register_helpers():
