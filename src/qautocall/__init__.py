@@ -42,7 +42,6 @@ from .loading import (
 )
 from .oracles import (
     McResult,
-    PathOutcome,
     closed_form_discretized,
     closed_form_quantized,
     mc_price,
@@ -51,10 +50,8 @@ from .oracles import (
 )
 from .resources import (
     QSP_BASELINE_T_DEPTH,
-    BlockDepths,
     ResourceParams,
     TDepthReport,
-    block_depths,
     d_amplitude_loading,
     d_arith,
     d_gaussian,

@@ -35,7 +35,7 @@ from .oracles import (
     mc_price,
     mc_price_discretized,
 )
-from .resources import ResourceParams, d_total
+from .resources import QSP_BASELINE_T_DEPTH, ResourceParams, d_total
 
 METHODS = ("quantum-exact", "quantum-iqae", "mc", "mc-disc", "cf-disc", "cf-quant")
 
@@ -70,7 +70,7 @@ _SECTION_KEYS = {
 
 @dataclass
 class RunConfig:
-    contract: AutocallableContract
+    contract: AutocallableContract | None  # None when the config has no [contract]
     grid: GaussianGridSpec | None
     frac_bits: int | None
     int_bits: int | None  # None = auto
@@ -150,18 +150,22 @@ def parse_config(text: str) -> RunConfig:
             suffix = f" (did you mean '[{hint[0]}]'?)" if hint else ""
             problems.append(f"unknown section '[{section}]'{suffix}")
 
+    # [contract] is optional (resources never reads it); when present, it is complete
     con = _Reader(parser, "contract", problems)
-    notional = con.get("notional", float, required=True, check=lambda v: v > 0,
+    has_contract = parser.has_section("contract")
+    notional = con.get("notional", float, required=has_contract, check=lambda v: v > 0,
                        describe="must be positive")
-    dt = con.get("dt", float, required=True, check=lambda v: v > 0, describe="must be positive")
-    steps = con.get("steps", int, required=True, check=lambda v: v >= 1, describe="must be >= 1")
-    sigma = con.get("sigma", float, required=True, check=lambda v: v >= 0,
+    dt = con.get("dt", float, required=has_contract, check=lambda v: v > 0,
+                 describe="must be positive")
+    steps = con.get("steps", int, required=has_contract, check=lambda v: v >= 1,
+                    describe="must be >= 1")
+    sigma = con.get("sigma", float, required=has_contract, check=lambda v: v >= 0,
                     describe="must be non-negative")
-    mu = con.get("mu", float, required=True)
-    rate = con.get("rate", float, required=True)
-    barrier = con.get("barrier", float, required=True, check=lambda v: v > 0,
+    mu = con.get("mu", float, required=has_contract)
+    rate = con.get("rate", float, required=has_contract)
+    barrier = con.get("barrier", float, required=has_contract, check=lambda v: v > 0,
                       describe="must be positive")
-    strike = con.get("strike", float, required=True, check=lambda v: v > 0,
+    strike = con.get("strike", float, required=has_contract, check=lambda v: v > 0,
                      describe="must be positive")
     binaries = con.get("binaries", _parse_binaries, default=())
 
@@ -251,7 +255,7 @@ def parse_config(text: str) -> RunConfig:
             )
 
     contract = None
-    if not problems:
+    if has_contract and not problems:
         try:
             contract = AutocallableContract(
                 notional=notional, dt=dt, steps=steps, mu=mu, sigma=sigma,
@@ -276,6 +280,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _require(config: RunConfig, method: str, k: int | None, p: int | None):
     problems = []
+    if config.contract is None:
+        problems.append(f"method {method} needs a [contract] section")
     if method in ("mc-disc", "cf-disc", "cf-quant", "quantum-exact", "quantum-iqae"):
         # s_min always comes from [grid], even when the sweep supplies k
         if config.grid is None:
@@ -429,8 +435,6 @@ def resource_rows(config: RunConfig) -> list[dict]:
 def emit_report(report) -> dict:
     """One resource report as a CSV row dict in the stable column order."""
     p = report.params
-    from .resources import QSP_BASELINE_T_DEPTH
-
     return {
         "steps": p.steps, "assets": p.assets, "epsilon": p.epsilon,
         "layers": p.layers, "gaussian_qubits": p.gaussian_qubits,

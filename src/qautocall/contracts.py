@@ -55,6 +55,8 @@ class AutocallableContract:
                 raise ValueError(f"binary step {b.step} outside [1, {self.steps - 1}]")
             if b.step <= last:
                 raise ValueError("binary steps must be strictly increasing")
+            if b.strike <= 0:
+                raise ValueError(f"binary strike must be positive, got {b.strike}")
             if b.payout <= 0:
                 raise ValueError(f"binary payout must be positive, got {b.payout}")
             last = b.step

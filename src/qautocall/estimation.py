@@ -28,14 +28,19 @@ from .simulator import (
 )
 
 
+_MAX_ROUNDS = 10_000  # stops a schedule that does not converge
+_MIN_RATIO = 2.0  # least growth of the scaled power 4k + 2 when k changes
+
+
 @dataclass(frozen=True)
 class IqaeConfig:
+    """Target half-width ``epsilon`` at confidence ``1 - alpha``. The schedule's
+    tuning is fixed by the module constants ``_MIN_RATIO`` and ``_MAX_ROUNDS``."""
+
     epsilon: float
     alpha: float
     shots_per_round: int = 100
-    max_rounds: int = 10_000
     seed: int = 0
-    min_ratio: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
@@ -44,8 +49,6 @@ class IqaeConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.shots_per_round < 1:
             raise ValueError("shots_per_round must be >= 1")
-        if self.min_ratio <= 1.0:
-            raise ValueError("min_ratio must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,14 @@ def exact_amplitude(
 
 
 def _find_next_k(
-    k: int, upper_half: bool, theta_interval: tuple[float, float], min_ratio: float
+    k: int, upper_half: bool, theta_interval: tuple[float, float]
 ) -> tuple[int, bool]:
     """Largest power whose scaled angle interval fits in one half-circle."""
     theta_l, theta_u = theta_interval
     old_scaling = 4 * k + 2
     max_scaling = int(1.0 / (2.0 * (theta_u - theta_l)))
     scaling = max_scaling - (max_scaling - 2) % 4
-    while scaling >= min_ratio * old_scaling:
+    while scaling >= _MIN_RATIO * old_scaling:
         theta_min = scaling * theta_l - int(scaling * theta_l)
         theta_max = scaling * theta_u - int(scaling * theta_u)
         if theta_min <= theta_max <= 0.5:
@@ -121,8 +124,7 @@ def iqae_estimate(
 
     # Worst-case round count, used to split the confidence budget.
     worst_rounds = (
-        int(math.log(config.min_ratio * math.pi / 8.0 / config.epsilon) / math.log(config.min_ratio))
-        + 1
+        int(math.log(_MIN_RATIO * math.pi / 8.0 / config.epsilon) / math.log(_MIN_RATIO)) + 1
     )
     alpha_round = config.alpha / worst_rounds
 
@@ -135,11 +137,9 @@ def iqae_estimate(
     stretch_shots = 0
     stretch_ones = 0
 
-    while theta_u - theta_l > config.epsilon / math.pi:
-        if rounds >= config.max_rounds:
-            break
+    while theta_u - theta_l > config.epsilon / math.pi and rounds < _MAX_ROUNDS:
         rounds += 1
-        k_next, upper_half = _find_next_k(k, upper_half, (theta_l, theta_u), config.min_ratio)
+        k_next, upper_half = _find_next_k(k, upper_half, (theta_l, theta_u))
         if k_next != k:
             stretch_shots = 0
             stretch_ones = 0

@@ -44,42 +44,18 @@ class McResult:
     seed: int
 
 
-@dataclass(frozen=True)
-class PathOutcome:
-    log_returns: tuple[float, ...]
-    barrier_crossed: bool
-    binary_index: int | None
-    terminal_return: float
-    payoff: float
-
-
-def path_outcome(log_increments, contract: AutocallableContract) -> PathOutcome:
-    """Classify one path and value it; exactly one payoff branch applies."""
+def payoff_of_path(log_increments, contract: AutocallableContract) -> float:
+    """Discounted payoff of one path of ``steps`` log-return increments."""
     incs = np.asarray(log_increments, dtype=float)
     if incs.shape != (contract.steps,):
         raise ValueError(f"need {contract.steps} increments, got shape {incs.shape}")
-    l = np.cumsum(incs)
-    r = np.exp(l)
-    crossed = bool((r < contract.barrier).any())
-    for i, b in enumerate(contract.binaries):
-        if r[b.step - 1] > b.strike:
-            return PathOutcome(tuple(l), crossed, i, float(r[-1]), contract.discounted_payout(i))
-    if crossed and r[-1] < contract.strike:
-        payoff = (
-            contract.notional
-            * (r[-1] - contract.strike)
-            * math.exp(-contract.rate * contract.maturity)
-        )
-        return PathOutcome(tuple(l), crossed, None, float(r[-1]), payoff)
-    return PathOutcome(tuple(l), crossed, None, float(r[-1]), 0.0)
-
-
-def payoff_of_path(log_increments, contract: AutocallableContract) -> float:
-    return path_outcome(log_increments, contract).payoff
+    return float(_payoffs_vector(incs[None, :], contract)[0])
 
 
 def _payoffs_vector(incs: np.ndarray, contract: AutocallableContract) -> np.ndarray:
-    """Vectorized path_outcome over an (M, T) increment block."""
+    """Discounted payoffs of an (M, T) increment block, one per row: the first
+    binary in the money pays, else a path that crossed the barrier and ends
+    below the strike pays the put, else nothing."""
     r = np.exp(np.cumsum(incs, axis=1))
     payoff = np.zeros(len(incs))
     alive = np.ones(len(incs), dtype=bool)
@@ -220,7 +196,7 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     A forward recursion over ``(log-return, crossed)`` states (see
     :func:`_forward`). Each state's log-return is built by the same
     sequential float additions as ``np.cumsum`` over the path, so every path
-    is classified exactly as :func:`path_outcome` classifies it; only the
+    is classified exactly as :func:`payoff_of_path` classifies it; only the
     order in which the weighted payoffs are summed differs.
     """
     _check_enumeration(grid, contract.steps)

@@ -2,15 +2,14 @@
 solver, and the assembled total with its amplitude-loading comparison against
 a fixed QSP-style baseline.
 
-Depths are real-valued by default; pass ``integer=True`` where offered to get
-conservative per-block ceilings. Widths below 2 are clamped to 2 inside the
+Depths are real-valued. Widths below 2 are clamped to 2 inside the
 multi-controlled-X formula, whose log3 term would otherwise go negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NumericalError
 
@@ -19,6 +18,8 @@ QSP_BASELINE_T_DEPTH = 2.1e3
 
 D_TOFFOLI = 3.0
 
+_SOLVER_ITERATIONS = 1000
+
 
 def d_ry(epsilon: float) -> float:
     return 3.0 * math.log2(1.0 / epsilon)
@@ -26,10 +27,6 @@ def d_ry(epsilon: float) -> float:
 
 def d_cry(epsilon: float) -> float:
     return 6.0 * math.log2(2.0 / epsilon)
-
-
-def d_rz(epsilon: float) -> float:
-    return math.log2(1.0 / epsilon)
 
 
 def d_mcx(n: int) -> float:
@@ -50,51 +47,12 @@ def d_adder(n: int) -> float:
     return (2.0 * math.log2(n) + 5.0) * D_TOFFOLI
 
 
-def d_multiplier(n: int) -> float:
-    return n * (d_adder(n) + 6.0)
-
-
-@dataclass(frozen=True)
-class BlockDepths:
-    ry: float
-    cry: float
-    rz: float
-    toffoli: float
-    mcx: float
-    comparator: float
-    c_comparator: float
-    adder: float
-    multiplier: float
-
-
-def block_depths(n: int, epsilon: float, integer: bool = False) -> BlockDepths:
-    """All building-block depths at width ``n`` and rotation error ``epsilon``."""
-    if n < 1:
-        raise ValueError(f"width must be >= 1, got {n}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    values = BlockDepths(
-        ry=d_ry(epsilon),
-        cry=d_cry(epsilon),
-        rz=d_rz(epsilon),
-        toffoli=D_TOFFOLI,
-        mcx=d_mcx(n),
-        comparator=d_comparator(n),
-        c_comparator=d_c_comparator(n),
-        adder=d_adder(n),
-        multiplier=d_multiplier(n),
-    )
-    if integer:
-        values = BlockDepths(**{k: float(math.ceil(v)) for k, v in vars(values).items()})
-    return values
-
-
 @dataclass(frozen=True)
 class ResourceParams:
-    """Inputs of the depth model; error fields are probability-domain budgets.
+    """Inputs of the depth model.
 
-    Any per-source error left unset inherits ``epsilon``. ``epsilon_payoff``
-    (currency) feeds the truncation solver and also defaults to ``epsilon``.
+    ``epsilon`` is the one error budget: every block's rotation error and the
+    truncation solver's payoff bound (in currency) read it.
     """
 
     steps: int  # T
@@ -104,11 +62,6 @@ class ResourceParams:
     gaussian_qubits: int = 2  # k
     layers: int = 0  # L, Gaussian loader layers
     binaries: int = 2  # j
-    epsilon_payoff: float | None = None
-    epsilon_truncation: float | None = None
-    epsilon_approximation: float | None = None
-    epsilon_arithmetic: float | None = None
-    epsilon_amplitude_loading: float | None = None
     sigma_max: float = 0.2382
     mu: float = 0.1274
     dt: float = 1.0
@@ -124,20 +77,6 @@ class ResourceParams:
             raise ValueError("layers and binaries must be >= 0")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        for name in (
-            "epsilon_payoff",
-            "epsilon_truncation",
-            "epsilon_approximation",
-            "epsilon_arithmetic",
-            "epsilon_amplitude_loading",
-        ):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v <= self.epsilon:
-                raise ValueError(f"{name} must be in (0, epsilon], got {v}")
-
-    def budget(self, name: str) -> float:
-        v = getattr(self, f"epsilon_{name}")
-        return self.epsilon if v is None else v
 
 
 @dataclass(frozen=True)
@@ -149,7 +88,7 @@ class TruncationSolution:
 
     def residual(self, params: "ResourceParams") -> float:
         lhs = 2.0 * params.assets * params.steps * math.exp(-self.w**2 / 2.0)
-        return lhs - params.budget("payoff") / self.scale
+        return lhs - params.epsilon / self.scale
 
 
 def _rescale(params: ResourceParams, w: float) -> tuple[float, float]:
@@ -161,17 +100,19 @@ def _rescale(params: ResourceParams, w: float) -> tuple[float, float]:
     return r_t_min, scale
 
 
-def solve_truncation(params: ResourceParams, max_iter: int = 1000) -> TruncationSolution:
-    """Smallest w with 2dT e^{-w^2/2} <= eps_payoff / R(w).
+def solve_truncation(params: ResourceParams) -> TruncationSolution:
+    """Smallest w >= 0 with 2dT e^{-w^2/2} <= eps / R(w).
 
     R depends on w through the minimum terminal return, so the bound is
-    solved by fixed-point iteration on w = sqrt(2 ln(2dT R(w)/eps)).
+    solved by fixed-point iteration on w = sqrt(2 ln(2dT R(w)/eps)). Where
+    2dT R(w) <= eps the bound holds at every w >= 0, so the log is clamped
+    at 0 and the iteration settles at w = 0.
     """
-    eps = params.budget("payoff")
+    eps = params.epsilon
     two_dt = 2.0 * params.assets * params.steps
     w = 1.0
     trace = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SOLVER_ITERATIONS + 1):
         try:
             _, scale = _rescale(params, w)
         except OverflowError:
@@ -181,21 +122,21 @@ def solve_truncation(params: ResourceParams, max_iter: int = 1000) -> Truncation
                 f"rescaling factor turned non-positive at w={w:.6g}; "
                 f"iteration trace: {trace[-5:]}"
             )
-        w_next = math.sqrt(2.0 * math.log(two_dt * scale / eps))
+        w_next = math.sqrt(2.0 * max(0.0, math.log(two_dt * scale / eps)))
         trace.append(w_next)
         if abs(w_next - w) < 1e-15:
             r_t_min, scale = _rescale(params, w_next)
             return TruncationSolution(w=w_next, r_t_min=r_t_min, scale=scale, iterations=it)
         w = w_next
     raise NumericalError(
-        f"truncation solver did not converge in {max_iter} iterations; "
+        f"truncation solver did not converge in {_SOLVER_ITERATIONS} iterations; "
         f"last iterates: {trace[-5:]}"
     )
 
 
 def d_gaussian(params: ResourceParams) -> float:
     """(L+1) rotation layers, each at the per-rotation error split k*T*d ways."""
-    eps = params.budget("approximation")
+    eps = params.epsilon
     per_ry = 3.0 * math.log2(
         params.gaussian_qubits * params.steps * params.assets / eps
     )
@@ -211,7 +152,7 @@ def d_arith(params: ResourceParams) -> float:
     """
     m = params.accumulator_width
     j = params.binaries
-    eps = params.budget("arithmetic")
+    eps = params.epsilon
     depth = params.steps * (d_adder(m) + d_comparator(m))
     depth += j * (d_comparator(m) + d_mcx(j))
     depth += (j + 2) * d_cry(eps)
@@ -223,7 +164,7 @@ def d_amplitude_loading(params: ResourceParams) -> tuple[float, float]:
     """(D_AL, D_exp): the controlled integration comparator, and the partial
     exponential preparation that runs in parallel with everything else."""
     m = params.accumulator_width
-    eps = params.budget("amplitude_loading") / (m + 1)
+    eps = params.epsilon / (m + 1)
     d_al = d_c_comparator(m)
     d_exp = 3.0 * d_ry(eps) + d_mcx(m) + 2.0 * d_c_comparator(m)
     return d_al, d_exp

@@ -258,10 +258,6 @@ class Statevector:
         self.indices = indices
         self.values = values
 
-    def norm_sq(self) -> float:
-        a = self.values
-        return float(np.real(np.vdot(a, a)))
-
     def _check_bounds(self, qubits: Iterable[int]):
         for q in qubits:
             if not 0 <= q < self.num_qubits:

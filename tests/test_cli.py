@@ -91,6 +91,17 @@ def _rows(path):
         ("resources", CONTRACT + "[resources]\nf_max = -100\n", "resources.f_max"),
         ("resources", CONTRACT + "[resources]\nsigma_max = 0\n", "'resources.sigma_max'"),
         ("resources", CONTRACT + "[resources]\nsigma_max = 0.0001\n", "'resources.sigma_max'"),
+        (
+            "price",
+            CONTRACT.replace("1:1.1:2.0", "1:0:2.0")
+            + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n[estimation]\nmethod = cf-quant\n",
+            "contract: binary strike must be positive",
+        ),
+        (
+            "price",
+            "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n[estimation]\nmethod = cf-quant\n",
+            "[contract]",
+        ),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -98,7 +109,8 @@ def _rows(path):
         "resources-epsilon-above-1", "resources-m-zero", "resources-dt-zero",
         "resources-notional-negative", "resources-strike-negative",
         "resources-sigma-max-negative", "resources-f-max-negative",
-        "resources-sigma-max-zero", "resources-sigma-max-tiny",
+        "resources-sigma-max-zero", "resources-sigma-max-tiny", "binary-strike-zero",
+        "price-without-contract",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -165,3 +177,28 @@ def test_sweep_csv_identical_across_thread_counts(tmp_path):
     assert code == 0
     assert out.read_bytes() == serial
     assert len(_rows(out)) == 15
+
+
+RESOURCES_ONLY = "[resources]\nsigma_max = 0.2\n"
+
+
+def test_validate_needs_no_contract(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(RESOURCES_ONLY)
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+
+
+def test_resources_needs_no_contract(tmp_path):
+    code, out = _run(tmp_path, "resources", RESOURCES_ONLY)
+    assert code == 0
+    assert [row["m"] for row in _rows(out)] == ["8"]
+
+
+def test_resources_truncation_bound_met_at_zero(tmp_path):
+    # R = 3.6e-7 puts 2dT R below epsilon: the truncation bound holds at w = 0
+    text = CONTRACT + "[resources]\nsigma_max = 0\nmu = -1e-9\nf_max = 0\n"
+    code, out = _run(tmp_path, "resources", text)
+    assert code == 0
+    (row,) = _rows(out)
+    assert float(row["w"]) == 0.0

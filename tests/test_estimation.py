@@ -110,10 +110,10 @@ class TestIqae:
         per_halving = math.sqrt(means[0.01] / means[0.04])
         assert 1.5 <= per_halving <= 3.0
 
-    def test_non_convergence_flagged(self):
+    def test_non_convergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_ROUNDS", 1)
         res = iqae_estimate(
-            *bernoulli_circuit(0.3),
-            IqaeConfig(epsilon=0.001, alpha=0.05, seed=0, max_rounds=1),
+            *bernoulli_circuit(0.3), IqaeConfig(epsilon=0.001, alpha=0.05, seed=0)
         )
         assert not res.converged
         assert res.rounds == 1
@@ -159,8 +159,6 @@ class TestIqae:
             IqaeConfig(epsilon=0.01, alpha=1.5)
         with pytest.raises(ValueError):
             IqaeConfig(epsilon=0.01, alpha=0.05, shots_per_round=0)
-        with pytest.raises(ValueError):
-            IqaeConfig(epsilon=0.01, alpha=0.05, min_ratio=1.0)
 
 
 class TestExactAmplitude:

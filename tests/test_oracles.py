@@ -19,7 +19,6 @@ from qautocall.oracles import (
     draw_grid_indices,
     mc_price,
     mc_price_discretized,
-    path_outcome,
     payoff_of_path,
 )
 
@@ -110,26 +109,32 @@ class TestPathPayoff:
 
     def test_first_in_the_money_binary_wins(self, table2):
         incs = [math.log(1.2), 0.0, 0.0]  # both binaries in the money
-        outcome = path_outcome(incs, table2)
-        assert outcome.binary_index == 0
+        assert payoff_of_path(incs, table2) == table2.discounted_payout(0)
+        assert table2.discounted_payout(0) != table2.discounted_payout(1)
 
     def test_exactly_one_branch_applies(self, table2):
         rng = np.random.default_rng(3)
+        seen = set()
         for _ in range(200):
             incs = rng.normal(0.1, 0.3, size=3)
-            out = path_outcome(incs, table2)
-            is_binary = out.binary_index is not None
-            is_put = (
-                not is_binary
-                and out.barrier_crossed
-                and out.terminal_return < table2.strike
-            )
-            if is_binary:
-                assert out.payoff == table2.discounted_payout(out.binary_index)
-            elif is_put:
-                assert out.payoff < 0.0
+            r = np.exp(np.cumsum(incs))
+            fired = [i for i, b in enumerate(table2.binaries) if r[b.step - 1] > b.strike]
+            put = (r < table2.barrier).any() and r[-1] < table2.strike
+            payoff = payoff_of_path(incs, table2)
+            if fired:
+                seen.add("binary")
+                assert payoff == table2.discounted_payout(fired[0])
+            elif put:
+                seen.add("put")
+                assert payoff < 0.0
             else:
-                assert out.payoff == 0.0
+                seen.add("none")
+                assert payoff == 0.0
+        assert seen == {"binary", "put", "none"}
+
+    def test_rejects_wrong_path_length(self, table2):
+        with pytest.raises(ValueError, match="need 3 increments"):
+            payoff_of_path([0.0, 0.0], table2)
 
 
 class TestMonteCarlo:

@@ -6,7 +6,6 @@ from qautocall.errors import NumericalError
 from qautocall.resources import (
     QSP_BASELINE_T_DEPTH,
     ResourceParams,
-    block_depths,
     d_adder,
     d_amplitude_loading,
     d_arith,
@@ -15,7 +14,6 @@ from qautocall.resources import (
     d_cry,
     d_gaussian,
     d_mcx,
-    d_multiplier,
     d_ry,
     d_total,
     solve_truncation,
@@ -30,12 +28,9 @@ def params(**overrides):
 
 class TestBlockDepths:
     def test_frozen_table_values(self):
-        assert block_depths(8, 1e-3).toffoli == 3.0
         assert d_comparator(8) == 45.0
         assert d_mcx(2) == 5.0
         assert d_adder(8) == 33.0
-        assert d_multiplier(4) == 4 * (d_adder(4) + 6)
-        assert d_multiplier(4) == 132.0
         # hand-evaluated: 45 + (14*log3(1.5) + 5) - 3
         assert d_c_comparator(8) == pytest.approx(52.16698, abs=1e-4)
 
@@ -47,23 +42,11 @@ class TestBlockDepths:
     def test_mcx_clamps_small_widths(self):
         assert d_mcx(1) == d_mcx(2) == 5.0
 
-    @pytest.mark.parametrize("fn", [d_mcx, d_comparator, d_c_comparator, d_adder, d_multiplier])
+    @pytest.mark.parametrize("fn", [d_mcx, d_comparator, d_c_comparator, d_adder])
     def test_nondecreasing_in_width(self, fn):
         values = [fn(n) for n in range(2, 65)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
-
-    def test_integer_mode_ceils(self):
-        real = block_depths(6, 2e-3)
-        integer = block_depths(6, 2e-3, integer=True)
-        for name in vars(real):
-            assert getattr(integer, name) == math.ceil(getattr(real, name))
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            block_depths(0, 1e-3)
-        with pytest.raises(ValueError):
-            block_depths(4, 1.5)
 
 
 class TestTruncationSolver:
@@ -98,6 +81,16 @@ class TestTruncationSolver:
         # enormous drift pushes the rescaling factor negative
         with pytest.raises(NumericalError):
             solve_truncation(params(mu=50.0))
+
+    def test_bound_met_at_zero_truncation(self):
+        # R = 18 (1 - e^{-2e-8}) = 3.6e-7, so 2dT R < eps: the bound holds at
+        # every w >= 0 and the smallest such w is 0
+        p = params(sigma_max=0.0, mu=-1e-9, f_max=0.0)
+        sol = solve_truncation(p)
+        assert sol.w == 0.0
+        assert sol.iterations == 2
+        assert sol.scale == pytest.approx(3.6e-7, rel=1e-6)
+        assert sol.residual(p) <= 0.0
 
 
 class TestDepthComposition:
@@ -157,6 +150,24 @@ class TestTotalDepth:
             assert report.qsp_ratio >= 25.0
         assert QSP_BASELINE_T_DEPTH == 2.1e3
 
+    # (w, R, d_arith, d_exp, d_amplitude_loading, d_total) at steps 20, assets 3,
+    # epsilon 2e-3 and the ResourceParams defaults
+    PINNED = {
+        4: (5.314271157360787, 22.615581729606482, 1681.5214686719414,
+            207.75639486594463, 46.16698344999959, 1777081.7832395157),
+        8: (5.314271157360787, 22.615581729606482, 1933.5214686719414,
+            236.22138357493958, 52.16698344999959, 2035339.7832395157),
+        16: (5.314271157360787, 22.615581729606482, 2185.5214686719414,
+             265.3122406832122, 58.16698344999959, 2293597.783239515),
+    }
+
+    @pytest.mark.parametrize("m", sorted(PINNED))
+    def test_report_fields_pinned(self, m):
+        report = d_total(params(accumulator_width=m))
+        got = (report.w, report.scale, report.d_arith, report.d_exp,
+               report.d_amplitude_loading, report.d_total)
+        assert got == pytest.approx(self.PINNED[m], rel=1e-12, abs=0)
+
 
 class TestParamsValidation:
     def test_ranges(self):
@@ -164,10 +175,3 @@ class TestParamsValidation:
             params(epsilon=0.0)
         with pytest.raises(ValueError):
             params(steps=0)
-        with pytest.raises(ValueError):
-            params(epsilon_truncation=5e-3)  # above the total budget
-
-    def test_budget_defaults_to_epsilon(self):
-        p = params(epsilon_approximation=1e-3)
-        assert p.budget("approximation") == 1e-3
-        assert p.budget("arithmetic") == 2e-3
