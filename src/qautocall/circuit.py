@@ -15,12 +15,13 @@ algebra itself.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import AutocallableContract, FixedPointFormat, int_bits_for
-from .errors import CapacityError, ConfigError, MappingError, StructuralError
+from .errors import CapacityError, ConfigError, MappingError
 from .loading import (
     ExponentialPrepSpec,
     GaussianGridSpec,
@@ -29,6 +30,7 @@ from .loading import (
     partial_exponential_prep_ops,
 )
 from .simulator import (
+    MAX_QUBITS,
     Classical,
     Condition,
     PrimitiveOp,
@@ -36,7 +38,6 @@ from .simulator import (
     Ry,
     X,
     injection_ops,
-    max_qubits,
 )
 
 
@@ -51,7 +52,7 @@ def log_return_increment(
     ) * math.sqrt(contract.dt)
     code = fmt.quantize(value)
     if not fmt.covers(code):
-        needed = int_bits_for([code], fmt.frac_bits, fmt.signed)
+        needed = int_bits_for([code], fmt.frac_bits)
         raise ValueError(
             f"increment code {code} overflows the format; int_bits >= {needed} required"
         )
@@ -110,7 +111,7 @@ class QuantizedModel:
         lo, hi = int(self.inc_codes.min()), int(self.inc_codes.max())
         envelope = [0, lo, hi, T * lo, T * hi]
         if not (fmt.covers(min(envelope)) and fmt.covers(max(envelope))):
-            needed = int_bits_for(envelope, fmt.frac_bits, fmt.signed)
+            needed = int_bits_for(envelope, fmt.frac_bits)
             raise ValueError(
                 f"accumulated log-returns span codes [{min(envelope)}, {max(envelope)}] "
                 f"which overflow the format; int_bits >= {needed} required"
@@ -122,7 +123,6 @@ class QuantizedModel:
         )
         self.put_strike_code = fmt.quantize(math.log(contract.strike))
         self.l_min_code = T * lo
-        self.l_max_code = T * hi
 
         self.rate_step = 2.0**-fmt.frac_bits  # exponential rate: one code step
         # A put-active path ends at v in [l_min_code, K_code - 1]. The
@@ -202,7 +202,7 @@ def _probe_codes(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
 ) -> list[int] | None:
     """Per-step increment codes at ``frac_bits``, or None if one overflows the probe."""
-    probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits, True)
+    probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits)
     try:
         return [log_return_increment(g, contract, grid, probe) for g in range(2**grid.k)]
     except ValueError:
@@ -230,7 +230,7 @@ def fit_format(
         ])
     T = contract.steps
     envelope = [0, min(codes), max(codes), T * min(codes), T * max(codes)]
-    return FixedPointFormat(int_bits_for(envelope, frac_bits, True), frac_bits, True)
+    return FixedPointFormat(int_bits_for(envelope, frac_bits), frac_bits)
 
 
 @dataclass(frozen=True)
@@ -428,6 +428,41 @@ class PricingCircuit:
     model: QuantizedModel
 
 
+#: peak bytes per stored entry, temporaries included: Table-2 at (p, k) = (4, 4)
+#: peaked 138 bytes per entry with its state at the 2**19 bound in a Grover step
+BYTES_PER_ENTRY = 144
+
+
+def _check_capacity(layout: RegisterLayout) -> None:
+    """Raise :class:`CapacityError` unless the largest stored array fits in
+    physical memory: the state, whose support stays within ``2**(kT + w + 2)``
+    along A and the Grover iterate (only the Gaussian and exponential registers,
+    payoff target and scale qubit are in superposition), or a classical table.
+    """
+    if layout.num_qubits > MAX_QUBITS:
+        raise CapacityError(
+            f"pricing circuit needs {layout.num_qubits} qubits, more than the "
+            f"{MAX_QUBITS} that int64 basis indices hold ({layout.describe()})"
+        )
+    m = layout.accumulator.width
+    j = layout.binary_flags.width if layout.binary_flags else 0
+    w = layout.exponential.width if layout.exponential else 0
+    # accumulate, barrier flag, then the binary flag, put flag and comparator
+    table_bits = [layout.gaussians[0].width + m, m + 1, m + j]
+    if layout.put_flag is not None:
+        table_bits.append(m + layout.barrier_flags.width + j + 1)
+    if w:
+        table_bits.append(w + m + 2)
+    bits = max(len(layout.gaussians) * layout.gaussians[0].width + w + 2, *table_bits)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 2**bits * BYTES_PER_ENTRY > memory:
+        raise CapacityError(
+            f"pricing circuit stores up to 2**{bits} = {2**bits} entries (state support "
+            f"or classical table), {BYTES_PER_ENTRY} bytes each, more than the {memory} "
+            f"bytes of physical memory ({layout.describe()})"
+        )
+
+
 def build_pricing_circuit(
     contract: AutocallableContract,
     grid: GaussianGridSpec,
@@ -435,16 +470,11 @@ def build_pricing_circuit(
 ) -> PricingCircuit:
     """Assemble the full pricing circuit; see the module docstring for the
     pipeline. The good state is the conjunction (target=1 and scale=1).
-    Raises :class:`CapacityError` when the circuit needs more qubits than
-    :func:`~.simulator.max_qubits`."""
+    Raises :class:`CapacityError`, before any table is built, when the
+    circuit's state or tables cannot fit (:func:`_check_capacity`)."""
     model = QuantizedModel(contract, grid, fmt)
     layout = plan_layout(model)
-    cap = max_qubits()
-    if layout.num_qubits > cap:
-        raise CapacityError(
-            f"pricing circuit needs {layout.num_qubits} qubits, {cap} fit in physical "
-            f"memory ({layout.describe()})"
-        )
+    _check_capacity(layout)
 
     gauss = gaussian_amplitudes(grid)
     ops: list[PrimitiveOp] = []

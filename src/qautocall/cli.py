@@ -3,8 +3,9 @@
 Subcommands: ``price`` (one method, one parameter point), ``sweep`` (grid over
 precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
-or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity,
-3 numerical.
+or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
+circuit's largest state or table does not fit in physical memory), 3 numerical,
+4 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 Identical config and seed produce byte-identical CSV; the wall_ms column is
 left empty unless --timing is passed, since timings are inherently
@@ -26,7 +27,9 @@ from dataclasses import dataclass, field
 
 from .circuit import MAX_FRAC_BITS, build_pricing_circuit, fit_format, post_process
 from .contracts import AutocallableContract, BinaryOption, FixedPointFormat
-from .errors import CapacityError, ConfigError, MappingError, NumericalError
+from .errors import (
+    CapacityError, ConfigError, MappingError, NumericalError, PreconditionError, StructuralError,
+)
 from .estimation import IqaeConfig, exact_amplitude, iqae_estimate
 from .loading import GaussianGridSpec
 from .oracles import (
@@ -387,7 +390,7 @@ def _fixed_format(config, contract, grid, p) -> FixedPointFormat:
             f"'fixedpoint.int_bits' = {config.int_bits} is too small at p = {p}, "
             f"k = {grid.k}: the accumulated log-returns need int_bits >= {fitted.int_bits}"
         ])
-    return FixedPointFormat(config.int_bits, p, True)
+    return FixedPointFormat(config.int_bits, p)
 
 
 def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> list[dict]:
@@ -401,11 +404,14 @@ def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> lis
     points = []
     for method in methods:
         if method == "mc":
-            points.append((method, None, None))
+            found = [(method, None, None)]
         elif method in ("mc-disc", "cf-disc"):
-            points.extend((method, k, None) for k in ks)
+            found = [(method, k, None) for k in ks]
         else:
-            points.extend((method, k, p) for k in ks for p in ps)
+            found = [(method, k, p) for k in ks for p in ps]
+        if not found:  # no k or no p: name what is missing
+            _require(config, method, None, None)
+        points.extend(found)
 
     def compute(point):
         method, k, p = point
@@ -512,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except (StructuralError, PreconditionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,14 @@ class FixedPointFormat:
 
     int_bits: int
     frac_bits: int
-    signed: bool = True
 
     def __post_init__(self):
         if self.int_bits < 0 or self.frac_bits < 0:
             raise ValueError("bit counts must be non-negative")
-        if self.width < 1:
-            raise ValueError("format must have at least one bit")
 
     @property
     def width(self) -> int:
-        return self.int_bits + self.frac_bits + (1 if self.signed else 0)
-
-    @property
-    def min_code(self) -> int:
-        return -(2 ** (self.width - 1)) if self.signed else 0
-
-    @property
-    def max_code(self) -> int:
-        return 2 ** (self.width - 1) - 1 if self.signed else 2**self.width - 1
+        return self.int_bits + self.frac_bits + 1
 
     def quantize(self, value: float) -> int:
         """Nearest code, ties to even. No range check; see covers()."""
@@ -104,21 +93,19 @@ class FixedPointFormat:
         return code * 2.0**-self.frac_bits
 
     def covers(self, code: int) -> bool:
-        return self.min_code <= code <= self.max_code
+        return -(2 ** (self.width - 1)) <= code < 2 ** (self.width - 1)
 
     def to_signed(self, raw):
         """Interpret raw register values (an int or an int array) as codes."""
-        if self.signed:
-            return raw - (raw >= 2 ** (self.width - 1)) * 2**self.width
-        return raw
+        return raw - (raw >= 2 ** (self.width - 1)) * 2**self.width
 
 
-def int_bits_for(codes: list[int], frac_bits: int, signed: bool = True) -> int:
+def int_bits_for(codes: list[int], frac_bits: int) -> int:
     """Smallest integer-part width whose format covers every code."""
     lo, hi = min(codes), max(codes)
     bits = 0
     while True:
-        fmt = FixedPointFormat(bits, frac_bits, signed)
+        fmt = FixedPointFormat(bits, frac_bits)
         if fmt.covers(lo) and fmt.covers(hi):
             return bits
         bits += 1

@@ -6,8 +6,8 @@ class QAutocallError(Exception):
 
 
 class CapacityError(QAutocallError):
-    """A requested state does not fit in physical memory, or an enumeration
-    exceeds its limit."""
+    """A pricing circuit's support bound or widest classical table, in stored
+    entries, does not fit in physical memory, or an enumeration exceeds its limit."""
 
 
 class StructuralError(QAutocallError):

@@ -67,8 +67,8 @@ def build_grover(
     """Q = A S_0 A^-1 S_good with pi phase flips on both reflections."""
     good_qubits = tuple(q for q, _ in good.terms)
     pattern = sum(b << j for j, (_, b) in enumerate(good.terms))
-    s_good = PhaseOracle.on_value(good_qubits, pattern, math.pi)
-    s_zero = PhaseOracle.on_value(tuple(range(num_qubits)), 0, math.pi)
+    s_good = PhaseOracle(good_qubits, (pattern,), math.pi)
+    s_zero = PhaseOracle(tuple(range(num_qubits)), (0,), math.pi)
     return [s_good, *invert(a_ops), s_zero, *list(a_ops)]
 
 

@@ -209,10 +209,8 @@ def partial_exponential_prep_ops(
 
     prep = _power2_prep_ops(reg, a, prep_lo, prep_span)
     unprep = invert(prep)
-    in_interval = PhaseOracle(
-        reg.qubits, tuple(x0 <= r <= x1 for r in range(domain_hi + 1)), phase
-    )
-    at_zero = PhaseOracle.on_value(reg.qubits, 0, phase)
+    in_interval = PhaseOracle(reg.qubits, range(x0, x1 + 1), phase)
+    at_zero = PhaseOracle(reg.qubits, (0,), phase)
     ops: list[PrimitiveOp] = list(prep)
     for _ in range(rounds):
         ops.append(in_interval)

@@ -14,7 +14,11 @@ Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
 expands it into ``Ry`` rotations when the circuit is built. No op checks the
 state it is applied to: a circuit is a list of ops built ahead of time and run
 only on a fresh :func:`allocate` state with :meth:`Statevector.apply_all`.
-:func:`max_qubits` caps the qubit count by the machine's physical memory.
+No op stores anything of size ``2**n``: a :class:`PhaseOracle` lists the
+values it marks and a :class:`Classical` table spans only its own qubits, so
+nothing here limits the qubit count below the 62 that int64 indices hold.
+How much a circuit may store is decided where it is built
+(:func:`~.circuit.build_pricing_circuit`), from the support it can reach.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
@@ -25,16 +29,15 @@ statevectors may be driven from different threads safely.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError
 
-#: bytes per basis state that :func:`max_qubits` budgets (see its docstring)
-_BYTES_PER_AMPLITUDE = 32
+#: most qubits a state may have: its basis indices are int64
+MAX_QUBITS = 62
 
 
 @dataclass(frozen=True)
@@ -73,18 +76,12 @@ class Condition:
             raise StructuralError("condition bits must be 0 or 1")
 
 
-def _check_controls(controls: Iterable[tuple[int, int]], target: int | None):
-    controls = tuple((int(q), int(b)) for q, b in controls)
-    seen = set()
-    for q, b in controls:
-        if b not in (0, 1):
-            raise StructuralError("control polarity must be 0 or 1")
-        if q in seen:
-            raise StructuralError(f"duplicate control qubit {q}")
-        seen.add(q)
-    if target is not None and target in seen:
+def _check_controls(controls: Iterable[tuple[int, int]], target: int):
+    """Control terms, checked as a :class:`Condition`'s, that leave out ``target``."""
+    terms = Condition(tuple(controls)).terms
+    if any(q == target for q, _ in terms):
         raise StructuralError(f"qubit {target} used as both control and target")
-    return controls
+    return terms
 
 
 @dataclass(frozen=True)
@@ -118,29 +115,27 @@ class X:
 
 class PhaseOracle:
     """Diagonal phase: multiply by e^{i*phase} every basis state whose value on
-    ``qubits`` (LSB-first) is flagged in ``marked``.
+    ``qubits`` (LSB-first) is one of the ``marked`` values.
 
     Carries the reflections needed by Grover operators and by exact amplitude
-    amplification; with ``phase=pi`` and a single marked pattern it is the
-    ordinary multi-controlled Z.
+    amplification; with ``phase=pi`` and the single marked value ``(v,)`` it is
+    the ordinary multi-controlled Z. ``marked`` lists distinct values in
+    ``[0, 2**len(qubits))``, so the oracle's size does not grow with its width.
     """
 
     __slots__ = ("qubits", "marked", "phase")
 
-    def __init__(self, qubits: Sequence[int], marked, phase: float):
+    def __init__(self, qubits: Sequence[int], marked: Iterable[int], phase: float):
         self.qubits = tuple(int(q) for q in qubits)
         if len(set(self.qubits)) != len(self.qubits):
             raise StructuralError("phase oracle qubits must be distinct")
-        self.marked = np.asarray(marked, dtype=bool)
-        if self.marked.shape != (2 ** len(self.qubits),):
-            raise StructuralError("marked table length must be 2**len(qubits)")
+        self.marked = np.array(list(marked), dtype=np.int64)
+        if len(np.unique(self.marked)) != len(self.marked):
+            raise StructuralError("phase oracle marked values must be distinct")
+        size = 2 ** len(self.qubits)
+        if ((self.marked < 0) | (self.marked >= size)).any():
+            raise StructuralError(f"phase oracle marked values must lie in [0, {size})")
         self.phase = float(phase)
-
-    @classmethod
-    def on_value(cls, qubits: Sequence[int], value: int, phase: float) -> "PhaseOracle":
-        marked = np.zeros(2 ** len(tuple(qubits)), dtype=bool)
-        marked[value] = True
-        return cls(qubits, marked, phase)
 
     def inverse_ops(self) -> list["PrimitiveOp"]:
         return [PhaseOracle(self.qubits, self.marked, -self.phase)]
@@ -317,7 +312,7 @@ class Statevector:
         self._reorder(indices)
 
     def _apply_phase(self, op: PhaseOracle):
-        marked = op.marked[_gather(self.indices, op.qubits)]
+        marked = np.isin(_gather(self.indices, op.qubits), op.marked)
         self.values[marked] *= complex(math.cos(op.phase), math.sin(op.phase))
 
     def _apply_classical(self, op: Classical):
@@ -356,30 +351,11 @@ def _scatter(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     return out
 
 
-def max_qubits() -> int:
-    """Most qubits a state may have: ``2**n`` basis states at 32 bytes each
-    must fit in the machine's physical memory.
-
-    The state itself grows with its support, not with ``2**n``, but the cap
-    stays: the ``S_0`` reflection of IQAE's Grover operator is a
-    :class:`PhaseOracle` on every qubit, whose ``marked`` table has ``2**n``
-    entries. Until that reflection stops depending on ``n``, the bound keeps
-    the value it had for a dense state plus one state-sized temporary, so
-    capacity errors and exit codes are unchanged.
-    """
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return (memory // _BYTES_PER_AMPLITUDE).bit_length() - 1
-
-
 def allocate(num_qubits: int) -> Statevector:
-    """Fresh |0...0> state. Raises :class:`CapacityError` above :func:`max_qubits`."""
-    if num_qubits < 1:
-        raise StructuralError(f"need at least one qubit, got {num_qubits}")
-    cap = max_qubits()
-    if num_qubits > cap:
-        raise CapacityError(
-            f"requested {num_qubits} qubits exceeds the {cap} that fit in physical "
-            f"memory (2**{num_qubits} amplitudes at {_BYTES_PER_AMPLITUDE} bytes each)"
+    """Fresh |0...0> state: one listed entry, on 1 to :data:`MAX_QUBITS` qubits."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise StructuralError(
+            f"a state has 1 to {MAX_QUBITS} qubits (int64 indices), got {num_qubits}"
         )
     return Statevector(
         num_qubits, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128)

@@ -1,15 +1,15 @@
 import pytest
 
-from qautocall import AutocallableContract, BinaryOption, simulator
+from qautocall import AutocallableContract, BinaryOption, circuit
 
 
 @pytest.fixture
 def fake_memory(monkeypatch):
-    """Setter for the physical memory, in bytes, that the simulator reads."""
+    """Setter for the physical memory, in bytes, that the circuit builder reads."""
 
     def set_bytes(num_bytes):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": num_bytes // 4096}
-        monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(circuit.os, "sysconf", pages.__getitem__)
 
     return set_bytes
 

@@ -6,6 +6,7 @@ import pytest
 
 from dense_state import to_dense
 from qautocall.circuit import (
+    BYTES_PER_ENTRY,
     QuantizedModel,
     build_pricing_circuit,
     fit_format,
@@ -16,7 +17,7 @@ from qautocall.circuit import (
 )
 from qautocall.contracts import AutocallableContract, BinaryOption, FixedPointFormat
 from qautocall.errors import CapacityError
-from qautocall.estimation import exact_amplitude
+from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import (
     ExponentialPrepSpec,
     GaussianGridSpec,
@@ -182,14 +183,49 @@ class TestCircuitAgainstOracle:
         assert probability(state, Condition(((b1, 1),))) == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_error_reports_register_breakdown(self, table2, fake_memory):
+        # (p, k) = (4, 2): the put comparator's table, 2**14 values, is the
+        # largest array; the support bound is 2**13
         grid = GaussianGridSpec(k=2, s_min=3.0)
         fmt = fit_format(table2, grid, 4)
-        fake_memory(32 * 2**24)
+        fake_memory(BYTES_PER_ENTRY * 2**14)
+        build_pricing_circuit(table2, grid, fmt)
+        fake_memory(BYTES_PER_ENTRY * 2**14 - 4096)
         with pytest.raises(CapacityError) as err:
             build_pricing_circuit(table2, grid, fmt)
         message = str(err.value)
         assert "accumulator" in message and "gaussians" in message
-        assert "26" in message
+        assert "2**14 = 16384 entries" in message and "total: 26" in message
+
+    def test_capacity_error_counts_the_support_bound(self, table2, fake_memory):
+        # (p, k) = (1, 3): the support bound 2**(3*3 + 1 + 2) exceeds every table
+        grid = GaussianGridSpec(k=3, s_min=3.0)
+        fmt = fit_format(table2, grid, 1)
+        fake_memory(BYTES_PER_ENTRY * 2**12)
+        build_pricing_circuit(table2, grid, fmt)
+        fake_memory(BYTES_PER_ENTRY * 2**12 - 4096)
+        with pytest.raises(CapacityError, match=r"2\*\*12 = 4096 entries.*exponential: 1"):
+            build_pricing_circuit(table2, grid, fmt)
+
+    def test_layout_beyond_int64_indices_is_capacity_error(self, table2):
+        fmt = fit_format(table2, GRID1, 40)
+        with pytest.raises(CapacityError, match="more than the 62 that int64"):
+            build_pricing_circuit(table2, GRID1, fmt)
+
+    @pytest.mark.parametrize(
+        "contract,p,k", [("table2", 2, 1), ("table2", 3, 1), ("table2", 2, 2), ("table2_flat", 2, 1)]
+    )
+    def test_support_within_bound_along_grover(self, request, contract, p, k):
+        # after every op of A and of two Grover steps the state lists at most
+        # 2**(kT + w + 2) entries, w the exponential register's width
+        contract = request.getfixturevalue(contract)
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        pc = build_pricing_circuit(contract, grid, fit_format(contract, grid, p))
+        n = pc.layout.num_qubits
+        w = pc.layout.exponential.width if pc.layout.exponential else 0
+        bound = 2 ** (k * contract.steps + w + 2)
+        state = allocate(n)
+        for op in pc.ops + 2 * build_grover(pc.ops, n, pc.good):
+            assert len(state.apply(op).indices) <= bound
 
 
 class TestPutBranchValue:

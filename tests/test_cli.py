@@ -2,7 +2,10 @@ import csv
 
 import pytest
 
+from qautocall import cli
+from qautocall.circuit import BYTES_PER_ENTRY
 from qautocall.cli import main
+from qautocall.errors import PreconditionError, StructuralError
 
 CONTRACT = """\
 [contract]
@@ -102,6 +105,12 @@ def _rows(path):
             "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n[estimation]\nmethod = cf-quant\n",
             "[contract]",
         ),
+        ("sweep", CONTRACT + "[sweep]\nmethods = cf-disc\n", "[grid]"),
+        (
+            "sweep",
+            CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[sweep]\nmethods = cf-quant\n",
+            "fixedpoint.p",
+        ),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -110,7 +119,7 @@ def _rows(path):
         "resources-notional-negative", "resources-strike-negative",
         "resources-sigma-max-negative", "resources-f-max-negative",
         "resources-sigma-max-zero", "resources-sigma-max-tiny", "binary-strike-zero",
-        "price-without-contract",
+        "price-without-contract", "sweep-without-grid", "sweep-without-p",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -142,13 +151,40 @@ def test_degenerate_contract_exits_1_with_message(tmp_path, capsys):
 
 
 def test_circuit_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory):
-    fake_memory(32 * 2**18)
+    # (p, k) = (2, 1): the put flag's table, 2**11 values, is the largest array
+    fake_memory(BYTES_PER_ENTRY * 2**11 - 4096)
     text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
         "[estimation]\nmethod = quantum-exact\n"
     code, out = _run(tmp_path, "price", text)
     assert code == 2
-    assert "19 qubits, 18 fit in physical memory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "2**11 = 2048 entries" in err and "total: 19" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [StructuralError, PreconditionError])
+def test_internal_errors_exit_4_with_message(tmp_path, capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("broken op")
+
+    monkeypatch.setattr(cli, "build_pricing_circuit", fail)
+    text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
+        "[estimation]\nmethod = quantum-exact\n"
+    code, out = _run(tmp_path, "price", text)
+    assert code == 4
+    assert capsys.readouterr().err == "internal error: broken op\n"
+    assert not out.exists()
+
+
+def test_29_qubit_quantum_exact_matches_cf_quant(tmp_path):
+    # Table-2 at (p, k) = (4, 3): 29 qubits, a 2**16-entry support bound
+    point = CONTRACT + "[grid]\nk = 3\ns_min = 3.0\n[fixedpoint]\np = 4\n"
+    values = []
+    for method in ("quantum-exact", "cf-quant"):
+        code, out = _run(tmp_path, "price", point + f"[estimation]\nmethod = {method}\n")
+        assert code == 0
+        values.append(float(_rows(out)[0]["value"]))
+    assert values[0] == pytest.approx(values[1], abs=1e-9)
 
 
 def test_quantum_iqae_price_covers_cf_quant(tmp_path):

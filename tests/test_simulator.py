@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_state import from_dense, to_dense
-from qautocall.errors import CapacityError, PreconditionError, StructuralError
+from qautocall.errors import PreconditionError, StructuralError
 from qautocall.simulator import (
+    MAX_QUBITS,
     Classical,
     Condition,
     PhaseOracle,
@@ -17,7 +18,6 @@ from qautocall.simulator import (
     allocate,
     injection_ops,
     invert,
-    max_qubits,
     probability,
     sample,
 )
@@ -32,17 +32,13 @@ def test_allocate_ground_state():
     assert np.allclose(to_dense(allocate(2)), [1, 0, 0, 0])
 
 
-def test_allocate_capacity_error_names_limit(fake_memory):
-    # state plus one state-sized temporary: 32 bytes per amplitude
-    fake_memory(32 * 2**30)
-    assert max_qubits() == 30
-    with pytest.raises(CapacityError, match="30"):
-        allocate(31)
-    fake_memory(32 * 2**13 - 4096)
-    assert max_qubits() == 12
-    with pytest.raises(CapacityError, match="12"):
-        allocate(13)
-    assert allocate(12).num_qubits == 12
+def test_allocate_stores_one_entry_up_to_int64_limit():
+    state = allocate(MAX_QUBITS)
+    assert state.num_qubits == 62
+    assert state.indices.tolist() == [0] and state.values.tolist() == [1]
+    for n in (0, MAX_QUBITS + 1):
+        with pytest.raises(StructuralError, match="62"):
+            allocate(n)
 
 
 def test_ry_pi_flips():
@@ -198,7 +194,7 @@ def _random_circuit(num_qubits, rng, length=25):
             ops.append(Classical(qubits, rng.permutation(4)))
         else:
             qubits = tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
-            marked = rng.integers(2, size=4).astype(bool)
+            marked = np.flatnonzero(rng.integers(2, size=4))
             ops.append(PhaseOracle(qubits, marked, float(rng.uniform(-math.pi, math.pi))))
     return ops
 
@@ -245,7 +241,7 @@ def _reference_apply(op, amps):
                 c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
                 out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
         elif isinstance(op, PhaseOracle):
-            if op.marked[_value(i, op.qubits)]:
+            if _value(i, op.qubits) in op.marked:
                 out[i] = amps[i] * complex(math.cos(op.phase), math.sin(op.phase))
         else:
             w = int(op.table[_value(i, op.qubits)])
@@ -256,7 +252,7 @@ def _reference_apply(op, amps):
     return out
 
 
-_MARKED = np.random.default_rng(3).integers(2, size=16).astype(bool)
+_MARKED = np.flatnonzero(np.random.default_rng(3).integers(2, size=16))
 
 
 @pytest.mark.parametrize(
@@ -266,9 +262,9 @@ _MARKED = np.random.default_rng(3).integers(2, size=16).astype(bool)
         Ry(2, 0.7, controls=((4, 1), (0, 0))),
         X(0),
         X(3, controls=((0, 1), (4, 0), (1, 1))),
-        PhaseOracle((3, 0, 2), _MARKED[:8], 0.9),
+        PhaseOracle((3, 0, 2), _MARKED[_MARKED < 8], 0.9),
         PhaseOracle((2, 4, 1, 0), _MARKED, math.pi),
-        PhaseOracle((4, 0, 3, 1, 2), np.tile(_MARKED, 2), -0.4),
+        PhaseOracle((4, 0, 3, 1, 2), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
         Classical((3, 0, 2), np.random.default_rng(4).permutation(8), name="perm8"),
         Classical((2, 4, 1, 0), np.random.default_rng(5).permutation(16), name="perm16"),
     ],
@@ -331,9 +327,17 @@ def test_sample_determinism_and_edges():
 
 def test_phase_oracle_marks_values():
     state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, math.pi / 2))
-    state.apply(PhaseOracle((0, 1), [False, False, False, True], math.pi))
+    state.apply(PhaseOracle((0, 1), (3,), math.pi))
     assert to_dense(state)[3].real == pytest.approx(-0.5, abs=1e-12)
     assert to_dense(state)[0].real == pytest.approx(0.5, abs=1e-12)
+
+
+def test_phase_oracle_stores_only_its_marked_values():
+    # the S_0 reflection on every qubit of the widest state holds one value
+    assert PhaseOracle(range(MAX_QUBITS), (0,), math.pi).marked.tolist() == [0]
+    for marked in ([1, 1], [4], [-1]):
+        with pytest.raises(StructuralError, match="marked values"):
+            PhaseOracle((0, 1), marked, math.pi)
 
 
 def test_register_helpers():
