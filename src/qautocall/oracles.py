@@ -11,10 +11,16 @@ every grid shock in blocks of at most ``_CHUNK`` (state, shock) pairs. The
 enumeration limits of :func:`_check_enumeration` still apply to the number of
 grid paths, (2^k)^T.
 
+The two Monte Carlo oracles draw, transform and price their paths in blocks
+of at most ``_MC_BLOCK`` rows, so their memory does not grow with the path
+count beyond the one payoff vector.
+
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
-generator; path p consumes row p of a single (paths, steps) uniform block, so
-results are bit-stable for a fixed seed regardless of how callers batch.
-Standard normals are produced by inverse CDF, never rejection.
+generator; path p consumes row p of a single (paths, steps) uniform array,
+and the blocks take its rows in order from the one stream, so results are
+bit-stable for a fixed seed regardless of the block size. Standard normals
+are produced by inverse CDF, never rejection, and grid draws by an exact
+inverse-CDF lookup.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from .loading import GaussianGridSpec
 ENUMERATION_WARN = 2**24
 ENUMERATION_LIMIT = 2**26
 _CHUNK = 2**18
+_MC_BLOCK = 2**13
+_BUCKET_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -55,18 +63,29 @@ def payoff_of_path(log_increments, contract: AutocallableContract) -> float:
 def _payoffs_vector(incs: np.ndarray, contract: AutocallableContract) -> np.ndarray:
     """Discounted payoffs of an (M, T) increment block, one per row: the first
     binary in the money pays, else a path that crossed the barrier and ends
-    below the strike pays the put, else nothing."""
-    r = np.exp(np.cumsum(incs, axis=1))
-    payoff = np.zeros(len(incs))
-    alive = np.ones(len(incs), dtype=bool)
+    below the strike pays the put, else nothing.
+
+    Works on the contiguous (T, M) transpose, one row per observation date;
+    adding each row onto the next makes the same sequential additions as
+    ``np.cumsum`` along each path.
+    """
+    r = incs.T.copy()
+    for t in range(1, len(r)):
+        r[t] += r[t - 1]
+    np.exp(r, out=r)
+    payoff = np.zeros(r.shape[1])
+    alive = np.ones(r.shape[1], dtype=bool)
     for i, b in enumerate(contract.binaries):
-        trig = alive & (r[:, b.step - 1] > b.strike)
-        payoff[trig] = contract.discounted_payout(i)
+        trig = alive & (r[b.step - 1] > b.strike)
+        np.putmask(payoff, trig, contract.discounted_payout(i))
         alive &= ~trig
-    put = alive & (r < contract.barrier).any(axis=1) & (r[:, -1] < contract.strike)
+    crossed = np.zeros(r.shape[1], dtype=bool)
+    for level in r:
+        crossed |= level < contract.barrier
+    put = np.flatnonzero(alive & crossed & (r[-1] < contract.strike))
     payoff[put] = (
         contract.notional
-        * (r[put, -1] - contract.strike)
+        * (r[-1, put] - contract.strike)
         * math.exp(-contract.rate * contract.maturity)
     )
     return payoff
@@ -78,40 +97,81 @@ def _mc_result(payoffs: np.ndarray, seed: int) -> McResult:
     return McResult(mean=float(payoffs.mean()), stderr=stderr, paths=n, seed=seed)
 
 
-def _uniform_block(rng: np.random.Generator, shape) -> np.ndarray:
+def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, draw_shocks) -> McResult:
+    """Price ``paths`` paths in blocks of at most ``_MC_BLOCK`` rows.
+
+    ``draw_shocks(rng, shape)`` turns the next ``shape`` uniforms of the seeded
+    stream into standard shocks, so block after block takes the rows of the
+    one ``(paths, steps)`` uniform array in order. The payoffs fill one
+    vector, which :func:`_mc_result` reduces whole.
+    """
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
+    rng = np.random.default_rng(seed)
+    drift = contract.mu * contract.dt
+    scale = contract.sigma * math.sqrt(contract.dt)
+    payoffs = np.empty(paths)
+    for start in range(0, paths, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, paths)
+        incs = draw_shocks(rng, (stop - start, contract.steps))
+        incs *= scale
+        incs += drift
+        payoffs[start:stop] = _payoffs_vector(incs, contract)
+    return _mc_result(payoffs, seed)
+
+
+def _normal_shocks(rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random(shape)
     # keep ndtri finite at the (measure-zero) edge draws
-    return np.clip(u, 1e-300, 1.0 - 1e-16)
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+    return ndtri(u, out=u)
 
 
 def mc_price(contract: AutocallableContract, paths: int, seed: int) -> McResult:
     """Plain Monte Carlo with continuous standard normal shocks."""
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
-    rng = np.random.default_rng(seed)
-    z = ndtri(_uniform_block(rng, (paths, contract.steps)))
-    incs = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * z
-    return _mc_result(_payoffs_vector(incs, contract), seed)
+    return _mc_blocks(contract, paths, seed, _normal_shocks)
 
 
 def mc_price_discretized(
     contract: AutocallableContract, grid: GaussianGridSpec, paths: int, seed: int
 ) -> McResult:
     """Monte Carlo whose shocks are drawn from the discretized Gaussian grid."""
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
-    rng = np.random.default_rng(seed)
-    g = draw_grid_indices(rng, grid, (paths, contract.steps))
-    shocks = grid.points()[g]
-    incs = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * shocks
-    return _mc_result(_payoffs_vector(incs, contract), seed)
+    points = grid.points()
+    inverse_cdf = _grid_inverse_cdf(grid)
+    return _mc_blocks(
+        contract, paths, seed, lambda rng, shape: points[inverse_cdf(rng.random(shape))]
+    )
 
 
 def draw_grid_indices(rng: np.random.Generator, grid: GaussianGridSpec, shape) -> np.ndarray:
     """Inverse-CDF draws of grid indices under the renormalized grid weights."""
+    return _grid_inverse_cdf(grid)(rng.random(shape))
+
+
+def _grid_inverse_cdf(grid: GaussianGridSpec):
+    """``u -> np.searchsorted(cum, u, side="right")`` on the renormalized grid
+    CDF ``cum``, for uniforms u in [0, 1).
+
+    The lookup goes through ``2**_BUCKET_BITS`` equal buckets. ``b =
+    floor(u * 2**_BUCKET_BITS)`` is exact, so u lies in [b, b + 1) /
+    2**_BUCKET_BITS. Where no CDF value falls in that bucket, every u in it
+    has the same count, which the table holds; the at most 2^k buckets that
+    hold a CDF step read -1, and only their draws are searched.
+    """
     cum = np.cumsum(grid.probabilities())
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(shape), side="right")
+    buckets = 2**_BUCKET_BITS
+    below = np.searchsorted(cum, np.arange(buckets + 1) / buckets)
+    table = np.where(below[:-1] == below[1:], below[:-1], -1)
+
+    def inverse_cdf(u: np.ndarray) -> np.ndarray:
+        g = table[(u * buckets).astype(np.intp)]
+        flat = g.reshape(-1)
+        search = np.flatnonzero(flat < 0)
+        flat[search] = np.searchsorted(cum, u.reshape(-1)[search], side="right")
+        return g
+
+    return inverse_cdf
 
 
 def _check_enumeration(grid: GaussianGridSpec, steps: int) -> int:

@@ -100,29 +100,53 @@ def _rescale(params: ResourceParams, w: float) -> tuple[float, float]:
     return r_t_min, scale
 
 
+def _scale(params: ResourceParams, w: float) -> float:
+    """R(w), or -inf where the minimum terminal return overflows."""
+    try:
+        return _rescale(params, w)[1]
+    except OverflowError:
+        return -math.inf
+
+
+def _first_positive_scale(params: ResourceParams, lo: float, hi: float) -> float:
+    """Smallest float w in (lo, hi] with R(w) > 0, given R(lo) <= 0 < R(hi).
+
+    R does not decrease as w grows, so bisection finds it.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _scale(params, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
 def solve_truncation(params: ResourceParams) -> TruncationSolution:
     """Smallest w >= 0 with 2dT e^{-w^2/2} <= eps / R(w).
 
     R depends on w through the minimum terminal return, so the bound is
-    solved by fixed-point iteration on w = sqrt(2 ln(2dT R(w)/eps)). Where
-    2dT R(w) <= eps the bound holds at every w >= 0, so the log is clamped
-    at 0 and the iteration settles at w = 0.
+    solved by fixed-point iteration on w = sqrt(2 ln(2dT R(w)/eps)) from
+    w = 1. Where 2dT R(w) <= eps the bound holds, so the log is clamped at 0.
+    R grows with w and the bound holds as R(w) falls to 0, so an iterate at
+    or below the root of R is raised to the smallest w with R(w) > 0, where
+    the iteration then settles.
     """
     eps = params.epsilon
     two_dt = 2.0 * params.assets * params.steps
     w = 1.0
     trace = []
     for it in range(1, _SOLVER_ITERATIONS + 1):
-        try:
-            _, scale = _rescale(params, w)
-        except OverflowError:
-            scale = -math.inf
+        scale = _scale(params, w)
         if scale <= 0.0:
             raise NumericalError(
                 f"rescaling factor turned non-positive at w={w:.6g}; "
                 f"iteration trace: {trace[-5:]}"
             )
         w_next = math.sqrt(2.0 * max(0.0, math.log(two_dt * scale / eps)))
+        if _scale(params, w_next) <= 0.0:
+            w_next = _first_positive_scale(params, w_next, w)
         trace.append(w_next)
         if abs(w_next - w) < 1e-15:
             r_t_min, scale = _rescale(params, w_next)

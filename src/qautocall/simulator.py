@@ -285,8 +285,14 @@ class Statevector:
     def _apply_rotation(self, target: int, angle: float, controls):
         bit = 1 << target
         matched = _matches(self.indices, controls)
-        # every matched entry plus its partner, a missing partner holding 0
-        indices = np.union1d(self.indices, self.indices[matched] ^ bit)
+        # every matched entry plus its partner, a missing partner holding 0;
+        # sorted and deduplicated here because np.union1d's hash-based unique
+        # is several times slower
+        indices = np.concatenate((self.indices, self.indices[matched] ^ bit))
+        indices.sort()
+        first = np.ones(len(indices), dtype=bool)
+        first[1:] = indices[1:] != indices[:-1]
+        indices = indices[first]
         values = np.zeros(len(indices), dtype=np.complex128)
         values[np.searchsorted(indices, self.indices)] = self.values
         i0 = np.flatnonzero(_matches(indices, (*controls, (target, 0))))

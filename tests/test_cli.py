@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -238,3 +239,15 @@ def test_resources_truncation_bound_met_at_zero(tmp_path):
     assert code == 0
     (row,) = _rows(out)
     assert float(row["w"]) == 0.0
+
+
+def test_resources_truncation_bound_met_at_the_positive_floor(tmp_path):
+    # R(1) ~ 1e-6 is below eps/(2dT) and R(0) < 0: the bound holds down to
+    # the smallest w with R(w) > 0, which lies just below 1
+    text = "[resources]\nsigma_max = 0.1\nmu = 0.0999999972\nf_max = 0\n"
+    code, out = _run(tmp_path, "resources", text)
+    assert code == 0
+    (row,) = _rows(out)
+    assert 0.0 < float(row["w"]) < 1.0
+    assert float(row["R"]) > 0.0
+    assert 0.0 < float(row["d_total"]) < math.inf

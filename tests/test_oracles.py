@@ -8,12 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mc_reference
 from qautocall.circuit import QuantizedModel, fit_format
 from qautocall.contracts import AutocallableContract, BinaryOption
 from qautocall.errors import CapacityError, MappingError
 from qautocall.loading import GaussianGridSpec
 from qautocall.oracles import (
+    _BUCKET_BITS,
+    _MC_BLOCK,
     _check_enumeration,
+    _grid_inverse_cdf,
     closed_form_discretized,
     closed_form_quantized,
     draw_grid_indices,
@@ -180,6 +184,58 @@ class TestMonteCarlo:
         cf = closed_form_discretized(table2, GRID2)
         mc = mc_price_discretized(table2, GRID2, 10**5, seed=0)
         assert abs(mc.mean - cf) <= 3 * mc.stderr
+
+
+class TestBlockedMonteCarlo:
+    """The blocked oracles against the whole-block ones in ``mc_reference``."""
+
+    @pytest.mark.parametrize("paths", [1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 10**5])
+    def test_plain_matches_whole_block(self, table2, paths):
+        assert mc_price(table2, paths, seed=5) == mc_reference.mc_price(table2, paths, 5)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("paths", [1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 10**5])
+    def test_discretized_matches_whole_block(self, table2, k, paths):
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        assert mc_price_discretized(table2, grid, paths, 5) == mc_reference.mc_price_discretized(
+            table2, grid, paths, 5
+        )
+
+    def test_pinned_results(self, table2):
+        # recorded from the whole-block oracles these replaced
+        plain = mc_price(table2, 10**5, seed=11)
+        assert (plain.mean, plain.stderr) == (1.6910364554729838, 0.007002686648763637)
+        disc = mc_price_discretized(table2, GRID2, 10**5, 0)
+        assert (disc.mean, disc.stderr) == (1.9992619930715605, 0.006115536948151182)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_bucketed_lookup_matches_searchsorted_at_edges(self, k):
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        cum = mc_reference.grid_cdf(grid)
+        edges = np.arange(2**_BUCKET_BITS) / 2**_BUCKET_BITS
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = _grid_inverse_cdf(grid)(u)
+        np.testing.assert_array_equal(got, np.searchsorted(cum, u, side="right"))
+
+    @pytest.mark.parametrize("oracle", ["mc", "mc-disc"])
+    def test_memory_stays_bounded_at_a_million_paths(self, table2, oracle):
+        grid = GaussianGridSpec(k=7, s_min=3.0)
+        price = {
+            "mc": lambda: mc_price(table2, 10**6, seed=1),
+            "mc-disc": lambda: mc_price_discretized(table2, grid, 10**6, 1),
+        }[oracle]
+        tracemalloc.start()
+        try:
+            price()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20  # whole-block draws peaked at 92 and 114 MiB here
 
 
 class TestClosedForms:

@@ -93,6 +93,19 @@ class TestTruncationSolver:
         assert sol.residual(p) <= 0.0
 
 
+    def test_bound_met_at_the_positive_floor(self):
+        # R(0) < 0 < R(1) < eps/(2dT): the iterate falls below the root of R,
+        # so the answer is the smallest float w with R(w) > 0
+        p = params(sigma_max=0.1, mu=0.0999999972, f_max=0.0)
+        sol = solve_truncation(p)
+        assert 0.0 < sol.w < 1.0
+        assert sol.scale > 0.0
+        assert sol.residual(p) <= 0.0
+        below = math.nextafter(sol.w, 0.0)
+        r_t_min = math.exp(p.mu * p.dt * p.steps - below * p.sigma_max * math.sqrt(p.dt) * p.steps)
+        assert p.f_max + (p.strike - r_t_min) * p.notional <= 0.0
+
+
 class TestDepthComposition:
     def test_gaussian_single_layer(self):
         p = params(layers=0, gaussian_qubits=2)
