@@ -433,6 +433,11 @@ class PricingCircuit:
 BYTES_PER_ENTRY = 144
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the one limit every exact method is sized against."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_capacity(layout: RegisterLayout) -> None:
     """Raise :class:`CapacityError` unless the largest stored array fits in
     physical memory: the state, whose support stays within ``2**(kT + w + 2)``
@@ -454,7 +459,7 @@ def _check_capacity(layout: RegisterLayout) -> None:
     if w:
         table_bits.append(w + m + 2)
     bits = max(len(layout.gaussians) * layout.gaussians[0].width + w + 2, *table_bits)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if 2**bits * BYTES_PER_ENTRY > memory:
         raise CapacityError(
             f"pricing circuit stores up to 2**{bits} = {2**bits} entries (state support "

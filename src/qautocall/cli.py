@@ -4,7 +4,8 @@ Subcommands: ``price`` (one method, one parameter point), ``sweep`` (grid over
 precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
-circuit's largest state or table does not fit in physical memory), 3 numerical,
+circuit's largest state or table, or the states a closed form keeps in one
+step, do not fit in physical memory), 3 numerical,
 4 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 Identical config and seed produce byte-identical CSV; the wall_ms column is
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .circuit import MAX_FRAC_BITS, build_pricing_circuit, fit_format, post_process
-from .contracts import AutocallableContract, BinaryOption, FixedPointFormat
+from .contracts import AutocallableContract, BinaryOption
 from .errors import (
     CapacityError, ConfigError, MappingError, NumericalError, PreconditionError, StructuralError,
 )
@@ -61,7 +62,7 @@ _SECTION_KEYS = {
         "notional", "dt", "steps", "sigma", "mu", "rate", "barrier", "strike", "binaries",
     },
     "grid": {"k", "s_min"},
-    "fixedpoint": {"p", "int_bits"},
+    "fixedpoint": {"p"},
     "estimation": {"method", "epsilon", "alpha", "shots", "paths", "seed"},
     "sweep": {"p_values", "k_values", "methods"},
     "resources": {
@@ -76,7 +77,6 @@ class RunConfig:
     contract: AutocallableContract | None  # None when the config has no [contract]
     grid: GaussianGridSpec | None
     frac_bits: int | None
-    int_bits: int | None  # None = auto
     method: str | None
     epsilon: float
     alpha: float
@@ -179,13 +179,6 @@ def parse_config(text: str) -> RunConfig:
     fx = _Reader(parser, "fixedpoint", problems)
     frac_bits = fx.get("p", int, check=_frac_bits_ok,
                        describe=f"must be in [0, {MAX_FRAC_BITS}]")
-    int_bits_raw = fx.raw.get("int_bits", "auto")
-    int_bits = None
-    if int_bits_raw.strip().lower() != "auto":
-        try:
-            int_bits = int(int_bits_raw)
-        except ValueError:
-            problems.append(f"invalid value for 'fixedpoint.int_bits': {int_bits_raw!r}")
 
     est = _Reader(parser, "estimation", problems)
     method = est.get("method", str, check=lambda v: v in METHODS,
@@ -243,18 +236,18 @@ def parse_config(text: str) -> RunConfig:
             "f_max": res.get("f_max", float, default=5.0 * math.exp(-0.08),
                              check=lambda v: v >= 0, describe="must be non-negative"),
         }
-        # The truncation solver starts at w = 1, where the rescaling factor
-        # f_max + (strike - r_t_min) * notional must be positive; compared in
-        # logs because r_t_min = exp(...) can overflow.
+        # The rescaling factor R(w) = f_max + (strike - r_t_min(w)) * notional
+        # tends to f_max + strike * notional > 0 as w grows unless sigma_max = 0,
+        # where it is constant; compared in logs because r_t_min can overflow.
         r = resources
-        log_r_t_min = (r["mu"] * r["dt"] - r["sigma_max"] * math.sqrt(r["dt"])) * r["steps"]
+        log_r_t_min = r["mu"] * r["dt"] * r["steps"]
         floor = r["strike"] + r["f_max"] / r["notional"]
-        if log_r_t_min >= math.log(floor):
+        if r["sigma_max"] == 0 and log_r_t_min >= math.log(floor):
             problems.append(
-                "'resources.mu', 'resources.sigma_max', 'resources.dt' and 'resources.steps' "
-                f"put the minimum terminal return at exp({log_r_t_min:.6g}), not below "
-                f"'resources.strike' + 'resources.f_max' / 'resources.notional' = {floor:.6g}, "
-                "so the payoff rescaling factor is not positive"
+                "'resources.sigma_max' = 0 with 'resources.mu', 'resources.dt' and "
+                f"'resources.steps' fix the terminal return at exp({log_r_t_min:.6g}), not "
+                f"below 'resources.strike' + 'resources.f_max' / 'resources.notional' = "
+                f"{floor:.6g}, so the payoff rescaling factor is never positive"
             )
 
     contract = None
@@ -274,10 +267,9 @@ def parse_config(text: str) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(
-        contract=contract, grid=grid, frac_bits=frac_bits, int_bits=int_bits,
-        method=method, epsilon=epsilon, alpha=alpha, shots=shots, paths=paths,
-        seed=seed, sweep_p=sweep_p, sweep_k=sweep_k, sweep_methods=sweep_methods,
-        resources=resources,
+        contract=contract, grid=grid, frac_bits=frac_bits, method=method,
+        epsilon=epsilon, alpha=alpha, shots=shots, paths=paths, seed=seed,
+        sweep_p=sweep_p, sweep_k=sweep_k, sweep_methods=sweep_methods, resources=resources,
     )
 
 
@@ -350,16 +342,16 @@ def price_row(
     elif method == "cf-disc":
         row.update(value=closed_form_discretized(contract, grid))
     elif method == "cf-quant":
-        fmt = _fixed_format(config, contract, grid, p)
+        fmt = fit_format(contract, grid, p)
         row.update(value=closed_form_quantized(contract, grid, fmt), p=p)
     elif method == "quantum-exact":
-        fmt = _fixed_format(config, contract, grid, p)
+        fmt = fit_format(contract, grid, p)
         pc = build_pricing_circuit(contract, grid, fmt)
         a = exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good)
         value = post_process(a, pc.mapping)
         row.update(value=value, ci_low=value, ci_high=value, p=p, oracle_calls=0)
     elif method == "quantum-iqae":
-        fmt = _fixed_format(config, contract, grid, p)
+        fmt = fit_format(contract, grid, p)
         pc = build_pricing_circuit(contract, grid, fmt)
         iqae = iqae_estimate(
             pc.ops, pc.layout.num_qubits, pc.good,
@@ -379,18 +371,6 @@ def price_row(
     if timing:
         row["wall_ms"] = round((time.perf_counter() - started) * 1e3, 3)
     return row
-
-
-def _fixed_format(config, contract, grid, p) -> FixedPointFormat:
-    fitted = fit_format(contract, grid, p)
-    if config.int_bits is None:
-        return fitted
-    if config.int_bits < fitted.int_bits:
-        raise ConfigError([
-            f"'fixedpoint.int_bits' = {config.int_bits} is too small at p = {p}, "
-            f"k = {grid.k}: the accumulated log-returns need int_bits >= {fitted.int_bits}"
-        ])
-    return FixedPointFormat(config.int_bits, p)
 
 
 def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> list[dict]:

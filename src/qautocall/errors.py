@@ -7,7 +7,8 @@ class QAutocallError(Exception):
 
 class CapacityError(QAutocallError):
     """A pricing circuit's support bound or widest classical table, in stored
-    entries, does not fit in physical memory, or an enumeration exceeds its limit."""
+    entries, or the states a closed form keeps in one step, do not fit in
+    physical memory."""
 
 
 class StructuralError(QAutocallError):

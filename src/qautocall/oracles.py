@@ -8,8 +8,9 @@ accumulator's int64 code), whether the barrier has been crossed, and whether
 a binary has fired. Both run a forward recursion over the distinct
 ``(value, crossed)`` states and their probability mass, expanding them by
 every grid shock in blocks of at most ``_CHUNK`` (state, shock) pairs. The
-enumeration limits of :func:`_check_enumeration` still apply to the number of
-grid paths, (2^k)^T.
+one limit is the states a step keeps: at ``BYTES_PER_STATE`` bytes each they
+must fit in physical memory, the same :func:`~qautocall.circuit.physical_memory`
+that sizes the pricing circuit, or the run raises :class:`CapacityError`.
 
 The two Monte Carlo oracles draw, transform and price their paths in blocks
 of at most ``_MC_BLOCK`` rows, so their memory does not grow with the path
@@ -26,20 +27,22 @@ inverse-CDF lookup.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .circuit import QuantizedModel
+from .circuit import QuantizedModel, physical_memory
 from .contracts import AutocallableContract, FixedPointFormat
 from .errors import CapacityError
 from .loading import GaussianGridSpec
 
-ENUMERATION_WARN = 2**24
-ENUMERATION_LIMIT = 2**26
 _CHUNK = 2**18
+#: peak bytes per state a step keeps, temporaries of its last merge included:
+#: cf-disc on the 20-step Table-2 contract peaked 63 bytes per kept state at
+#: k = 8 (9.2 million states) and 72 at k = 7 (0.95 million, where the ~12 MiB
+#: working set of one block weighs more)
+BYTES_PER_STATE = 80
 _MC_BLOCK = 2**13
 _BUCKET_BITS = 12
 
@@ -143,11 +146,6 @@ def mc_price_discretized(
     )
 
 
-def draw_grid_indices(rng: np.random.Generator, grid: GaussianGridSpec, shape) -> np.ndarray:
-    """Inverse-CDF draws of grid indices under the renormalized grid weights."""
-    return _grid_inverse_cdf(grid)(rng.random(shape))
-
-
 def _grid_inverse_cdf(grid: GaussianGridSpec):
     """``u -> np.searchsorted(cum, u, side="right")`` on the renormalized grid
     CDF ``cum``, for uniforms u in [0, 1).
@@ -172,20 +170,6 @@ def _grid_inverse_cdf(grid: GaussianGridSpec):
         return g
 
     return inverse_cdf
-
-
-def _check_enumeration(grid: GaussianGridSpec, steps: int) -> int:
-    total = (2**grid.k) ** steps
-    if total > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"{total} grid paths exceed the enumeration limit {ENUMERATION_LIMIT}; "
-            "use the discretized Monte Carlo oracle instead"
-        )
-    if total > ENUMERATION_WARN:
-        warnings.warn(
-            f"enumerating {total} grid paths; this may be slow", RuntimeWarning, stacklevel=3
-        )
-    return total
 
 
 def _identity(values):
@@ -222,13 +206,41 @@ def _merge(values, crossed, mass):
     return values[starts], crossed[starts], np.add.reduceat(mass, starts)
 
 
+def _fold(blocks, leaves):
+    """Merge the states each successor block keeps, then merge their
+    concatenation: the states the step keeps.
+
+    ``leaves(values, observed, crossed)`` marks the successors whose mass
+    leaves the recursion (None: none leave). Returns the kept ``(values,
+    crossed, mass)`` and each block's lost mass, in block order. Raises
+    :class:`CapacityError` once the kept states, at ``BYTES_PER_STATE`` bytes
+    each, no longer fit in physical memory.
+    """
+    memory = physical_memory()
+    kept, lost, count = [], [], 0
+    for v, r, c, m in blocks:
+        if leaves is not None:
+            out = leaves(v, r, c)
+            lost.append(float(m[out].sum()))
+            v, c, m = v[~out], c[~out], m[~out]
+        kept.append(_merge(v, c, m))
+        count += len(kept[-1][0])
+        if count * BYTES_PER_STATE > memory:
+            raise CapacityError(
+                f"the closed form holds {count} (value, crossed) states in one step, "
+                f"{BYTES_PER_STATE} bytes each, more than the {memory} bytes of physical "
+                "memory; use the discretized Monte Carlo oracle instead"
+            )
+    return _merge(*(np.concatenate(part) for part in zip(*kept))), lost
+
+
 def _forward(contract, shocks, probs, observe, barrier, strikes):
     """Carry the ``(value, crossed)`` states through steps 1 .. T-1.
 
     Starting from value 0 with mass 1, each step adds every grid shock to
     every state, moves the mass whose observed value is strictly above the
     due binary's threshold in ``strikes`` out of the recursion, and merges
-    equal states.
+    equal states (:func:`_fold`).
 
     Returns the mass each binary fired with and the ``(values, crossed,
     mass)`` states alive before the last step, which the caller folds into
@@ -238,15 +250,11 @@ def _forward(contract, shocks, probs, observe, barrier, strikes):
     fired = [0.0] * len(contract.binaries)
     states = (np.zeros(1, dtype=shocks.dtype), np.zeros(1, dtype=bool), np.ones(1))
     for step in range(1, contract.steps):
-        kept = []
-        for v, r, c, m in _successors(states, shocks, probs, observe, barrier):
-            if step in due:
-                i = due[step]
-                hit = r > strikes[i]
-                fired[i] += float(m[hit].sum())
-                v, c, m = v[~hit], c[~hit], m[~hit]
-            kept.append(_merge(v, c, m))
-        states = _merge(*(np.concatenate(part) for part in zip(*kept)))
+        i = due.get(step)
+        leaves = None if i is None else (lambda v, r, c, strike=strikes[i]: r > strike)
+        states, lost = _fold(_successors(states, shocks, probs, observe, barrier), leaves)
+        for m in lost:
+            fired[i] += m
     return fired, states
 
 
@@ -259,7 +267,6 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     is classified exactly as :func:`payoff_of_path` classifies it; only the
     order in which the weighted payoffs are summed differs.
     """
-    _check_enumeration(grid, contract.steps)
     probs = grid.probabilities()
     shocks = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
     strikes = [b.strike for b in contract.binaries]
@@ -286,19 +293,20 @@ def closed_form_quantized(
     distinct put-active terminal code.
     """
     model = QuantizedModel(contract, grid, fmt)
-    _check_enumeration(grid, contract.steps)
     probs = grid.probabilities()
     shocks = model.inc_codes
     fired, states = _forward(
         contract, shocks, probs, _identity, model.barrier_code, model.strike_codes
     )
     good_mass = sum(level * m for level, m in zip(model.binary_levels, fired))
-    puts = []
-    for v, _, c, m in _successors(states, shocks, probs, _identity, model.barrier_code):
-        put = c & (v < model.put_strike_code)
-        good_mass += model.mapping.zero_level * float(m[~put].sum())
-        puts.append(_merge(v[put], c[put], m[put]))
-    codes, _, mass = _merge(*(np.concatenate(part) for part in zip(*puts)))
+    # a terminal state without the put (not crossed, or at or above its
+    # strike) pays the zero level; the put-active ones are merged by code
+    (codes, _, mass), lost = _fold(
+        _successors(states, shocks, probs, _identity, model.barrier_code),
+        lambda v, r, c: ~c | (v >= model.put_strike_code),
+    )
+    for m in lost:
+        good_mass += model.mapping.zero_level * m
     levels = np.array([model.put_level(int(code)) for code in codes])
     good_mass += float(mass @ levels)
     return model.mapping.to_payoff(good_mass)

@@ -127,23 +127,25 @@ def solve_truncation(params: ResourceParams) -> TruncationSolution:
     """Smallest w >= 0 with 2dT e^{-w^2/2} <= eps / R(w).
 
     R depends on w through the minimum terminal return, so the bound is
-    solved by fixed-point iteration on w = sqrt(2 ln(2dT R(w)/eps)) from
-    w = 1. Where 2dT R(w) <= eps the bound holds, so the log is clamped at 0.
-    R grows with w and the bound holds as R(w) falls to 0, so an iterate at
-    or below the root of R is raised to the smallest w with R(w) > 0, where
-    the iteration then settles.
+    solved by fixed-point iteration on w = sqrt(2 ln(2dT R(w)/eps)) from the
+    larger of 1 and the smallest w with R(w) > 0, which doubling w brackets
+    and bisection finds. Where 2dT R(w) <= eps the bound holds, so the log is
+    clamped at 0. R grows with w and the bound holds as R(w) falls to 0, so
+    an iterate at or below the root of R is raised to the smallest w with
+    R(w) > 0, where the iteration then settles.
     """
     eps = params.epsilon
     two_dt = 2.0 * params.assets * params.steps
-    w = 1.0
+    lo, w = 0.0, 1.0
+    while not _scale(params, w) > 0.0:  # R(inf) is nan when sigma_max = 0
+        if math.isinf(w):
+            raise NumericalError("rescaling factor is not positive at any w")
+        lo, w = w, 2.0 * w
+    if lo:
+        w = _first_positive_scale(params, lo, w)
     trace = []
     for it in range(1, _SOLVER_ITERATIONS + 1):
-        scale = _scale(params, w)
-        if scale <= 0.0:
-            raise NumericalError(
-                f"rescaling factor turned non-positive at w={w:.6g}; "
-                f"iteration trace: {trace[-5:]}"
-            )
+        scale = _scale(params, w)  # positive: every iterate is floored where R > 0
         w_next = math.sqrt(2.0 * max(0.0, math.log(two_dt * scale / eps)))
         if _scale(params, w_next) <= 0.0:
             w_next = _first_positive_scale(params, w_next, w)

@@ -5,7 +5,8 @@ from qautocall import AutocallableContract, BinaryOption, circuit
 
 @pytest.fixture
 def fake_memory(monkeypatch):
-    """Setter for the physical memory, in bytes, that the circuit builder reads."""
+    """Setter for the physical memory, in bytes, that the circuit builder and
+    the closed forms are sized against (``circuit.physical_memory``)."""
 
     def set_bytes(num_bytes):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": num_bytes // 4096}

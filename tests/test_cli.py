@@ -59,7 +59,7 @@ def _rows(path):
             "price",
             CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\nint_bits = 0\n"
             "[estimation]\nmethod = cf-quant\n",
-            "int_bits >= 2",
+            "unknown key 'fixedpoint.int_bits'",
         ),
         (
             "price",
@@ -94,7 +94,6 @@ def _rows(path):
         ("resources", CONTRACT + "[resources]\nsigma_max = -1\n", "resources.sigma_max"),
         ("resources", CONTRACT + "[resources]\nf_max = -100\n", "resources.f_max"),
         ("resources", CONTRACT + "[resources]\nsigma_max = 0\n", "'resources.sigma_max'"),
-        ("resources", CONTRACT + "[resources]\nsigma_max = 0.0001\n", "'resources.sigma_max'"),
         (
             "price",
             CONTRACT.replace("1:1.1:2.0", "1:0:2.0")
@@ -119,7 +118,7 @@ def _rows(path):
         "resources-epsilon-above-1", "resources-m-zero", "resources-dt-zero",
         "resources-notional-negative", "resources-strike-negative",
         "resources-sigma-max-negative", "resources-f-max-negative",
-        "resources-sigma-max-zero", "resources-sigma-max-tiny", "binary-strike-zero",
+        "resources-sigma-max-zero", "binary-strike-zero",
         "price-without-contract", "sweep-without-grid", "sweep-without-p",
     ],
 )
@@ -161,6 +160,30 @@ def test_circuit_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory):
     err = capsys.readouterr().err
     assert "2**11 = 2048 entries" in err and "total: 19" in err
     assert not out.exists()
+
+
+def test_closed_form_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory):
+    fake_memory(4096)  # 51 kept states; Table-2 at k = 6 keeps over 200 in one step
+    text = CONTRACT + "[grid]\nk = 6\ns_min = 3.0\n[fixedpoint]\np = 12\n" \
+        "[estimation]\nmethod = cf-quant\n"
+    code, out = _run(tmp_path, "price", text)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("capacity error: the closed form holds ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "steps, k, method",
+    [(3, 9, "cf-quant"), (20, 2, "cf-quant"), (20, 2, "cf-disc")],
+    ids=["table2-k9-cf-quant", "20-step-k2-cf-quant", "20-step-k2-cf-disc"],
+)
+def test_closed_forms_run_beyond_2_to_the_26_grid_paths(tmp_path, steps, k, method):
+    text = CONTRACT.replace("steps = 3", f"steps = {steps}") + (
+        f"[grid]\nk = {k}\ns_min = 3.0\n[fixedpoint]\np = 12\n[estimation]\nmethod = {method}\n"
+    )
+    code, out = _run(tmp_path, "price", text)
+    assert code == 0
+    assert math.isfinite(float(_rows(out)[0]["value"]))
 
 
 @pytest.mark.parametrize("error", [StructuralError, PreconditionError])
@@ -239,6 +262,21 @@ def test_resources_truncation_bound_met_at_zero(tmp_path):
     assert code == 0
     (row,) = _rows(out)
     assert float(row["w"]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "text, w_min",
+    [("sigma_max = 0.0001\n", 1159.0), ("sigma_max = 0.2\nmu = 0.3\n", 1.44)],
+    ids=["sigma-max-tiny", "drift-above-volatility"],
+)
+def test_resources_rescaling_factor_positive_only_above_w_1(tmp_path, text, w_min):
+    # R(1) <= 0: the truncation solver starts at the smallest w with R(w) > 0
+    code, out = _run(tmp_path, "resources", "[resources]\n" + text)
+    assert code == 0
+    (row,) = _rows(out)
+    assert float(row["w"]) > w_min
+    assert float(row["R"]) > 0.0
+    assert 0.0 < float(row["d_total"]) < math.inf
 
 
 def test_resources_truncation_bound_met_at_the_positive_floor(tmp_path):

@@ -16,11 +16,10 @@ from qautocall.loading import GaussianGridSpec
 from qautocall.oracles import (
     _BUCKET_BITS,
     _MC_BLOCK,
-    _check_enumeration,
+    BYTES_PER_STATE,
     _grid_inverse_cdf,
     closed_form_discretized,
     closed_form_quantized,
-    draw_grid_indices,
     mc_price,
     mc_price_discretized,
     payoff_of_path,
@@ -169,14 +168,14 @@ class TestMonteCarlo:
 
     def test_single_qubit_grid_draws_only_extremes(self):
         rng = np.random.default_rng(0)
-        draws = draw_grid_indices(rng, GRID1, 10_000)
+        draws = _grid_inverse_cdf(GRID1)(rng.random(10_000))
         assert set(np.unique(draws)) == {0, 1}
         shocks = GRID1.points()[draws]
         assert set(np.unique(shocks)) == {-3.0, 3.0}
 
     def test_grid_draw_frequencies_match_weights(self):
         rng = np.random.default_rng(1)
-        draws = draw_grid_indices(rng, GRID2, 200_000)
+        draws = _grid_inverse_cdf(GRID2)(rng.random(200_000))
         freq = np.bincount(draws, minlength=4) / 200_000
         assert np.abs(freq - GRID2.probabilities()).max() < 0.005
 
@@ -343,23 +342,30 @@ class TestClosedForms:
                 tracemalloc.stop()
             assert peak < 24 * 2**20  # the path enumeration peaked at 28 MiB here
 
-    def test_enumeration_guard_rails(self):
-        big = GaussianGridSpec(k=8, s_min=3.0)
-        with pytest.raises(CapacityError, match="Monte Carlo"):
-            _check_enumeration(big, steps=4)
-        with pytest.warns(RuntimeWarning, match="slow"):
-            _check_enumeration(GaussianGridSpec(k=5, s_min=3.0), steps=5)
-        # within budget: no warning, no error
-        assert _check_enumeration(GRID2, steps=3) == 64
-
-    def test_capacity_error_from_public_entry(self, table2):
-        big_contract = AutocallableContract(
-            notional=18.0, dt=1.0, steps=4, mu=0.1274, sigma=0.2382, rate=0.04,
-            barrier=0.7, strike=1.0,
-            binaries=(BinaryOption(1, 1.1, 2.0), BinaryOption(2, 1.1, 5.0)),
+    def test_capacity_error_from_public_entry(self, table2, fake_memory):
+        # at k = 6 each closed form keeps over 200 states in one step
+        grid = GaussianGridSpec(k=6, s_min=3.0)
+        fmt = fit_format(table2, grid, 12)
+        prices = (
+            lambda: closed_form_discretized(table2, grid),
+            lambda: closed_form_quantized(table2, grid, fmt),
         )
-        with pytest.raises(CapacityError):
-            closed_form_discretized(big_contract, GaussianGridSpec(k=8, s_min=3.0))
+        want = [price() for price in prices]
+        fake_memory(2**20)  # 13107 states
+        assert [price() for price in prices] == want
+        fake_memory(4096)  # 51 states
+        for price in prices:
+            with pytest.raises(CapacityError, match=f"states in one step, {BYTES_PER_STATE} bytes"):
+                price()
+
+    def test_twenty_step_table2_at_k2(self, table2):
+        # (2^2)^20 = 2^40 grid paths, a few hundred kept states per step
+        contract = dataclasses.replace(table2, steps=20)
+        cf = closed_form_discretized(contract, GRID2)
+        mc = mc_price_discretized(contract, GRID2, 10**5, seed=0)
+        assert abs(mc.mean - cf) <= 4 * mc.stderr
+        quant = closed_form_quantized(contract, GRID2, fit_format(contract, GRID2, 12))
+        assert quant == pytest.approx(cf, abs=1e-4)
 
     def test_paths_validated(self, table2):
         with pytest.raises(ValueError):

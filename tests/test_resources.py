@@ -78,9 +78,21 @@ class TestTruncationSolver:
         assert sol.w == pytest.approx(seed, abs=1e-9)
 
     def test_non_convergence_reports(self):
-        # enormous drift pushes the rescaling factor negative
-        with pytest.raises(NumericalError):
-            solve_truncation(params(mu=50.0))
+        # enormous drift and no volatility keep the rescaling factor negative at every w
+        with pytest.raises(NumericalError, match="not positive at any w"):
+            solve_truncation(params(sigma_max=0.0, mu=50.0))
+
+    @pytest.mark.parametrize("mu", [0.3, 50.0])
+    def test_starts_where_the_rescaling_factor_turns_positive(self, mu):
+        # R(1) < 0: the bound holds down to the smallest float w with R(w) > 0
+        p = params(sigma_max=0.2, mu=mu)
+        sol = solve_truncation(p)
+        assert sol.w > 1.0
+        assert sol.scale > 0.0
+        assert sol.residual(p) <= 0.0
+        below = math.nextafter(sol.w, 0.0)
+        r_t_min = math.exp(p.mu * p.dt * p.steps - below * p.sigma_max * math.sqrt(p.dt) * p.steps)
+        assert p.f_max + (p.strike - r_t_min) * p.notional <= 0.0
 
     def test_bound_met_at_zero_truncation(self):
         # R = 18 (1 - e^{-2e-8}) = 3.6e-7, so 2dT R < eps: the bound holds at
