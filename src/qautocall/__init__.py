@@ -46,7 +46,6 @@ from .oracles import (
     closed_form_quantized,
     mc_price,
     mc_price_discretized,
-    payoff_of_path,
 )
 from .resources import (
     QSP_BASELINE_T_DEPTH,

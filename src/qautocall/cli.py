@@ -3,6 +3,7 @@
 Subcommands: ``price`` (one method, one parameter point), ``sweep`` (grid over
 precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
+a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
 circuit's largest state or table, or the states a closed form keeps in one
 step, do not fit in physical memory), 3 numerical,
@@ -190,7 +191,7 @@ def parse_config(text: str) -> RunConfig:
     shots = est.get("shots", int, default=100, check=lambda v: v >= 1, describe="must be >= 1")
     paths = est.get("paths", int, default=100_000, check=lambda v: v >= 1,
                     describe="must be >= 1")
-    seed = est.get("seed", int, default=0)
+    seed = est.get("seed", int, default=0, check=lambda v: v >= 0, describe="must be >= 0")
 
     sw = _Reader(parser, "sweep", problems)
     sweep_p = sw.get("p_values", _parse_int_list, default=[],
@@ -327,14 +328,11 @@ def price_row(
     if grid is not None and method != "mc":
         row.update(k=grid.k, s_min=grid.s_min)
 
-    if method == "mc":
-        result = mc_price(contract, config.paths, config.seed)
-        row.update(value=result.mean, stderr=result.stderr,
-                   ci_low=result.mean - 1.96 * result.stderr,
-                   ci_high=result.mean + 1.96 * result.stderr,
-                   paths_or_shots=result.paths)
-    elif method == "mc-disc":
-        result = mc_price_discretized(contract, grid, config.paths, config.seed)
+    if method in ("mc", "mc-disc"):
+        if method == "mc":
+            result = mc_price(contract, config.paths, config.seed)
+        else:
+            result = mc_price_discretized(contract, grid, config.paths, config.seed)
         row.update(value=result.mean, stderr=result.stderr,
                    ci_low=result.mean - 1.96 * result.stderr,
                    ci_high=result.mean + 1.96 * result.stderr,
@@ -442,9 +440,15 @@ def write_csv(rows: list[dict], columns: list[str], out) -> None:
 
 
 def _load_config(path: str, seed_override: int | None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}"]) from exc
+    config = parse_config(text)
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError([f"'--seed' must be >= 0, got {seed_override}"])
         config.seed = seed_override
     return config
 
@@ -502,13 +506,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(rows, columns, fh)
-    else:
-        buf = io.StringIO()
-        write_csv(rows, columns, buf)
+    buf = io.StringIO()
+    write_csv(rows, columns, buf)
+    if not args.out:
         sys.stdout.write(buf.getvalue())
+        return 0
+    try:  # rendered whole first: an --out that cannot be opened is left as it was
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        print(f"config error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

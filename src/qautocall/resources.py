@@ -86,10 +86,6 @@ class TruncationSolution:
     scale: float  # R(w)
     iterations: int
 
-    def residual(self, params: "ResourceParams") -> float:
-        lhs = 2.0 * params.assets * params.steps * math.exp(-self.w**2 / 2.0)
-        return lhs - params.epsilon / self.scale
-
 
 def _rescale(params: ResourceParams, w: float) -> tuple[float, float]:
     r_t_min = math.exp(

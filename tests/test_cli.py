@@ -1,8 +1,14 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qautocall
 from qautocall import cli
 from qautocall.circuit import BYTES_PER_ENTRY
 from qautocall.cli import main
@@ -111,6 +117,11 @@ def _rows(path):
             CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[sweep]\nmethods = cf-quant\n",
             "fixedpoint.p",
         ),
+        (
+            "price",
+            CONTRACT + "[estimation]\nmethod = mc\nseed = -5\n",
+            "'estimation.seed' must be >= 0",
+        ),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -119,7 +130,7 @@ def _rows(path):
         "resources-notional-negative", "resources-strike-negative",
         "resources-sigma-max-negative", "resources-f-max-negative",
         "resources-sigma-max-zero", "binary-strike-zero",
-        "price-without-contract", "sweep-without-grid", "sweep-without-p",
+        "price-without-contract", "sweep-without-grid", "sweep-without-p", "negative-seed",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -129,6 +140,34 @@ def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, mess
     assert err.startswith("config error:")
     assert message in err
     assert not out.exists()
+
+
+def test_negative_seed_override_exits_1(tmp_path, capsys):
+    code, out = _run(tmp_path, "price", CONTRACT + "[estimation]\nmethod = mc\n", "--seed", "-1")
+    assert code == 1
+    assert capsys.readouterr().err == "config error: '--seed' must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda path: None, Path.mkdir, lambda path: path.write_bytes(b"\xff")],
+    ids=["missing", "directory", "not-utf-8"],
+)
+def test_unreadable_config_exits_1(tmp_path, capsys, make):
+    config = tmp_path / "run.ini"
+    make(config)
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {config}: ")
+
+
+def test_unwritable_out_exits_1_without_a_file(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(RESOURCES_ONLY)
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["resources", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_resource_ranges_reported_together(tmp_path, capsys):
@@ -289,3 +328,51 @@ def test_resources_truncation_bound_met_at_the_positive_floor(tmp_path):
     assert 0.0 < float(row["w"]) < 1.0
     assert float(row["R"]) > 0.0
     assert 0.0 < float(row["d_total"]) < math.inf
+
+
+# Prints the exit codes of the runs and, after each stage, the scipy modules loaded.
+STARTUP_PROBE = """
+import json, sys
+
+import qautocall
+import qautocall.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+def run(*argv):
+    seen["codes"].append(qautocall.cli.main(list(argv)))
+
+
+work = sys.argv[1]
+seen = {"import": scipy_modules(), "codes": []}
+for method in ("quantum-exact", "cf-quant", "cf-disc", "mc-disc"):
+    run("price", "--config", f"{work}/{method}.ini", "--out", f"{work}/out.csv")
+run("resources", "--config", f"{work}/mc.ini", "--out", f"{work}/out.csv")
+run("validate", "--config", f"{work}/mc.ini")
+seen["no-mc"] = scipy_modules()
+run("price", "--config", f"{work}/mc.ini", "--out", f"{work}/out.csv")
+seen["mc"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_mc_imports_scipy(tmp_path):
+    point = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" + RESOURCES_ONLY
+    for method in ("quantum-exact", "cf-quant", "cf-disc", "mc-disc", "mc"):
+        (tmp_path / f"{method}.ini").write_text(
+            point + f"[estimation]\nmethod = {method}\npaths = 1000\n"
+        )
+    src = str(Path(qautocall.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["codes"] == [0] * 7
+    assert seen["import"] == []
+    assert seen["no-mc"] == []
+    assert "scipy.special" in seen["mc"]

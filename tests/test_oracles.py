@@ -22,11 +22,18 @@ from qautocall.oracles import (
     closed_form_quantized,
     mc_price,
     mc_price_discretized,
-    payoff_of_path,
 )
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
 GRID2 = GaussianGridSpec(k=2, s_min=3.0)
+
+
+def payoff_of_path(log_increments, contract):
+    """Discounted payoff of one path of ``steps`` log-return increments."""
+    incs = np.asarray(log_increments, dtype=float)
+    if incs.shape != (contract.steps,):
+        raise ValueError(f"need {contract.steps} increments, got shape {incs.shape}")
+    return float(mc_reference.payoffs(incs[None, :], contract)[0])
 
 
 def _grid_paths(contract, grid):
