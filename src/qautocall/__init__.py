@@ -69,7 +69,6 @@ from .simulator import (
     injection_ops,
     invert,
     probability,
-    sample,
 )
 
 __version__ = "0.1.0"

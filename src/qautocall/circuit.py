@@ -441,13 +441,15 @@ def physical_memory() -> int:
 def _check_capacity(layout: RegisterLayout) -> None:
     """Raise :class:`CapacityError` unless the largest stored array fits in
     physical memory: the state, whose support stays within ``2**(kT + w + 2)``
-    along A and the Grover iterate (only the Gaussian and exponential registers,
-    payoff target and scale qubit are in superposition), or a classical table.
+    (only the Gaussian and exponential registers, payoff target and scale
+    qubit are in superposition), or a classical table. Runs apply only A; the
+    bound also holds along the Grover iterate, which is where the tests check
+    it (:func:`~.estimation.build_grover`).
     """
     if layout.num_qubits > MAX_QUBITS:
         raise CapacityError(
             f"pricing circuit needs {layout.num_qubits} qubits, more than the "
-            f"{MAX_QUBITS} that int64 basis indices hold ({layout.describe()})"
+            f"{MAX_QUBITS} that int64 basis indices hold ({layout.describe()}); reduce k or p"
         )
     m = layout.accumulator.width
     j = layout.binary_flags.width if layout.binary_flags else 0
@@ -464,7 +466,7 @@ def _check_capacity(layout: RegisterLayout) -> None:
         raise CapacityError(
             f"pricing circuit stores up to 2**{bits} = {2**bits} entries (state support "
             f"or classical table), {BYTES_PER_ENTRY} bytes each, more than the {memory} "
-            f"bytes of physical memory ({layout.describe()})"
+            f"bytes of physical memory ({layout.describe()}); reduce k or p"
         )
 
 

@@ -5,8 +5,9 @@ precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
 a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
-circuit's largest state or table, or the states a closed form keeps in one
-step, do not fit in physical memory), 3 numerical,
+circuit's largest state or table, the states a closed form keeps in one step,
+or the payoffs of a Monte Carlo run's ``estimation.paths`` paths do not fit in
+physical memory), 3 numerical,
 4 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 Identical config and seed produce byte-identical CSV; the wall_ms column is
@@ -342,27 +343,20 @@ def price_row(
     elif method == "cf-quant":
         fmt = fit_format(contract, grid, p)
         row.update(value=closed_form_quantized(contract, grid, fmt), p=p)
-    elif method == "quantum-exact":
-        fmt = fit_format(contract, grid, p)
-        pc = build_pricing_circuit(contract, grid, fmt)
+    elif method in ("quantum-exact", "quantum-iqae"):
+        pc = build_pricing_circuit(contract, grid, fit_format(contract, grid, p))
         a = exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good)
-        value = post_process(a, pc.mapping)
-        row.update(value=value, ci_low=value, ci_high=value, p=p, oracle_calls=0)
-    elif method == "quantum-iqae":
-        fmt = fit_format(contract, grid, p)
-        pc = build_pricing_circuit(contract, grid, fmt)
-        iqae = iqae_estimate(
-            pc.ops, pc.layout.num_qubits, pc.good,
-            IqaeConfig(epsilon=config.epsilon, alpha=config.alpha,
-                       shots_per_round=config.shots, seed=config.seed),
-        )
-        row.update(
-            value=post_process(iqae.a_hat, pc.mapping),
-            ci_low=post_process(iqae.ci[0], pc.mapping),
-            ci_high=post_process(iqae.ci[1], pc.mapping),
-            paths_or_shots=iqae.shots_total, oracle_calls=iqae.oracle_calls,
-            p=p, epsilon=config.epsilon, alpha=config.alpha,
-        )
+        if method == "quantum-exact":
+            estimate = (a, a, a)
+            row.update(oracle_calls=0)
+        else:
+            iqae = iqae_estimate(a, IqaeConfig(epsilon=config.epsilon, alpha=config.alpha,
+                                               shots_per_round=config.shots, seed=config.seed))
+            estimate = (iqae.a_hat, *iqae.ci)
+            row.update(paths_or_shots=iqae.shots_total, oracle_calls=iqae.oracle_calls,
+                       epsilon=config.epsilon, alpha=config.alpha)
+        value, ci_low, ci_high = (post_process(x, pc.mapping) for x in estimate)
+        row.update(value=value, ci_low=ci_low, ci_high=ci_high, p=p)
     else:
         raise ConfigError([f"unknown method {method!r}"])
 
@@ -497,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mapping error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:
-        print(f"capacity error: {exc} (reduce k or p)", file=sys.stderr)
+        print(f"capacity error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

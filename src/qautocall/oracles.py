@@ -13,8 +13,9 @@ must fit in physical memory, the same :func:`~qautocall.circuit.physical_memory`
 that sizes the pricing circuit, or the run raises :class:`CapacityError`.
 
 The two Monte Carlo oracles draw, transform and price their paths in blocks
-of at most ``_MC_BLOCK`` rows, so their memory does not grow with the path
-count beyond the one payoff vector.
+of at most ``_MC_BLOCK`` rows, so their memory grows with the path count by
+``BYTES_PER_PATH`` bytes a path only (the payoff vector and its reduction),
+which must fit in physical memory too.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform array,
@@ -46,6 +47,10 @@ _CHUNK = 2**18
 #: k = 8 (9.2 million states) and 72 at k = 7 (0.95 million, where the ~12 MiB
 #: working set of one block weighs more)
 BYTES_PER_STATE = 80
+#: peak bytes per Monte Carlo path: its float64 payoff and the temporary of
+#: the same length that ``np.std`` makes of the payoffs; 2 * 10**6 mc-disc
+#: paths peaked 16.4 bytes per path, the blocks' fixed working set included
+BYTES_PER_PATH = 16
 _MC_BLOCK = 2**13
 _BUCKET_BITS = 12
 
@@ -101,10 +106,18 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, draw_shock
     ``draw_shocks(rng, shape)`` turns the next ``shape`` uniforms of the seeded
     stream into standard shocks, so block after block takes the rows of the
     one ``(paths, steps)`` uniform array in order. The payoffs fill one
-    vector, which :func:`_mc_result` reduces whole.
+    vector, which :func:`_mc_result` reduces whole. Raises
+    :class:`CapacityError` before allocating it when the paths, at
+    ``BYTES_PER_PATH`` bytes each, do not fit in physical memory.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    memory = physical_memory()
+    if paths * BYTES_PER_PATH > memory:
+        raise CapacityError(
+            f"estimation.paths = {paths} paths, {BYTES_PER_PATH} bytes each, need more than "
+            f"the {memory} bytes of physical memory (reduce estimation.paths)"
+        )
     rng = np.random.default_rng(seed)
     drift = contract.mu * contract.dt
     scale = contract.sigma * math.sqrt(contract.dt)
@@ -225,7 +238,7 @@ def _fold(blocks, leaves):
             raise CapacityError(
                 f"the closed form holds {count} (value, crossed) states in one step, "
                 f"{BYTES_PER_STATE} bytes each, more than the {memory} bytes of physical "
-                "memory; use the discretized Monte Carlo oracle instead"
+                "memory (reduce k or p, or use the discretized Monte Carlo oracle instead)"
             )
     return _merge(*(np.concatenate(part) for part in zip(*kept))), lost
 

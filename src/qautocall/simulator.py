@@ -22,8 +22,8 @@ How much a circuit may store is decided where it is built
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
-exists, and randomness always enters through an explicit seed, so independent
-statevectors may be driven from different threads safely.
+exists, so independent statevectors may be driven from different threads
+safely.
 """
 
 from __future__ import annotations
@@ -378,12 +378,3 @@ def probability(state: Statevector, cond: Condition) -> float:
     state._check_bounds(q for q, _ in cond.terms)
     sel = state.values[_matches(state.indices, cond.terms)]
     return float(np.real(np.vdot(sel, sel)))
-
-
-def sample(state: Statevector, cond: Condition, shots: int, seed: int) -> int:
-    """Binomial success count for ``cond`` over ``shots`` measurements."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    p = min(max(probability(state, cond), 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    return int(rng.binomial(shots, p))

@@ -13,6 +13,7 @@ from qautocall import cli
 from qautocall.circuit import BYTES_PER_ENTRY
 from qautocall.cli import main
 from qautocall.errors import PreconditionError, StructuralError
+from qautocall.oracles import BYTES_PER_PATH
 
 CONTRACT = """\
 [contract]
@@ -211,6 +212,24 @@ def test_closed_form_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["mc", "mc-disc"])
+def test_monte_carlo_paths_beyond_physical_memory_exit_2(tmp_path, capsys, fake_memory, method):
+    text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = {}\npaths = {}\n"
+    # 10**13 paths need 160 TB, more than the physical memory of any test host
+    code, out = _run(tmp_path, "price", text.format(method, 10**13))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("capacity error: estimation.paths = 10000000000000 ")
+    assert not out.exists()
+    fake_memory(4096 * BYTES_PER_PATH)
+    code, out = _run(tmp_path, "price", text.format(method, 4096))
+    assert code == 0
+    out.unlink()
+    code, out = _run(tmp_path, "price", text.format(method, 4097))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("capacity error: estimation.paths = 4097 ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "steps, k, method",
     [(3, 9, "cf-quant"), (20, 2, "cf-quant"), (20, 2, "cf-disc")],
@@ -242,12 +261,15 @@ def test_internal_errors_exit_4_with_message(tmp_path, capsys, monkeypatch, erro
 def test_29_qubit_quantum_exact_matches_cf_quant(tmp_path):
     # Table-2 at (p, k) = (4, 3): 29 qubits, a 2**16-entry support bound
     point = CONTRACT + "[grid]\nk = 3\ns_min = 3.0\n[fixedpoint]\np = 4\n"
-    values = []
-    for method in ("quantum-exact", "cf-quant"):
-        code, out = _run(tmp_path, "price", point + f"[estimation]\nmethod = {method}\n")
+    rows = {}
+    for method in ("quantum-exact", "cf-quant", "quantum-iqae"):
+        est = f"[estimation]\nmethod = {method}\nepsilon = 0.001\nseed = 0\n"
+        code, out = _run(tmp_path, "price", point + est)
         assert code == 0
-        values.append(float(_rows(out)[0]["value"]))
-    assert values[0] == pytest.approx(values[1], abs=1e-9)
+        rows[method] = _rows(out)[0]
+    want = float(rows["cf-quant"]["value"])
+    assert float(rows["quantum-exact"]["value"]) == pytest.approx(want, abs=1e-9)
+    assert float(rows["quantum-iqae"]["ci_low"]) <= want <= float(rows["quantum-iqae"]["ci_high"])
 
 
 def test_quantum_iqae_price_covers_cf_quant(tmp_path):

@@ -19,7 +19,6 @@ from qautocall.simulator import (
     injection_ops,
     invert,
     probability,
-    sample,
 )
 
 
@@ -307,22 +306,6 @@ def test_probability_basics():
 def test_condition_rejects_duplicates():
     with pytest.raises(StructuralError):
         Condition(((0, 1), (0, 0)))
-
-
-def test_sample_determinism_and_edges():
-    state = allocate(1).apply(Ry(0, math.pi / 2))
-    cond = Condition(((0, 1),))
-    assert sample(state, cond, 10**5, seed=42) == sample(state, cond, 10**5, seed=42)
-    count = sample(state, cond, 10**5, seed=42)
-    # within 5 sigma of the mean
-    assert abs(count - 5e4) < 5 * math.sqrt(1e5 * 0.25)
-
-    zero = allocate(1)
-    assert sample(zero, cond, 1000, seed=1) == 0
-    one = allocate(1).apply(X(0))
-    assert sample(one, cond, 100, seed=1) == 100
-    with pytest.raises(ValueError):
-        sample(zero, cond, 0, seed=1)
 
 
 def test_phase_oracle_marks_values():
