@@ -468,6 +468,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError([f"'--threads' must be >= 1, got {args.threads}"])
         config = _load_config(args.config, getattr(args, "seed", None))
         if args.command == "validate":
             print("OK")

@@ -150,6 +150,15 @@ def test_negative_seed_override_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_exit_1(tmp_path, capsys, threads):
+    text = CONTRACT + "[estimation]\nmethod = mc\npaths = 1000\n"
+    code, out = _run(tmp_path, "sweep", text, "--threads", str(threads))
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: '--threads' must be >= 1, got {threads}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda path: None, Path.mkdir, lambda path: path.write_bytes(b"\xff")],
@@ -381,7 +390,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_mc_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     point = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" + RESOURCES_ONLY
     for method in ("quantum-exact", "cf-quant", "cf-disc", "mc-disc", "mc"):
         (tmp_path / f"{method}.ini").write_text(
@@ -397,4 +406,4 @@ def test_only_mc_imports_scipy(tmp_path):
     assert seen["codes"] == [0] * 7
     assert seen["import"] == []
     assert seen["no-mc"] == []
-    assert "scipy.special" in seen["mc"]
+    assert seen["mc"] == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import mc_reference
 from qautocall.circuit import QuantizedModel, fit_format
@@ -15,9 +16,11 @@ from qautocall.errors import CapacityError, MappingError
 from qautocall.loading import GaussianGridSpec
 from qautocall.oracles import (
     _BUCKET_BITS,
+    _EXPM2,
     _MC_BLOCK,
     BYTES_PER_STATE,
     _grid_inverse_cdf,
+    _ndtri,
     closed_form_discretized,
     closed_form_quantized,
     mc_price,
@@ -192,6 +195,37 @@ class TestMonteCarlo:
         assert abs(mc.mean - cf) <= 3 * mc.stderr
 
 
+def _assert_matches_scipy(u):
+    """``_ndtri`` equals scipy's ``ndtri`` bit for bit on the central range,
+    where no logarithm is taken, and within 8 ulp in the tails."""
+    want = ndtri(u)
+    got = _ndtri(u.copy())
+    central = (u > _EXPM2) & (u < 1.0 - _EXPM2)
+    np.testing.assert_array_equal(got[central], want[central])
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+
+
+class TestNdtri:
+    """The Cephes port in ``oracles`` against scipy's ``ndtri``."""
+
+    def test_matches_scipy_on_seeded_uniforms(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):  # 10**7 uniforms, clipped as mc_price clips them
+            _assert_matches_scipy(np.clip(rng.random(10**6), 1e-300, 1.0 - 1e-16))
+
+    def test_matches_scipy_at_branch_edges(self):
+        switch = math.exp(-32.0)  # sqrt(-2 log y) >= 8 selects the far-tail rational
+        edges = np.array([_EXPM2, 1.0 - _EXPM2, switch, 1.0 - switch])
+        around_switch = switch * (1.0 + np.arange(-100, 101) * 1e-14)
+        x = np.sqrt(-2.0 * np.log(around_switch))
+        assert (x < 8.0).any() and (x >= 8.0).any()
+        _assert_matches_scipy(np.concatenate([
+            [0.5, 1e-300, 1.0 - 1e-16],  # the clip bounds
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            around_switch, 1.0 - around_switch,
+        ]))
+
+
 class TestBlockedMonteCarlo:
     """The blocked oracles against the whole-block ones in ``mc_reference``."""
 
@@ -241,7 +275,7 @@ class TestBlockedMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20  # whole-block draws peaked at 92 and 114 MiB here
+        assert peak < 12 * 2**20  # peaks of 9.4 (mc) and 8.4 MiB (mc-disc) plus 2.6 MiB
 
 
 class TestClosedForms:
