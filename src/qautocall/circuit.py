@@ -104,11 +104,7 @@ class QuantizedModel:
         self.fmt = fmt
         T = contract.steps
 
-        self.inc_codes = np.array(
-            [log_return_increment(g, contract, grid, fmt) for g in range(2**grid.k)],
-            dtype=np.int64,
-        )
-        lo, hi = int(self.inc_codes.min()), int(self.inc_codes.max())
+        lo, hi = _end_codes(contract, grid, fmt)
         envelope = [0, lo, hi, T * lo, T * hi]
         if not (fmt.covers(min(envelope)) and fmt.covers(max(envelope))):
             needed = int_bits_for(envelope, fmt.frac_bits)
@@ -116,6 +112,11 @@ class QuantizedModel:
                 f"accumulated log-returns span codes [{min(envelope)}, {max(envelope)}] "
                 f"which overflow the format; int_bits >= {needed} required"
             )
+        # every code lies in [lo, hi], so the format covers each; a grid point
+        # -s_min + ds * g equals g * ds - s_min bit for bit, so each value is
+        # the float log_return_increment quantizes
+        value = contract.mu * contract.dt + contract.sigma * grid.points() * math.sqrt(contract.dt)
+        self.inc_codes = np.rint(value * 2**fmt.frac_bits).astype(np.int64)
 
         self.barrier_code = fmt.quantize(math.log(contract.barrier))
         self.strike_codes = tuple(
@@ -198,13 +199,22 @@ class QuantizedModel:
 MAX_FRAC_BITS = 62
 
 
+def _end_codes(
+    contract: AutocallableContract, grid: GaussianGridSpec, fmt: FixedPointFormat
+) -> tuple[int, int]:
+    """Smallest and largest per-step increment code, at grid indices 0 and
+    2**k - 1: each float op of the increment is monotone in g, and sigma >= 0.
+    Raises ValueError if one overflows ``fmt``."""
+    return tuple(log_return_increment(g, contract, grid, fmt) for g in (0, 2**grid.k - 1))
+
+
 def _probe_codes(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
-) -> list[int] | None:
-    """Per-step increment codes at ``frac_bits``, or None if one overflows the probe."""
+) -> tuple[int, int] | None:
+    """:func:`_end_codes` at ``frac_bits``, or None if one overflows the probe."""
     probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits)
     try:
-        return [log_return_increment(g, contract, grid, probe) for g in range(2**grid.k)]
+        return _end_codes(contract, grid, probe)
     except ValueError:
         return None
 
@@ -228,8 +238,9 @@ def fit_format(
             f"increment overflows {MAX_FRAC_BITS + 1} bits; "
             + (f"the largest usable p is {usable}" if usable is not None else "no p is usable")
         ])
+    lo, hi = codes
     T = contract.steps
-    envelope = [0, min(codes), max(codes), T * min(codes), T * max(codes)]
+    envelope = [0, lo, hi, T * lo, T * hi]
     return FixedPointFormat(int_bits_for(envelope, frac_bits), frac_bits)
 
 

@@ -5,9 +5,9 @@ precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
 a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
-circuit's largest state or table, the states a closed form keeps in one step,
-or the payoffs of a Monte Carlo run's ``estimation.paths`` paths do not fit in
-physical memory), 3 numerical,
+grid's 2**k points, the circuit's largest state or table, the states a closed
+form keeps in one step, or the payoffs of a Monte Carlo run's
+``estimation.paths`` paths do not fit in physical memory), 3 numerical,
 4 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 Identical config and seed produce byte-identical CSV; the wall_ms column is
@@ -447,7 +447,10 @@ def _load_config(path: str, seed_override: int | None) -> RunConfig:
     return config
 
 
-def main(argv: list[str] | None = None) -> int:
+_parser: argparse.ArgumentParser | None = None
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qautocall",
         description="Price autocallable options on an exact quantum simulator "
@@ -465,7 +468,16 @@ def main(argv: list[str] | None = None) -> int:
                            help="fill the wall_ms column (breaks byte-reproducibility)")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    # built on the first call, not at import, and reused by every later call:
+    # parsing leaves the parser unchanged
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
 
     try:
         if getattr(args, "threads", 1) < 1:

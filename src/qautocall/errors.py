@@ -6,9 +6,9 @@ class QAutocallError(Exception):
 
 
 class CapacityError(QAutocallError):
-    """A pricing circuit's support bound or widest classical table, in stored
-    entries, or the states a closed form keeps in one step, do not fit in
-    physical memory."""
+    """A grid's points, a pricing circuit's support bound or widest classical
+    table (in stored entries), or the states a closed form keeps in one step
+    do not fit in physical memory."""
 
 
 class StructuralError(QAutocallError):

@@ -243,7 +243,11 @@ class Statevector:
     come out exactly 0 are dropped. :class:`X` and :class:`Classical` rewrite
     the op's bits of each index and re-sort (they permute basis states, so
     indices never collide), and :class:`PhaseOracle` multiplies the entries
-    whose value on its qubits is marked.
+    whose value on its qubits is marked. The op's bits are read and written
+    one run of consecutive qubits (a register) at a time. Every sort is
+    stable, so numpy runs one that reuses the sorted runs of its input, which
+    the listed indices and the indices an op rewrote are made of; the keys
+    are unique, so the order is the one any sort gives.
     """
 
     __slots__ = ("num_qubits", "indices", "values")
@@ -289,7 +293,7 @@ class Statevector:
         # sorted and deduplicated here because np.union1d's hash-based unique
         # is several times slower
         indices = np.concatenate((self.indices, self.indices[matched] ^ bit))
-        indices.sort()
+        indices.sort(kind="stable")
         first = np.ones(len(indices), dtype=bool)
         first[1:] = indices[1:] != indices[:-1]
         indices = indices[first]
@@ -328,7 +332,7 @@ class Statevector:
         self._reorder((self.indices & ~mask) | moved)
 
     def _reorder(self, indices: np.ndarray):
-        order = np.argsort(indices)
+        order = np.argsort(indices, kind="stable")
         self.indices, self.values = indices[order], self.values[order]
 
 
@@ -341,19 +345,43 @@ def _matches(indices: np.ndarray, terms: Iterable[tuple[int, int]]) -> np.ndarra
     return (indices & mask) == value
 
 
-def _gather(indices: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Value of each index on ``qubits``, LSB first."""
-    out = np.zeros_like(indices)
+def _runs(qubits: Sequence[int]) -> list[tuple[int, int, int]]:
+    """``(first qubit, first value bit, length)`` of each run of consecutive
+    qubits in ``qubits``."""
+    runs = []
     for j, q in enumerate(qubits):
-        out |= ((indices >> q) & 1) << j
+        if j and q == qubits[j - 1] + 1:
+            q0, j0, n = runs[-1]
+            runs[-1] = (q0, j0, n + 1)
+        else:
+            runs.append((q, j, 1))
+    return runs
+
+
+def _gather(indices: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Value of each index on ``qubits``, LSB first; 0 for no qubits.
+
+    One shift and mask per run of consecutive qubits (a register), not per
+    qubit."""
+    out = np.zeros_like(indices)
+    for q, j, n in _runs(qubits):
+        part = indices >> q
+        part &= (1 << n) - 1
+        if j:
+            part <<= j
+        out |= part
     return out
 
 
 def _scatter(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Inverse of :func:`_gather`: each value's bits placed on ``qubits``."""
     out = np.zeros_like(values)
-    for j, q in enumerate(qubits):
-        out |= ((values >> j) & 1) << q
+    for q, j, n in _runs(qubits):
+        part = values >> j
+        part &= (1 << n) - 1
+        if q:
+            part <<= q
+        out |= part
     return out
 
 

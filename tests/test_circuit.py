@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dense_state import to_dense
+from qautocall import circuit
 from qautocall.circuit import (
     BYTES_PER_ENTRY,
     QuantizedModel,
@@ -96,6 +97,31 @@ class TestIncrements:
     def test_grid_index_validated(self, table2):
         with pytest.raises(ValueError):
             log_return_increment(2, table2, GRID1, FixedPointFormat(2, 2))
+
+    @pytest.mark.parametrize("contract", ["table2", "table2_flat"])
+    def test_model_codes_equal_the_per_index_increments(self, request, contract):
+        contract = request.getfixturevalue(contract)
+        for k in range(1, 13):
+            grid = GaussianGridSpec(k=k, s_min=3.0)
+            for p in (*range(0, 58, 6), 58):
+                fmt = fit_format(contract, grid, p)
+                want = [log_return_increment(g, contract, grid, fmt) for g in range(2**k)]
+                assert QuantizedModel(contract, grid, fmt).inc_codes.tolist() == want, (k, p)
+
+    def test_format_fitted_from_the_two_end_indices(self, table2, monkeypatch):
+        want = fit_format(table2, GRID1, 12)
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g)
+            if len(calls) > 2:
+                raise AssertionError("increment computed per grid index")
+            return log_return_increment(g, *args)
+
+        monkeypatch.setattr(circuit, "log_return_increment", counted)
+        fmt = fit_format(table2, GaussianGridSpec(k=40, s_min=3.0), 12)
+        assert calls == [0, 2**40 - 1]
+        assert fmt == want
 
 
 class TestFormatFitting:

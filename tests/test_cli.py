@@ -13,6 +13,7 @@ from qautocall import cli
 from qautocall.circuit import BYTES_PER_ENTRY
 from qautocall.cli import main
 from qautocall.errors import PreconditionError, StructuralError
+from qautocall.loading import BYTES_PER_POINT
 from qautocall.oracles import BYTES_PER_PATH
 
 CONTRACT = """\
@@ -237,6 +238,48 @@ def test_monte_carlo_paths_beyond_physical_memory_exit_2(tmp_path, capsys, fake_
     assert code == 2
     assert capsys.readouterr().err.startswith("capacity error: estimation.paths = 4097 ")
     assert not out.exists()
+
+
+GRID_METHODS = ("quantum-exact", "quantum-iqae", "cf-quant", "cf-disc", "mc-disc")
+
+
+@pytest.mark.parametrize("method", GRID_METHODS)
+def test_grid_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory, method):
+    text = CONTRACT + "[grid]\nk = {}\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
+        "[estimation]\nmethod = {}\npaths = 100\n"
+    fake_memory(BYTES_PER_POINT * 2**9)
+    code, out = _run(tmp_path, "price", text.format(10, method))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"capacity error: the grid has 2**10 = 1024 points, {BYTES_PER_POINT} bytes each, "
+        f"more than the {BYTES_PER_POINT * 2**9} bytes of physical memory; reduce k\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", GRID_METHODS)
+def test_grid_of_2_to_the_40_points_exits_2(tmp_path, capsys, method):
+    # the increments' range is read at the two end points, so nothing of
+    # size 2**40 is built or looped over before the capacity check
+    text = CONTRACT + "[grid]\nk = 40\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
+        f"[estimation]\nmethod = {method}\n"
+    code, out = _run(tmp_path, "price", text)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("capacity error: the grid has 2**40 = ")
+
+
+def test_main_calls_in_sequence_keep_their_own_defaults(tmp_path, capsys):
+    text = CONTRACT + "[estimation]\nmethod = mc\npaths = 1000\nseed = 7\n"
+    code, out = _run(tmp_path, "sweep", text, "--threads", "3", "--seed", "4")
+    assert code == 0
+    assert [row["seed"] for row in _rows(out)] == ["4"]
+    code, out = _run(tmp_path, "price", text)
+    assert code == 0
+    assert [(row["seed"], row["wall_ms"]) for row in _rows(out)] == [("7", "")]
+    with pytest.raises(SystemExit) as exit_:
+        _run(tmp_path, "price", text, "--threads", "3")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dense_state import to_dense
+from qautocall.errors import CapacityError
 from qautocall.loading import (
+    BYTES_PER_POINT,
     ExponentialPrepSpec,
     GaussianGridSpec,
     exp_angles,
@@ -41,6 +43,12 @@ class TestGaussianGrid:
         pts = spec.points()
         assert pts[0] == pytest.approx(-3.0)
         assert pts[-1] == pytest.approx(3.0)
+
+    def test_points_beyond_physical_memory_raise_capacity_error(self, fake_memory):
+        fake_memory(BYTES_PER_POINT * 2**8)
+        assert len(GaussianGridSpec(k=8, s_min=3.0).points()) == 2**8
+        with pytest.raises(CapacityError, match=r"2\*\*9 = 512 points.*; reduce k$"):
+            GaussianGridSpec(k=9, s_min=3.0).points()
 
     def test_single_qubit_grid_is_uniform(self):
         amps = gaussian_amplitudes(GaussianGridSpec(k=1, s_min=3.0))

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_state import from_dense, to_dense
+from qautocall import simulator
+from qautocall.circuit import build_pricing_circuit, fit_format
 from qautocall.errors import PreconditionError, StructuralError
+from qautocall.loading import GaussianGridSpec
 from qautocall.simulator import (
     MAX_QUBITS,
     Classical,
@@ -293,6 +296,65 @@ def test_random_circuits_match_per_basis_state_reference():
         # the stored entries stay sorted and unique, and no exact zero is kept
         assert (np.diff(state.indices) > 0).all()
         assert (state.values != 0).all()
+
+
+def _gather_per_qubit(indices, qubits):
+    """The per-qubit definition of ``_gather``: bit ``q`` to value bit ``j``."""
+    out = np.zeros_like(indices)
+    for j, q in enumerate(qubits):
+        out |= ((indices >> q) & 1) << j
+    return out
+
+
+def _scatter_per_qubit(values, qubits):
+    """The per-qubit definition of ``_scatter``: value bit ``j`` to bit ``q``."""
+    out = np.zeros_like(values)
+    for j, q in enumerate(qubits):
+        out |= ((values >> j) & 1) << q
+    return out
+
+
+def _qubit_tuples(rng):
+    yield ()
+    yield tuple(range(MAX_QUBITS))
+    yield tuple(range(3, 50))
+    yield tuple(range(61, -1, -1))
+    yield tuple(range(10, 0, -2)) + tuple(range(11, 30))
+    yield (0, 2, 1, 3, 5, 4, 6, 61, 60)
+    for width in range(1, 25):
+        qubits = rng.choice(MAX_QUBITS, size=width, replace=False)
+        yield tuple(int(q) for q in qubits)
+        # three runs of one register, in a random order
+        start = int(rng.integers(0, MAX_QUBITS - width + 1))
+        a, b = sorted(int(c) for c in rng.integers(0, width + 1, size=2))
+        run = list(range(start, start + width))
+        pieces = (run[:a], run[a:b], run[b:])
+        yield tuple(q for i in rng.permutation(3) for q in pieces[i])
+
+
+def test_gather_and_scatter_match_their_per_qubit_definition():
+    rng = np.random.default_rng(29)
+    indices = rng.integers(0, 2**MAX_QUBITS, size=500, dtype=np.int64)
+    for qubits in _qubit_tuples(rng):
+        got = simulator._gather(indices, qubits)
+        assert (got == _gather_per_qubit(indices, qubits)).all(), qubits
+        values = indices & (2 ** len(qubits) - 1)
+        want = _scatter_per_qubit(values, qubits)
+        assert (simulator._scatter(values, qubits) == want).all(), qubits
+        assert (simulator._gather(want, qubits) == values).all(), qubits
+    assert simulator._gather(indices, ()).tolist() == [0] * len(indices)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (4, 3)])
+def test_pricing_state_identical_to_per_qubit_kernels(table2, monkeypatch, p, k):
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+    state = allocate(pc.layout.num_qubits).apply_all(pc.ops)
+    monkeypatch.setattr(simulator, "_gather", _gather_per_qubit)
+    monkeypatch.setattr(simulator, "_scatter", _scatter_per_qubit)
+    want = allocate(pc.layout.num_qubits).apply_all(pc.ops)
+    assert state.indices.tolist() == want.indices.tolist()
+    assert state.values.tolist() == want.values.tolist()
 
 
 def test_probability_basics():
