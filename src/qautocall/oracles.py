@@ -12,10 +12,12 @@ one limit is the states a step keeps: at ``BYTES_PER_STATE`` bytes each they
 must fit in physical memory, the same :func:`~qautocall.circuit.physical_memory`
 that sizes the pricing circuit, or the run raises :class:`CapacityError`.
 
-The two Monte Carlo oracles draw, transform and price their paths in blocks
-of at most ``_MC_BLOCK`` rows, so their memory grows with the path count by
+The two Monte Carlo oracles draw and price their paths in blocks of at most
+``_MC_BLOCK`` rows, so their memory grows with the path count by
 ``BYTES_PER_PATH`` bytes a path only (the payoff vector, reduced in place),
-which must fit in physical memory too.
+which must fit in physical memory too. A block is priced step by step over
+the paths still alive: once a path's binary fires it leaves, and its later
+uniforms, drawn all the same, are never turned into shocks.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform array,
@@ -52,10 +54,10 @@ _CHUNK = 2**18
 #: working set of one block weighs more)
 BYTES_PER_STATE = 80
 #: peak bytes per Monte Carlo path: its float64 payoff, which the mean and
-#: stderr reduce in place; 2 * 10**6 mc-disc paths peaked 8.4 bytes per path
-#: (mc 8.5), the blocks' fixed working set of under 1 MiB included
+#: stderr reduce in place; 2 * 10**6 mc paths peaked 9.4 bytes per path
+#: (mc-disc 8.9), the blocks' fixed working set of under 3 MiB included
 BYTES_PER_PATH = 8
-_MC_BLOCK = 2**13
+_MC_BLOCK = 2**15
 _BUCKET_BITS = 12
 
 # Cephes ndtri: exp(-2), sqrt(2 pi) and the coefficients of its rational
@@ -102,35 +104,41 @@ class McResult:
     seed: int
 
 
-def _payoffs_vector(incs: np.ndarray, contract: AutocallableContract) -> np.ndarray:
-    """Discounted payoffs of an (M, T) increment block, one per row: the first
-    binary in the money pays, else a path that crossed the barrier and ends
-    below the strike pays the put, else nothing.
+def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.ndarray) -> None:
+    """Write to ``out`` the discounted payoffs of the paths whose uniforms are
+    the rows of the (M, T) block ``u``: the first binary in the money pays,
+    else a path that crossed the barrier and ends below the strike pays the
+    put, else nothing.
 
-    Works on the contiguous (T, M) transpose, one row per observation date;
-    adding each row onto the next makes the same sequential additions as
-    ``np.cumsum`` along each path.
+    Prices step by step over the live paths: ``increments`` turns the step's
+    uniforms of the live paths (a fresh array it may overwrite) into
+    log-return increments, which are added onto each path's running
+    log-return, the same sequential additions as ``np.cumsum`` along the path
+    (starting from 0.0 changes at most the sign of a zero, which ``exp``
+    ignores). A path whose binary fires leaves the live set.
     """
-    r = incs.T.copy()
-    for t in range(1, len(r)):
-        r[t] += r[t - 1]
-    np.exp(r, out=r)
-    payoff = np.zeros(r.shape[1])
-    alive = np.ones(r.shape[1], dtype=bool)
-    for i, b in enumerate(contract.binaries):
-        trig = alive & (r[b.step - 1] > b.strike)
-        np.putmask(payoff, trig, contract.discounted_payout(i))
-        alive &= ~trig
-    crossed = np.zeros(r.shape[1], dtype=bool)
-    for level in r:
-        crossed |= level < contract.barrier
-    put = np.flatnonzero(alive & crossed & (r[-1] < contract.strike))
-    payoff[put] = (
+    out.fill(0.0)
+    due = {b.step: i for i, b in enumerate(contract.binaries)}
+    live = None  # every row, until a binary fires
+    logret, crossed = 0.0, False
+    for t in range(contract.steps):
+        logret = logret + increments(u[:, t].copy() if live is None else u[:, t][live])
+        level = np.exp(logret)
+        crossed = crossed | (level < contract.barrier)
+        i = due.get(t + 1)
+        if i is not None:
+            fired = level > contract.binaries[i].strike
+            hit, keep = np.flatnonzero(fired), np.flatnonzero(~fired)
+            out[hit if live is None else live[hit]] = contract.discounted_payout(i)
+            live = keep if live is None else live[keep]
+            logret, crossed = logret[keep], crossed[keep]
+    # no binary falls on the last step, so ``level`` is every live path's
+    put = np.flatnonzero(crossed & (level < contract.strike))
+    out[put if live is None else live[put]] = (
         contract.notional
-        * (r[-1, put] - contract.strike)
+        * (level[put] - contract.strike)
         * math.exp(-contract.rate * contract.maturity)
     )
-    return payoff
 
 
 def _mc_result(payoffs: np.ndarray, seed: int) -> McResult:
@@ -144,15 +152,14 @@ def _mc_result(payoffs: np.ndarray, seed: int) -> McResult:
     return McResult(mean=float(mean), stderr=stderr, paths=n, seed=seed)
 
 
-def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, draw_shocks) -> McResult:
+def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments) -> McResult:
     """Price ``paths`` paths in blocks of at most ``_MC_BLOCK`` rows.
 
-    ``draw_shocks(rng, shape)`` turns the next ``shape`` uniforms of the seeded
-    stream into standard shocks, so block after block takes the rows of the
-    one ``(paths, steps)`` uniform array in order. The payoffs fill one
-    vector, which :func:`_mc_result` reduces whole. Raises
-    :class:`CapacityError` before allocating it when the paths, at
-    ``BYTES_PER_PATH`` bytes each, do not fit in physical memory.
+    Block after block draws the next rows of the one ``(paths, steps)``
+    uniform array from the seeded stream and writes their payoffs
+    (:func:`_payoffs`) into one vector, which :func:`_mc_result` reduces
+    whole. Raises :class:`CapacityError` before allocating it when the paths,
+    at ``BYTES_PER_PATH`` bytes each, do not fit in physical memory.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
@@ -163,16 +170,18 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, draw_shock
             f"the {memory} bytes of physical memory (reduce estimation.paths)"
         )
     rng = np.random.default_rng(seed)
-    drift = contract.mu * contract.dt
-    scale = contract.sigma * math.sqrt(contract.dt)
     payoffs = np.empty(paths)
     for start in range(0, paths, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, paths)
-        incs = draw_shocks(rng, (stop - start, contract.steps))
-        incs *= scale
-        incs += drift
-        payoffs[start:stop] = _payoffs_vector(incs, contract)
+        u = rng.random((stop - start, contract.steps))
+        _payoffs(u, contract, increments, payoffs[start:stop])
     return _mc_result(payoffs, seed)
+
+
+def _grid_increments(contract: AutocallableContract, grid: GaussianGridSpec) -> np.ndarray:
+    """The log-return increment of each grid shock: one table, so ``mc-disc``
+    and ``cf-disc`` classify grid paths on the same floats."""
+    return contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
 
 
 def _rational(x: np.ndarray, p, q) -> np.ndarray:
@@ -226,25 +235,27 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
 
 def mc_price(contract: AutocallableContract, paths: int, seed: int) -> McResult:
     """Plain Monte Carlo with continuous standard normal shocks."""
+    drift = contract.mu * contract.dt
+    scale = contract.sigma * math.sqrt(contract.dt)
 
-    def normal_shocks(rng: np.random.Generator, shape) -> np.ndarray:
-        u = rng.random(shape)
+    def normal_increments(u: np.ndarray) -> np.ndarray:
         # keep ndtri finite at the (measure-zero) edge draws
         np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-        return _ndtri(u)
+        z = _ndtri(u)
+        z *= scale
+        z += drift
+        return z
 
-    return _mc_blocks(contract, paths, seed, normal_shocks)
+    return _mc_blocks(contract, paths, seed, normal_increments)
 
 
 def mc_price_discretized(
     contract: AutocallableContract, grid: GaussianGridSpec, paths: int, seed: int
 ) -> McResult:
     """Monte Carlo whose shocks are drawn from the discretized Gaussian grid."""
-    points = grid.points()
+    incs = _grid_increments(contract, grid)
     inverse_cdf = _grid_inverse_cdf(grid)
-    return _mc_blocks(
-        contract, paths, seed, lambda rng, shape: points[inverse_cdf(rng.random(shape))]
-    )
+    return _mc_blocks(contract, paths, seed, lambda u: incs[inverse_cdf(u)])
 
 
 def _grid_inverse_cdf(grid: GaussianGridSpec):
@@ -365,11 +376,11 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     A forward recursion over ``(log-return, crossed)`` states (see
     :func:`_forward`). Each state's log-return is built by the same
     sequential float additions as ``np.cumsum`` over the path, so every path
-    is classified exactly as :func:`_payoffs_vector` classifies it; only the
+    is classified exactly as :func:`_payoffs` classifies it; only the
     order in which the weighted payoffs are summed differs.
     """
     probs = grid.probabilities()
-    shocks = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
+    shocks = _grid_increments(contract, grid)
     strikes = [b.strike for b in contract.binaries]
     fired, states = _forward(contract, shocks, probs, np.exp, contract.barrier, strikes)
     value = sum(contract.discounted_payout(i) * m for i, m in enumerate(fired))
@@ -394,8 +405,9 @@ def closed_form_quantized(
     distinct put-active terminal code.
     """
     model = QuantizedModel(contract, grid, fmt)
-    probs = grid.probabilities()
-    shocks = model.inc_codes
+    # grid shocks that quantize to the same code are one shock of their summed mass
+    shocks, code_of = np.unique(model.inc_codes, return_inverse=True)
+    probs = np.bincount(code_of, weights=grid.probabilities())
     fired, states = _forward(
         contract, shocks, probs, _identity, model.barrier_code, model.strike_codes
     )

@@ -103,6 +103,35 @@ def small_contracts(draw):
     )
 
 
+@st.composite
+def mc_contracts(draw):
+    """Contracts of 1 to 6 steps with no binaries, some, or one on every step
+    before the last, and sigma = 0 among the volatilities."""
+    steps = draw(st.integers(1, 6))
+    before_last = list(range(1, steps))
+    binary_steps = draw(st.one_of(
+        st.just([]),
+        st.just(before_last),
+        st.lists(st.sampled_from(before_last), unique=True).map(sorted),
+    )) if before_last else []
+    binaries = tuple(
+        BinaryOption(step, math.exp(draw(st.floats(-0.3, 0.4))), draw(st.floats(0.5, 5.0)))
+        for step in binary_steps
+    )
+    log_strike = draw(st.floats(-0.2, 0.2))
+    return AutocallableContract(
+        notional=draw(st.floats(1.0, 20.0)),
+        dt=draw(st.sampled_from([0.5, 1.0])),
+        steps=steps,
+        mu=draw(st.floats(-0.2, 0.2)),
+        sigma=draw(st.one_of(st.just(0.0), st.floats(0.05, 0.5))),
+        rate=draw(st.floats(0.0, 0.05)),
+        barrier=math.exp(log_strike - draw(st.floats(0.05, 0.6))),
+        strike=math.exp(log_strike),
+        binaries=binaries,
+    )
+
+
 class TestPathPayoff:
     def test_first_binary_pays_and_terminates(self, table2):
         # r_1 = 1.2 > 1.1: pays the first binary discounted one year
@@ -226,20 +255,62 @@ class TestNdtri:
         ]))
 
 
+# path counts within one block, at 2**13 +- 1, and across block edges
+PATH_COUNTS = [1, 2, 2**13 - 1, 2**13, 2**13 + 1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 10**5]
+
+
 class TestBlockedMonteCarlo:
     """The blocked oracles against the whole-block ones in ``mc_reference``."""
 
-    @pytest.mark.parametrize("paths", [1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 10**5])
+    @pytest.mark.parametrize("paths", PATH_COUNTS)
     def test_plain_matches_whole_block(self, table2, paths):
         assert mc_price(table2, paths, seed=5) == mc_reference.mc_price(table2, paths, 5)
 
     @pytest.mark.parametrize("k", [1, 2, 7])
-    @pytest.mark.parametrize("paths", [1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 10**5])
+    @pytest.mark.parametrize("paths", PATH_COUNTS)
     def test_discretized_matches_whole_block(self, table2, k, paths):
         grid = GaussianGridSpec(k=k, s_min=3.0)
         assert mc_price_discretized(table2, grid, paths, 5) == mc_reference.mc_price_discretized(
             table2, grid, paths, 5
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        contract=mc_contracts(),
+        paths=st.sampled_from([_MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1]),
+        k=st.sampled_from([1, 3, 7]),
+        seed=st.integers(0, 2**31),
+    )
+    # every path autocalls at step 1, so the live set empties before the put
+    @example(
+        contract=AutocallableContract(
+            notional=18.0, dt=1.0, steps=3, mu=0.1274, sigma=0.2382, rate=0.04,
+            barrier=0.7, strike=1.0,
+            binaries=(BinaryOption(1, 1e-6, 2.0), BinaryOption(2, 1.1, 5.0)),
+        ),
+        paths=_MC_BLOCK + 1, k=3, seed=0,
+    )
+    def test_step_wise_matches_whole_block(self, contract, paths, k, seed):
+        assert mc_price(contract, paths, seed) == mc_reference.mc_price(contract, paths, seed)
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        assert mc_price_discretized(contract, grid, paths, seed) == (
+            mc_reference.mc_price_discretized(contract, grid, paths, seed)
+        )
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 4095, 2**15 + 1])
+    def test_transforms_do_not_depend_on_array_position(self, size):
+        # the live paths are a subset of the block: each uniform must map to
+        # the same bits wherever it sits in the array the transform sees
+        rng = np.random.default_rng(size)
+        u = rng.random(2**16)
+        u[::3] **= 40  # far lower tail
+        u[1::3] = 1.0 - u[1::3] ** 40  # far upper tail
+        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+        idx = rng.choice(len(u), size, replace=False)
+        whole = _ndtri(u.copy())[idx]
+        np.testing.assert_array_equal(_ndtri(u[idx].copy()).view(np.int64), whole.view(np.int64))
+        inverse_cdf = _grid_inverse_cdf(GaussianGridSpec(k=7, s_min=3.0))
+        np.testing.assert_array_equal(inverse_cdf(u[idx].copy()), inverse_cdf(u.copy())[idx])
 
     def test_pinned_results(self, table2):
         # recorded from the whole-block oracles these replaced
@@ -275,7 +346,7 @@ class TestBlockedMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20  # peaks of 9.4 (mc) and 8.4 MiB (mc-disc) plus 2.6 MiB
+        assert peak < 12 * 2**20  # peaks of 10.3 (mc) and 9.4 MiB (mc-disc) plus 1.7 MiB
 
 
 class TestClosedForms:
