@@ -58,7 +58,7 @@ from .resources import (
     solve_truncation,
 )
 from .simulator import (
-    Classical,
+    Add,
     Condition,
     PhaseOracle,
     QubitRegister,

@@ -31,7 +31,7 @@ from .loading import (
 )
 from .simulator import (
     MAX_QUBITS,
-    Classical,
+    Add,
     Condition,
     PrimitiveOp,
     QubitRegister,
@@ -314,49 +314,38 @@ def plan_layout(model: QuantizedModel) -> RegisterLayout:
 # -- per-stage circuit builders (shared by tests and the assembler) ----------
 
 
-def accumulate_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Classical:
+def accumulate_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Add:
     """acc += increment(g_t), in place, mod 2**m."""
-    k = model.grid.k
-    m = model.fmt.width
-    vals = np.arange(2 ** (k + m), dtype=np.int64)
-    g = vals & (2**k - 1)
-    acc = vals >> k
-    new_acc = (acc + model.inc_codes[g]) % (2**m)
-    table = g | (new_acc << k)
-    return Classical(
-        layout.gaussians[t - 1].qubits + layout.accumulator.qubits,
-        table,
+    codes = model.inc_codes
+    return Add(
+        layout.accumulator.qubits,
+        layout.gaussians[t - 1].qubits,
+        lambda g: codes[g],
         name=f"accumulate[{t}]",
     )
 
 
-def barrier_flag_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Classical:
+def barrier_flag_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Add:
     """c_t ^= (l_t < quantize(ln b)), strict."""
-    m = model.fmt.width
-    vals = np.arange(2 ** (m + 1), dtype=np.int64)
-    acc = model.fmt.to_signed(vals & (2**m - 1))
-    flip = (acc < model.barrier_code).astype(np.int64)
-    table = vals ^ (flip << m)
-    return Classical(
-        layout.accumulator.qubits + (layout.barrier_flags.qubit(t - 1),),
-        table,
+    fmt, code = model.fmt, model.barrier_code
+    return Add(
+        (layout.barrier_flags.qubit(t - 1),),
+        layout.accumulator.qubits,
+        lambda acc: (fmt.to_signed(acc) < code).astype(np.int64),
         name=f"barrier[{t}]",
     )
 
 
-def binary_flag_op(model: QuantizedModel, layout: RegisterLayout, i: int) -> Classical:
+def binary_flag_op(model: QuantizedModel, layout: RegisterLayout, i: int) -> Add:
     """b_i ^= (l > quantize(ln k_i)) and no earlier binary fired."""
-    m = model.fmt.width
-    bits = m + i + 1
-    vals = np.arange(2**bits, dtype=np.int64)
-    acc = model.fmt.to_signed(vals & (2**m - 1))
-    earlier = (vals >> m) & (2**i - 1) if i else np.zeros_like(vals)
-    flip = ((acc > model.strike_codes[i]) & (earlier == 0)).astype(np.int64)
-    table = vals ^ (flip << (m + i))
-    qubits = layout.accumulator.qubits + tuple(
-        layout.binary_flags.qubit(h) for h in range(i + 1)
-    )
-    return Classical(qubits, table, name=f"binary[{i}]")
+    fmt, code = model.fmt, model.strike_codes[i]
+    m = fmt.width
+
+    def fires(v):  # v: accumulator, then the earlier binary flags
+        return ((fmt.to_signed(v & (2**m - 1)) > code) & ((v >> m) == 0)).astype(np.int64)
+
+    source = layout.accumulator.qubits + tuple(layout.binary_flags.qubit(h) for h in range(i))
+    return Add((layout.binary_flags.qubit(i),), source, fires, name=f"binary[{i}]")
 
 
 def constant_payoff_ops(
@@ -371,44 +360,38 @@ def constant_payoff_ops(
     ]
 
 
-def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Classical:
+def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
     """flag ^= (no binary fired) and (barrier crossed) and (l_T < quantize(ln K))."""
-    m = model.fmt.width
+    fmt, code = model.fmt, model.put_strike_code
+    m = fmt.width
     T = model.contract.steps
-    j = len(model.contract.binaries)
-    bits = m + T + j + 1
-    vals = np.arange(2**bits, dtype=np.int64)
-    acc = model.fmt.to_signed(vals & (2**m - 1))
-    crossed = ((vals >> m) & (2**T - 1)) != 0
-    binaries_clear = ((vals >> (m + T)) & (2**j - 1)) == 0 if j else np.ones_like(vals, bool)
-    flip = (binaries_clear & crossed & (acc < model.put_strike_code)).astype(np.int64)
-    table = vals ^ (flip << (m + T + j))
-    qubits = (
+
+    def active(v):  # v: accumulator, then the barrier flags, then the binary flags
+        below = fmt.to_signed(v & (2**m - 1)) < code
+        crossed = ((v >> m) & (2**T - 1)) != 0
+        return (below & crossed & ((v >> (m + T)) == 0)).astype(np.int64)
+
+    source = (
         layout.accumulator.qubits
         + layout.barrier_flags.qubits
         + (layout.binary_flags.qubits if layout.binary_flags else ())
-        + (layout.put_flag,)
     )
-    return Classical(qubits, table, name="put_flag")
+    return Add((layout.put_flag,), source, active, name="put_flag")
 
 
-def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Classical:
+def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
     """Controlled integration comparator: target ^= flag and (r <= l_T - l_min - 1)."""
+    fmt, l_min = model.fmt, model.l_min_code
     n = model.exp_width
-    m = model.fmt.width
-    bits = n + m + 2
-    vals = np.arange(2**bits, dtype=np.int64)
-    r = vals & (2**n - 1)
-    acc = model.fmt.to_signed((vals >> n) & (2**m - 1))
-    flag = (vals >> (n + m)) & 1
-    flip = ((flag == 1) & (r <= acc - model.l_min_code - 1)).astype(np.int64)
-    table = vals ^ (flip << (n + m + 1))
-    qubits = (
-        layout.exponential.qubits
-        + layout.accumulator.qubits
-        + (layout.put_flag, layout.payoff_target)
-    )
-    return Classical(qubits, table, name="put_compare")
+    m = fmt.width
+
+    def below(v):  # v: exponential register, then the accumulator, then the put flag
+        r = v & (2**n - 1)
+        acc = fmt.to_signed((v >> n) & (2**m - 1))
+        return (((v >> (n + m)) == 1) & (r <= acc - l_min - 1)).astype(np.int64)
+
+    source = layout.exponential.qubits + layout.accumulator.qubits + (layout.put_flag,)
+    return Add((layout.payoff_target,), source, below, name="put_compare")
 
 
 def put_scale_op(model: QuantizedModel, layout: RegisterLayout) -> Ry:
@@ -439,8 +422,10 @@ class PricingCircuit:
     model: QuantizedModel
 
 
-#: peak bytes per stored entry, temporaries included: Table-2 at (p, k) = (4, 4)
-#: peaked 138 bytes per entry with its state at the 2**19 bound in a Grover step
+#: peak bytes per stored entry, temporaries included: traced with tracemalloc
+#: op by op along A and a Grover step, Table-2 at (p, k) = (6, 3) and (4, 4)
+#: (the latter at its 2**19 bound) peaked 109.4 bytes per entry in ``Ry``,
+#: 72.0 in ``Add``
 BYTES_PER_ENTRY = 144
 
 
@@ -450,33 +435,25 @@ def physical_memory() -> int:
 
 
 def _check_capacity(layout: RegisterLayout) -> None:
-    """Raise :class:`CapacityError` unless the largest stored array fits in
-    physical memory: the state, whose support stays within ``2**(kT + w + 2)``
-    (only the Gaussian and exponential registers, payoff target and scale
-    qubit are in superposition), or a classical table. Runs apply only A; the
-    bound also holds along the Grover iterate, which is where the tests check
-    it (:func:`~.estimation.build_grover`).
+    """Raise :class:`CapacityError` unless the state fits in physical memory.
+    Its support stays within ``2**(kT + w + 2)``: only the Gaussian and
+    exponential registers, payoff target and scale qubit are in superposition,
+    and every kernel's arrays follow the support. Runs apply only A; the bound
+    also holds along the Grover iterate, which is where the tests check it
+    (:func:`~.estimation.build_grover`).
     """
     if layout.num_qubits > MAX_QUBITS:
         raise CapacityError(
             f"pricing circuit needs {layout.num_qubits} qubits, more than the "
             f"{MAX_QUBITS} that int64 basis indices hold ({layout.describe()}); reduce k or p"
         )
-    m = layout.accumulator.width
-    j = layout.binary_flags.width if layout.binary_flags else 0
     w = layout.exponential.width if layout.exponential else 0
-    # accumulate, barrier flag, then the binary flag, put flag and comparator
-    table_bits = [layout.gaussians[0].width + m, m + 1, m + j]
-    if layout.put_flag is not None:
-        table_bits.append(m + layout.barrier_flags.width + j + 1)
-    if w:
-        table_bits.append(w + m + 2)
-    bits = max(len(layout.gaussians) * layout.gaussians[0].width + w + 2, *table_bits)
+    bits = len(layout.gaussians) * layout.gaussians[0].width + w + 2
     memory = physical_memory()
     if 2**bits * BYTES_PER_ENTRY > memory:
         raise CapacityError(
-            f"pricing circuit stores up to 2**{bits} = {2**bits} entries (state support "
-            f"or classical table), {BYTES_PER_ENTRY} bytes each, more than the {memory} "
+            f"pricing circuit stores up to 2**{bits} = {2**bits} entries (its state "
+            f"support bound), {BYTES_PER_ENTRY} bytes each, more than the {memory} "
             f"bytes of physical memory ({layout.describe()}); reduce k or p"
         )
 
@@ -488,8 +465,8 @@ def build_pricing_circuit(
 ) -> PricingCircuit:
     """Assemble the full pricing circuit; see the module docstring for the
     pipeline. The good state is the conjunction (target=1 and scale=1).
-    Raises :class:`CapacityError`, before any table is built, when the
-    circuit's state or tables cannot fit (:func:`_check_capacity`)."""
+    Raises :class:`CapacityError`, before any op is built, when the
+    circuit's state cannot fit (:func:`_check_capacity`)."""
     model = QuantizedModel(contract, grid, fmt)
     layout = plan_layout(model)
     _check_capacity(layout)

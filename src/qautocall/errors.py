@@ -6,13 +6,13 @@ class QAutocallError(Exception):
 
 
 class CapacityError(QAutocallError):
-    """A grid's points, a pricing circuit's support bound or widest classical
-    table (in stored entries), or the states a closed form keeps in one step
-    do not fit in physical memory."""
+    """A grid's points, a pricing circuit's support bound (in stored entries),
+    or the states a closed form keeps in one step do not fit in physical
+    memory."""
 
 
 class StructuralError(QAutocallError):
-    """An operation is malformed (overlapping qubits, width mismatch, non-bijective map)."""
+    """An operation is malformed (overlapping qubits, width mismatch, empty target)."""
 
 
 class PreconditionError(QAutocallError):

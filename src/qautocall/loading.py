@@ -3,9 +3,9 @@ and the closed form of the comparator-based integration that accumulates a
 loaded exponential into a target-qubit amplitude.
 
 Every preparation is a pure circuit builder that returns a list of the four
-primitive op kinds (``Ry``, ``X``, ``PhaseOracle``, ``Classical``) for a
-register in its ground state; nothing here touches a statevector. The
-integration comparator itself is built with the pricing circuit
+primitive op kinds (``Ry``, ``X``, ``PhaseOracle``, ``Add``) for a register in
+its ground state; nothing here touches a statevector. The integration
+comparator itself is built with the pricing circuit
 (:func:`~.circuit.put_comparator_op`); :func:`integration_amplitude` is the
 amplitude it loads.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalError, StructuralError
-from .simulator import Classical, PhaseOracle, PrimitiveOp, QubitRegister, Ry, invert
+from .simulator import Add, PhaseOracle, PrimitiveOp, QubitRegister, Ry, invert
 
 #: peak bytes per grid point while a method builds its grid arrays: cf-quant
 #: and mc-disc peaked 32.0 at k = 20 and 22 (a grid array held while the
@@ -181,10 +181,8 @@ def amplification_phase(share: float, rounds: int) -> float:
     return best
 
 
-def _add_constant_op(reg: QubitRegister, c: int) -> Classical:
-    size = 2**reg.width
-    table = (np.arange(size, dtype=np.int64) + c) % size
-    return Classical(reg.qubits, table, name=f"add_{c}")
+def _add_constant_op(reg: QubitRegister, c: int) -> Add:
+    return Add(reg.qubits, (), lambda _: c, name=f"add_{c}")
 
 
 def partial_exponential_prep_ops(

@@ -9,15 +9,16 @@ state, not with ``2**n`` (see :class:`Statevector`). Its kernels compute the
 same amplitudes as a dense simulation, bit for bit.
 
 Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
-:class:`X` (optionally controlled), :class:`PhaseOracle` and
-:class:`Classical`. Amplitude loading is not a primitive: :func:`injection_ops`
-expands it into ``Ry`` rotations when the circuit is built. No op checks the
-state it is applied to: a circuit is a list of ops built ahead of time and run
-only on a fresh :func:`allocate` state with :meth:`Statevector.apply_all`.
-No op stores anything of size ``2**n``: a :class:`PhaseOracle` lists the
-values it marks and a :class:`Classical` table spans only its own qubits, so
-nothing here limits the qubit count below the 62 that int64 indices hold.
-How much a circuit may store is decided where it is built
+:class:`X` (optionally controlled), :class:`PhaseOracle` and the register
+arithmetic :class:`Add`. Amplitude loading is not a primitive:
+:func:`injection_ops` expands it into ``Ry`` rotations when the circuit is
+built. No op checks the state it is applied to: a circuit is a list of ops
+built ahead of time and run only on a fresh :func:`allocate` state with
+:meth:`Statevector.apply_all`. No op stores anything of size ``2**n``: a
+:class:`PhaseOracle` lists the values it marks and an :class:`Add` computes
+its sums on the listed entries, so every kernel's memory follows the state's
+support and nothing here limits the qubit count below the 62 that int64
+indices hold. How much a circuit may store is decided where it is built
 (:func:`~.circuit.build_pricing_circuit`), from the support it can reach.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
@@ -144,44 +145,41 @@ class PhaseOracle:
         return f"PhaseOracle(qubits={self.qubits}, phase={self.phase})"
 
 
-class Classical:
-    """Reversible classical function: permute basis values of a qubit tuple.
+class Add:
+    """Register arithmetic: ``target += f(value on source) mod 2**len(target)``.
 
-    The permutation table is checked exhaustively on construction (every table
-    we build fits in memory, so the check is total rather than sampled).
-    Simulated as an index permutation; its gate-level cost is accounted in the
-    resource model, not here.
+    ``f`` maps an int64 array of source values (LSB-first over ``source``) to
+    the int64 amounts to add; with no source it sees zeros and adds a
+    constant. On a one-qubit target it XORs a flag with ``f``'s low bit. The
+    op is a bijection by construction, because the target is not empty and
+    shares no qubit with the source; its inverse adds ``-f``, so ``f`` returns
+    int64, not bool. Simulated on each listed entry's register values; its
+    gate-level cost is accounted in the resource model, not here.
     """
 
-    __slots__ = ("qubits", "table", "name", "_inverse_table")
+    __slots__ = ("target", "source", "f", "name")
 
-    def __init__(self, qubits: Sequence[int], table: np.ndarray | Sequence[int], name: str = ""):
-        self.qubits = tuple(int(q) for q in qubits)
-        if len(set(self.qubits)) != len(self.qubits):
-            raise StructuralError("classical op qubits must be distinct")
-        table = np.asarray(table, dtype=np.int64)
-        size = 2 ** len(self.qubits)
-        if table.shape != (size,):
-            raise StructuralError(f"table must have shape ({size},), got {table.shape}")
-        counts = np.bincount(table, minlength=size) if table.min() >= 0 and table.max() < size else None
-        if counts is None or not (counts == 1).all():
-            raise StructuralError(f"classical op {name or '<anon>'} is not a bijection on [0, {size})")
-        self.table = table
+    def __init__(self, target: Sequence[int], source: Sequence[int], f, name: str = ""):
+        self.target = tuple(int(q) for q in target)
+        self.source = tuple(int(q) for q in source)
+        qubits = self.target + self.source
+        if not self.target or len(set(qubits)) != len(qubits):
+            raise StructuralError(
+                f"add {name or '<anon>'} needs a non-empty target disjoint from its "
+                f"source, got target={self.target}, source={self.source}"
+            )
+        self.f = f
         self.name = name
-        self._inverse_table = None
 
     def inverse_ops(self) -> list["PrimitiveOp"]:
-        if self._inverse_table is None:
-            inv = np.empty_like(self.table)
-            inv[self.table] = np.arange(len(self.table), dtype=np.int64)
-            self._inverse_table = inv
-        return [Classical(self.qubits, self._inverse_table, name=f"{self.name}^-1")]
+        f = self.f
+        return [Add(self.target, self.source, lambda v: -f(v), name=f"{self.name}^-1")]
 
     def __repr__(self):
-        return f"Classical({self.name or hex(id(self))}, qubits={self.qubits})"
+        return f"Add({self.name}, target={self.target}, source={self.source})"
 
 
-PrimitiveOp = Union[Ry, X, PhaseOracle, Classical]
+PrimitiveOp = Union[Ry, X, PhaseOracle, Add]
 
 
 def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> list[Ry]:
@@ -240,8 +238,8 @@ class Statevector:
     a missing partner as 0 and updates the pair with the same floating-point
     operations in the same order as a dense 2x2 update, so every amplitude
     equals the one a dense simulation computes, bit for bit; entries that
-    come out exactly 0 are dropped. :class:`X` and :class:`Classical` rewrite
-    the op's bits of each index and re-sort (they permute basis states, so
+    come out exactly 0 are dropped. :class:`X` and :class:`Add` rewrite the
+    op's bits of each index and re-sort (they permute basis states, so
     indices never collide), and :class:`PhaseOracle` multiplies the entries
     whose value on its qubits is marked. The op's bits are read and written
     one run of consecutive qubits (a register) at a time. Every sort is
@@ -272,9 +270,9 @@ class Statevector:
         elif isinstance(op, PhaseOracle):
             self._check_bounds(op.qubits)
             self._apply_phase(op)
-        elif isinstance(op, Classical):
-            self._check_bounds(op.qubits)
-            self._apply_classical(op)
+        elif isinstance(op, Add):
+            self._check_bounds(op.target + op.source)
+            self._apply_add(op)
         else:
             raise StructuralError(f"unknown primitive op {op!r}")
         return self
@@ -325,11 +323,12 @@ class Statevector:
         marked = np.isin(_gather(self.indices, op.qubits), op.marked)
         self.values[marked] *= complex(math.cos(op.phase), math.sin(op.phase))
 
-    def _apply_classical(self, op: Classical):
-        # value v on the op's qubits moves to table[v]
-        mask = sum(1 << q for q in op.qubits)
-        moved = _scatter(op.table[_gather(self.indices, op.qubits)], op.qubits)
-        self._reorder((self.indices & ~mask) | moved)
+    def _apply_add(self, op: Add):
+        # _scatter keeps the sum's low bits: the sum mod 2**m, negative sums included
+        target = _gather(self.indices, op.target)
+        target += op.f(_gather(self.indices, op.source))
+        mask = sum(1 << q for q in op.target)
+        self._reorder((self.indices & ~mask) | _scatter(target, op.target))
 
     def _reorder(self, indices: np.ndarray):
         order = np.argsort(indices, kind="stable")
@@ -374,7 +373,8 @@ def _gather(indices: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
 
 
 def _scatter(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`_gather`: each value's bits placed on ``qubits``."""
+    """Inverse of :func:`_gather`: each value's bits placed on ``qubits``;
+    bits above ``len(qubits)`` are dropped (two's complement for negatives)."""
     out = np.zeros_like(values)
     for q, j, n in _runs(qubits):
         part = values >> j

@@ -22,11 +22,14 @@ from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import (
     ExponentialPrepSpec,
     GaussianGridSpec,
+    _add_constant_op,
     integration_amplitude,
     partial_exponential_prep_ops,
 )
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
-from qautocall.simulator import Condition, QubitRegister, X, allocate, invert, probability
+from qautocall.simulator import (
+    Add, Condition, QubitRegister, X, allocate, invert, probability,
+)
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
 GRID2 = GaussianGridSpec(k=2, s_min=3.0)
@@ -209,21 +212,22 @@ class TestCircuitAgainstOracle:
         assert probability(state, Condition(((b1, 1),))) == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_error_reports_register_breakdown(self, table2, fake_memory):
-        # (p, k) = (4, 2): the put comparator's table, 2**14 values, is the
-        # largest array; the support bound is 2**13
+        # (p, k) = (4, 2): the support bound 2**(2*3 + 5 + 2) = 2**13 is the
+        # largest array; no op stores more than the state, so the put
+        # comparator's 14 qubits do not count
         grid = GaussianGridSpec(k=2, s_min=3.0)
         fmt = fit_format(table2, grid, 4)
-        fake_memory(BYTES_PER_ENTRY * 2**14)
+        fake_memory(BYTES_PER_ENTRY * 2**13)
         build_pricing_circuit(table2, grid, fmt)
-        fake_memory(BYTES_PER_ENTRY * 2**14 - 4096)
+        fake_memory(BYTES_PER_ENTRY * 2**13 - 4096)
         with pytest.raises(CapacityError) as err:
             build_pricing_circuit(table2, grid, fmt)
         message = str(err.value)
         assert "accumulator" in message and "gaussians" in message
-        assert "2**14 = 16384 entries" in message and "total: 26" in message
+        assert "2**13 = 8192 entries" in message and "total: 26" in message
 
     def test_capacity_error_counts_the_support_bound(self, table2, fake_memory):
-        # (p, k) = (1, 3): the support bound 2**(3*3 + 1 + 2) exceeds every table
+        # (p, k) = (1, 3): the support bound 2**(3*3 + 1 + 2)
         grid = GaussianGridSpec(k=3, s_min=3.0)
         fmt = fit_format(table2, grid, 1)
         fake_memory(BYTES_PER_ENTRY * 2**12)
@@ -300,6 +304,131 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
                 state.apply(X(layout.put_flag))
             state.apply(compare)
             assert probability(state, target) == pytest.approx(flag * want, abs=1e-12)
+
+
+# -- each Add against the 2**bits permutation table it replaced ---------------
+#
+# Test-local copies of the table builders the circuit used before its
+# arithmetic became Add ops: each returns its qubits (source, then target) and
+# the table sending a value on them to its image.
+
+
+def _accumulate_table(model, layout, t):
+    k, m = model.grid.k, model.fmt.width
+    vals = np.arange(2 ** (k + m), dtype=np.int64)
+    g = vals & (2**k - 1)
+    new_acc = ((vals >> k) + model.inc_codes[g]) % (2**m)
+    return layout.gaussians[t - 1].qubits + layout.accumulator.qubits, g | (new_acc << k)
+
+
+def _barrier_table(model, layout, t):
+    m = model.fmt.width
+    vals = np.arange(2 ** (m + 1), dtype=np.int64)
+    acc = model.fmt.to_signed(vals & (2**m - 1))
+    flip = (acc < model.barrier_code).astype(np.int64)
+    return layout.accumulator.qubits + (layout.barrier_flags.qubit(t - 1),), vals ^ (flip << m)
+
+
+def _binary_table(model, layout, i):
+    m = model.fmt.width
+    vals = np.arange(2 ** (m + i + 1), dtype=np.int64)
+    acc = model.fmt.to_signed(vals & (2**m - 1))
+    earlier = (vals >> m) & (2**i - 1) if i else np.zeros_like(vals)
+    flip = ((acc > model.strike_codes[i]) & (earlier == 0)).astype(np.int64)
+    qubits = layout.accumulator.qubits + tuple(layout.binary_flags.qubit(h) for h in range(i + 1))
+    return qubits, vals ^ (flip << (m + i))
+
+
+def _put_flag_table(model, layout):
+    m, T, j = model.fmt.width, model.contract.steps, len(model.contract.binaries)
+    vals = np.arange(2 ** (m + T + j + 1), dtype=np.int64)
+    acc = model.fmt.to_signed(vals & (2**m - 1))
+    crossed = ((vals >> m) & (2**T - 1)) != 0
+    binaries_clear = ((vals >> (m + T)) & (2**j - 1)) == 0 if j else np.ones_like(vals, bool)
+    flip = (binaries_clear & crossed & (acc < model.put_strike_code)).astype(np.int64)
+    qubits = (
+        layout.accumulator.qubits
+        + layout.barrier_flags.qubits
+        + (layout.binary_flags.qubits if layout.binary_flags else ())
+        + (layout.put_flag,)
+    )
+    return qubits, vals ^ (flip << (m + T + j))
+
+
+def _put_compare_table(model, layout):
+    n, m = model.exp_width, model.fmt.width
+    vals = np.arange(2 ** (n + m + 2), dtype=np.int64)
+    r = vals & (2**n - 1)
+    acc = model.fmt.to_signed((vals >> n) & (2**m - 1))
+    flag = (vals >> (n + m)) & 1
+    flip = ((flag == 1) & (r <= acc - model.l_min_code - 1)).astype(np.int64)
+    qubits = layout.exponential.qubits + layout.accumulator.qubits + (
+        layout.put_flag, layout.payoff_target,
+    )
+    return qubits, vals ^ (flip << (n + m + 1))
+
+
+def _add_constant_table(reg, c):
+    size = 2**reg.width
+    return reg.qubits, (np.arange(size, dtype=np.int64) + c) % size
+
+
+def _expand(op):
+    """An Add as a table over its source then target qubits, LSB first."""
+    ns, nt = len(op.source), len(op.target)
+    vals = np.arange(2 ** (ns + nt), dtype=np.int64)
+    source = vals & (2**ns - 1)
+    target = ((vals >> ns) + op.f(source)) & (2**nt - 1)
+    return op.source + op.target, source | (target << ns)
+
+
+def _assert_table(op, want):
+    """``op`` expands to the bijection ``want`` and its inverse undoes it."""
+    qubits, table = _expand(op)
+    assert np.bincount(table, minlength=len(table)).tolist() == [1] * len(table), op
+    assert qubits == want[0], op
+    assert table.tolist() == want[1].tolist(), op
+    (inverse,) = op.inverse_ops()
+    assert _expand(inverse)[1][table].tolist() == list(range(len(table))), op
+
+
+@pytest.mark.parametrize(
+    "contract,p,k",
+    [("table2", 2, 1), ("table2", 3, 1), ("table2", 2, 2), ("table2", 4, 2),
+     ("table2_flat", 2, 1), ("table2_flat", 3, 2)],
+)
+def test_adds_expand_to_the_tables_they_replaced(request, contract, p, k):
+    contract = request.getfixturevalue(contract)
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    model = QuantizedModel(contract, grid, fit_format(contract, grid, p))
+    layout = plan_layout(model)
+    want = {}
+    for t in range(1, contract.steps + 1):
+        want[f"accumulate[{t}]"] = _accumulate_table(model, layout, t)
+        want[f"barrier[{t}]"] = _barrier_table(model, layout, t)
+    for i in range(len(contract.binaries)):
+        want[f"binary[{i}]"] = _binary_table(model, layout, i)
+    if model.put_reachable:
+        want["put_flag"] = _put_flag_table(model, layout)
+    if model.needs_comparator:
+        want["put_compare"] = _put_compare_table(model, layout)
+    pc = build_pricing_circuit(contract, grid, model.fmt)
+    adds = [op for op in pc.ops if isinstance(op, Add)]
+    assert sorted(op.name for op in adds) == sorted(want)
+    for op in adds:
+        _assert_table(op, want[op.name])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_constant_adds_expand_to_the_tables_they_replaced(width):
+    reg = QubitRegister(2, width)
+    for c in range(-(2**width), 2 ** (width + 1)):
+        _assert_table(_add_constant_op(reg, c), _add_constant_table(reg, c))
+    # a power-of-two interval off zero is loaded on the low bits, then shifted
+    half = 2**width // 2
+    spec = ExponentialPrepSpec(width, 0.5, half, 2**width - 1)
+    (shift,) = [op for op in partial_exponential_prep_ops(reg, spec) if isinstance(op, Add)]
+    _assert_table(shift, _add_constant_table(reg, half))
 
 
 def _tie_contract(barrier, strike, binaries=()):

@@ -201,14 +201,19 @@ def test_degenerate_contract_exits_1_with_message(tmp_path, capsys):
 
 
 def test_circuit_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory):
-    # (p, k) = (2, 1): the put flag's table, 2**11 values, is the largest array
-    fake_memory(BYTES_PER_ENTRY * 2**11 - 4096)
+    # (p, k) = (2, 1): the support bound 2**(3 + 3 + 2) is the largest array;
+    # no op stores more than the state, so memory for 2**8 entries suffices
     text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
         "[estimation]\nmethod = quantum-exact\n"
+    fake_memory(BYTES_PER_ENTRY * 2**8)
+    code, out = _run(tmp_path, "price", text)
+    assert code == 0
+    out.unlink()
+    fake_memory(BYTES_PER_ENTRY * 2**8 - 4096)
     code, out = _run(tmp_path, "price", text)
     assert code == 2
     err = capsys.readouterr().err
-    assert "2**11 = 2048 entries" in err and "total: 19" in err
+    assert "2**8 = 256 entries" in err and "total: 19" in err
     assert not out.exists()
 
 
@@ -322,6 +327,19 @@ def test_29_qubit_quantum_exact_matches_cf_quant(tmp_path):
     want = float(rows["cf-quant"]["value"])
     assert float(rows["quantum-exact"]["value"]) == pytest.approx(want, abs=1e-9)
     assert float(rows["quantum-iqae"]["ci_low"]) <= want <= float(rows["quantum-iqae"]["ci_high"])
+
+
+def test_35_qubit_quantum_exact_matches_cf_quant(tmp_path):
+    # Table-2 at (p, k) = (10, 1): 35 qubits and a 2**16-entry support bound,
+    # while the put comparator spans w + m + 2 = 26 qubits: no op may be sized
+    # by 2**(its width)
+    point = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 10\n"
+    values = {}
+    for method in ("quantum-exact", "cf-quant"):
+        code, out = _run(tmp_path, "price", point + f"[estimation]\nmethod = {method}\n")
+        assert code == 0
+        values[method] = float(_rows(out)[0]["value"])
+    assert values["quantum-exact"] == pytest.approx(values["cf-quant"], abs=1e-9)
 
 
 def test_quantum_iqae_price_covers_cf_quant(tmp_path):

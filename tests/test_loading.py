@@ -17,7 +17,7 @@ from qautocall.loading import (
     rounds_for_share,
 )
 from qautocall.simulator import (
-    Classical,
+    Add,
     Condition,
     QubitRegister,
     Ry,
@@ -167,10 +167,9 @@ class TestPartialExponential:
 
 def _compare_op(n):
     """target ^= (r <= x), inclusive, over (r, x, target) on qubits 0 .. 2n."""
-    vals = np.arange(2 ** (2 * n + 1), dtype=np.int64)
-    r = vals & (2**n - 1)
-    x = (vals >> n) & (2**n - 1)
-    return Classical(range(2 * n + 1), vals ^ ((r <= x).astype(np.int64) << (2 * n)))
+    return Add(
+        (2 * n,), range(2 * n), lambda v: ((v & (2**n - 1)) <= (v >> n)).astype(np.int64)
+    )
 
 
 class TestIntegrationComparator:

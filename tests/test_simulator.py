@@ -12,7 +12,7 @@ from qautocall.errors import PreconditionError, StructuralError
 from qautocall.loading import GaussianGridSpec
 from qautocall.simulator import (
     MAX_QUBITS,
-    Classical,
+    Add,
     Condition,
     PhaseOracle,
     QubitRegister,
@@ -89,40 +89,45 @@ def test_classical_identity_noop():
     reg = QubitRegister(0, 2)
     state = allocate(3).apply(Ry(0, 0.7)).apply(Ry(2, 1.1))
     before = to_dense(state)
-    state.apply(Classical(reg.qubits, range(4)))
+    state.apply(Add(reg.qubits, (2,), lambda v: 0 * v, name="add_0"))
     assert np.array_equal(to_dense(state), before)
 
 
 def test_classical_increment_register_local():
     reg = QubitRegister(0, 2)
     state = allocate(3)
-    state.apply(Classical(reg.qubits, [(v + 1) % 4 for v in range(4)]))
+    state.apply(Add(reg.qubits, (), lambda _: 1, name="add_1"))
     assert abs(to_dense(state)[0b001]) == pytest.approx(1.0)
 
 
-def test_classical_bit_reversal_involution():
-    reg = QubitRegister(0, 2)
-    rev = [0b00, 0b10, 0b01, 0b11]
-    state = allocate(2).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, controls=((0, 1),)))
+def test_add_on_one_qubit_is_an_involution():
+    # a one-qubit target XORs a flag, so adding 1 or -1 undoes itself
+    flag = Add((2,), (0, 1), lambda v: (v == 3).astype(np.int64), name="and")
+    state = allocate(3).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, controls=((0, 1),)))
     before = to_dense(state)
-    state.apply(Classical(reg.qubits, rev))
-    state.apply(Classical(reg.qubits, rev))
-    assert np.allclose(to_dense(state), before, atol=1e-15)
+    state.apply(flag)
+    assert probability(state, Condition(((2, 1),))) == pytest.approx(abs(before[3]) ** 2)
+    state.apply(flag)
+    assert np.array_equal(to_dense(state), before)
+    state.apply(flag).apply_all(flag.inverse_ops())
+    assert np.array_equal(to_dense(state), before)
 
 
-def test_classical_rejects_non_bijection():
-    with pytest.raises(StructuralError, match="bijection"):
-        Classical((0, 1), [0, 0, 1, 2])
+def test_add_rejects_overlap_and_empty_target():
+    for target, source in [((), (0, 1)), ((0, 1), (1, 2)), ((2, 2), ()), ((0,), (3, 3))]:
+        with pytest.raises(StructuralError, match="non-empty target disjoint"):
+            Add(target, source, lambda v: v)
 
 
-@given(perm=st.permutations(range(8)))
+@given(codes=st.lists(st.integers(-50, 50), min_size=2, max_size=2))
 @settings(max_examples=40, deadline=None)
-def test_classical_preserves_probability_multiset(perm):
+def test_classical_preserves_probability_multiset(codes):
     rng = np.random.default_rng(7)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = from_dense(3, amps / np.linalg.norm(amps))
     before = np.sort(np.abs(to_dense(state)) ** 2)
-    state.apply(Classical((0, 1, 2), list(perm)))
+    codes = np.array(codes, dtype=np.int64)
+    state.apply(Add((0, 2), (1,), lambda v: codes[v]))
     assert np.allclose(np.sort(np.abs(to_dense(state)) ** 2), before, atol=1e-15)
 
 
@@ -192,8 +197,11 @@ def _random_circuit(num_qubits, rng, length=25):
         elif kind == 1:
             ops.append(X(target, controls))
         elif kind == 2:
-            qubits = tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
-            ops.append(Classical(qubits, rng.permutation(4)))
+            qubits = [int(q) for q in rng.permutation(num_qubits)]
+            width = int(rng.integers(1, 3))
+            source = qubits[width : width + int(rng.integers(0, 3))]
+            codes = rng.integers(-5, 6, size=2 ** len(source))
+            ops.append(Add(qubits[:width], source, lambda v, codes=codes: codes[v], "codes"))
         else:
             qubits = tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
             marked = np.flatnonzero(rng.integers(2, size=4))
@@ -245,16 +253,18 @@ def _reference_apply(op, amps):
         elif isinstance(op, PhaseOracle):
             if _value(i, op.qubits) in op.marked:
                 out[i] = amps[i] * complex(math.cos(op.phase), math.sin(op.phase))
-        else:
-            w = int(op.table[_value(i, op.qubits)])
+        else:  # Add: target += f(value on source) mod 2**len(target)
+            add = np.ravel(op.f(np.array([_value(i, op.source)], dtype=np.int64)))[0]
+            w = (_value(i, op.target) + int(add)) % 2 ** len(op.target)
             j = i
-            for k, q in enumerate(op.qubits):
+            for k, q in enumerate(op.target):
                 j = (j & ~(1 << q)) | (((w >> k) & 1) << q)
             out[j] = amps[i]
     return out
 
 
 _MARKED = np.flatnonzero(np.random.default_rng(3).integers(2, size=16))
+_CODES = np.random.default_rng(4).integers(-20, 20, size=4)
 
 
 @pytest.mark.parametrize(
@@ -267,8 +277,9 @@ _MARKED = np.flatnonzero(np.random.default_rng(3).integers(2, size=16))
         PhaseOracle((3, 0, 2), _MARKED[_MARKED < 8], 0.9),
         PhaseOracle((2, 4, 1, 0), _MARKED, math.pi),
         PhaseOracle((4, 0, 3, 1, 2), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
-        Classical((3, 0, 2), np.random.default_rng(4).permutation(8), name="perm8"),
-        Classical((2, 4, 1, 0), np.random.default_rng(5).permutation(16), name="perm16"),
+        Add((4, 2, 0), (1, 3), lambda v: _CODES[v], name="codes"),
+        Add((3,), (4, 0, 1), lambda v: (v % 3 == 1).astype(np.int64), name="flag"),
+        Add((1, 4, 0, 3), (), lambda _: -5, name="add_-5"),
     ],
     ids=repr,
 )
@@ -342,6 +353,9 @@ def test_gather_and_scatter_match_their_per_qubit_definition():
         want = _scatter_per_qubit(values, qubits)
         assert (simulator._scatter(values, qubits) == want).all(), qubits
         assert (simulator._gather(want, qubits) == values).all(), qubits
+        # bits above len(qubits) are dropped, so Add's sums land mod 2**len(qubits)
+        for wide in (indices, -indices):
+            assert (simulator._scatter(wide, qubits) == _scatter_per_qubit(wide, qubits)).all()
     assert simulator._gather(indices, ()).tolist() == [0] * len(indices)
 
 
