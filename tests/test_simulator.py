@@ -279,7 +279,7 @@ _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
         PhaseOracle((4, 0, 3, 1, 2), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
         Add((4, 2, 0), (1, 3), lambda v: _CODES[v], name="codes"),
         Add((3,), (4, 0, 1), lambda v: (v % 3 == 1).astype(np.int64), name="flag"),
-        Add((1, 4, 0, 3), (), lambda _: -5, name="add_-5"),
+        Add((1, 4, 0, 3), (), lambda _: -5, name="neg5"),
     ],
     ids=repr,
 )
