@@ -3,14 +3,15 @@ Carlo, an exact expectation over all grid paths, and the same expectation
 under the circuit's quantized semantics.
 
 The two exact expectations never enumerate paths. A path's payoff depends on
-it only through a Markov state: its running log-return (a float, or the
-accumulator's int64 code), whether the barrier has been crossed, and whether
-a binary has fired. Both run a forward recursion over the distinct
-``(value, crossed)`` states and their probability mass, expanding them by
-every grid shock in blocks of at most ``_CHUNK`` (state, shock) pairs. The
-one limit is the states a step keeps: at ``BYTES_PER_STATE`` bytes each they
-must fit in physical memory, the same :func:`~qautocall.circuit.physical_memory`
-that sizes the pricing circuit, or the run raises :class:`CapacityError`.
+it only through a Markov state: an int64 key for its running log-return (the
+sum of its grid indices, or the accumulator's code), whether the barrier has
+been crossed, and whether a binary has fired. Both run one forward recursion
+(:func:`_recursion`) over the distinct ``(key, crossed)`` states and their
+probability mass, expanding them by every grid shock in blocks of at most
+``_CHUNK`` (state, shock) pairs. The one limit is the states a step keeps: at
+``BYTES_PER_STATE`` bytes each they must fit in physical memory, the same
+:func:`~qautocall.circuit.physical_memory` that sizes the pricing circuit, or
+the run raises :class:`CapacityError`.
 
 The two Monte Carlo oracles draw and price their paths in blocks of at most
 ``_MC_BLOCK`` rows, so their memory grows with the path count by
@@ -37,6 +38,7 @@ logarithm and matches scipy bit for bit; in the tails numpy's vectorized
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -48,10 +50,10 @@ from .errors import CapacityError
 from .loading import GaussianGridSpec
 
 _CHUNK = 2**18
-#: peak bytes per state a step keeps, temporaries of its last merge included:
-#: cf-disc on the 20-step Table-2 contract peaked 63 bytes per kept state at
-#: k = 8 (9.2 million states) and 72 at k = 7 (0.95 million, where the ~12 MiB
-#: working set of one block weighs more)
+#: peak bytes per state a step counts (every block's merged states, held until
+#: their last merge), temporaries included: Table-2 at k = 13 peaked 62-64 per
+#: state at 1.6-9.0 million (both closed forms), cf-disc at k = 12 without
+#: binaries 79 at 0.27 million, where one block's ~14 MiB working set weighs more
 BYTES_PER_STATE = 80
 #: peak bytes per Monte Carlo path: its float64 payoff, which the mean and
 #: stderr reduce in place; 2 * 10**6 mc paths peaked 9.4 bytes per path
@@ -178,12 +180,6 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     return _mc_result(payoffs, seed)
 
 
-def _grid_increments(contract: AutocallableContract, grid: GaussianGridSpec) -> np.ndarray:
-    """The log-return increment of each grid shock: one table, so ``mc-disc``
-    and ``cf-disc`` classify grid paths on the same floats."""
-    return contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
-
-
 def _rational(x: np.ndarray, p, q) -> np.ndarray:
     """``x * polevl(x, p) / p1evl(x, q)`` as Cephes evaluates it: Horner's
     rule from ``p[0]``, and from a leading 1 for ``q``."""
@@ -253,7 +249,7 @@ def mc_price_discretized(
     contract: AutocallableContract, grid: GaussianGridSpec, paths: int, seed: int
 ) -> McResult:
     """Monte Carlo whose shocks are drawn from the discretized Gaussian grid."""
-    incs = _grid_increments(contract, grid)
+    incs = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
     inverse_cdf = _grid_inverse_cdf(grid)
     return _mc_blocks(contract, paths, seed, lambda u: incs[inverse_cdf(u)])
 
@@ -284,28 +280,21 @@ def _grid_inverse_cdf(grid: GaussianGridSpec):
     return inverse_cdf
 
 
-def _identity(values):
-    return values
-
-
-def _successors(states, shocks, probs, observe, barrier):
+def _successors(states, shocks, probs, barrier):
     """Every (state, shock) successor of ``states``, in blocks of at most
     ``_CHUNK`` pairs (at least one block, possibly empty).
 
-    ``states`` is ``(values, crossed, mass)``; each block is ``(values,
-    observed, crossed, mass)`` where ``observed = observe(values)`` is what the
-    contract's thresholds compare with, and ``crossed`` adds the strict
-    ``observed < barrier`` test to the parent state's flag.
+    ``states`` and each block are ``(keys, crossed, mass)``; a block's
+    ``crossed`` adds the strict ``key < barrier`` test to its parent's flag.
     """
-    values, crossed, mass = states
+    keys, crossed, mass = states
     n = len(shocks)
     rows = max(1, _CHUNK // n)
-    for start in range(0, max(len(values), 1), rows):
+    for start in range(0, max(len(keys), 1), rows):
         block = slice(start, start + rows)
-        v = (values[block, None] + shocks).ravel()
-        r = observe(v)
-        c = np.repeat(crossed[block], n) | (r < barrier)
-        yield v, r, c, (mass[block, None] * probs).ravel()
+        v = (keys[block, None] + shocks).ravel()
+        c = np.repeat(crossed[block], n) | (v < barrier)
+        yield v, c, (mass[block, None] * probs).ravel()
 
 
 def _merge(values, crossed, mass):
@@ -322,17 +311,17 @@ def _fold(blocks, leaves):
     """Merge the states each successor block keeps, then merge their
     concatenation: the states the step keeps.
 
-    ``leaves(values, observed, crossed)`` marks the successors whose mass
-    leaves the recursion (None: none leave). Returns the kept ``(values,
-    crossed, mass)`` and each block's lost mass, in block order. Raises
+    ``leaves(keys, crossed)`` marks the successors whose mass leaves the
+    recursion (None: none leave). Returns the kept ``(keys, crossed, mass)``
+    and each block's lost mass, in block order. Raises
     :class:`CapacityError` once the kept states, at ``BYTES_PER_STATE`` bytes
     each, no longer fit in physical memory.
     """
     memory = physical_memory()
     kept, lost, count = [], [], 0
-    for v, r, c, m in blocks:
+    for v, c, m in blocks:
         if leaves is not None:
-            out = leaves(v, r, c)
+            out = leaves(v, c)
             lost.append(float(m[out].sum()))
             v, c, m = v[~out], c[~out], m[~out]
         kept.append(_merge(v, c, m))
@@ -346,49 +335,64 @@ def _fold(blocks, leaves):
     return _merge(*(np.concatenate(part) for part in zip(*kept))), lost
 
 
-def _forward(contract, shocks, probs, observe, barrier, strikes):
-    """Carry the ``(value, crossed)`` states through steps 1 .. T-1.
+def _recursion(contract, shocks, probs, barriers, strikes, put_strike):
+    """Carry the ``(key, crossed)`` states through the contract's steps.
 
-    Starting from value 0 with mass 1, each step adds every grid shock to
-    every state, moves the mass whose observed value is strictly above the
-    due binary's threshold in ``strikes`` out of the recursion, and merges
-    equal states (:func:`_fold`).
-
-    Returns the mass each binary fired with and the ``(values, crossed,
-    mass)`` states alive before the last step, which the caller folds into
-    its expectation block by block.
+    Starting from key 0 with mass 1, step t adds every shock to every state,
+    marks the keys below ``barriers[t - 1]`` crossed, moves the mass whose key
+    is above the due binary's threshold in ``strikes`` out of the recursion
+    and merges equal states (:func:`_fold`); the last step keeps only the
+    put-active states, crossed with key below ``put_strike``. Returns the mass
+    each binary fired with, each last-step block's lost mass and the
+    put-active ``(keys, mass)``.
     """
     due = {b.step: i for i, b in enumerate(contract.binaries)}
     fired = [0.0] * len(contract.binaries)
-    states = (np.zeros(1, dtype=shocks.dtype), np.zeros(1, dtype=bool), np.ones(1))
+    states = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), np.ones(1))
     for step in range(1, contract.steps):
         i = due.get(step)
-        leaves = None if i is None else (lambda v, r, c, strike=strikes[i]: r > strike)
-        states, lost = _fold(_successors(states, shocks, probs, observe, barrier), leaves)
+        leaves = None if i is None else (lambda v, c, strike=strikes[i]: v > strike)
+        states, lost = _fold(_successors(states, shocks, probs, barriers[step - 1]), leaves)
         for m in lost:
             fired[i] += m
-    return fired, states
+    (keys, _, mass), lost = _fold(
+        _successors(states, shocks, probs, barriers[-1]),
+        lambda v, c: ~c | (v >= put_strike),
+    )
+    return fired, lost, (keys, mass)
 
 
 def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSpec) -> float:
     """Exact expectation over all grid paths in real arithmetic.
 
-    A forward recursion over ``(log-return, crossed)`` states (see
-    :func:`_forward`). Each state's log-return is built by the same
-    sequential float additions as ``np.cumsum`` over the path, so every path
-    is classified exactly as :func:`_payoffs` classifies it; only the
-    order in which the weighted payoffs are summed differs.
+    Grid point g is -s_min + g ds, so after t steps a path's log-return is
+    t a + b G, with a = mu dt - sigma sqrt(dt) s_min, b = sigma sqrt(dt) ds
+    and G the sum of its grid indices: the recursion's key. The float
+    ``t * a + b * G`` is non-decreasing in G (b >= 0, and IEEE rounding is
+    monotone), and so is its exp, the level, so bisection over G finds where
+    the level first reaches each threshold. Paths are thus classified on
+    exp(t a + b G), not on the running sums :func:`_payoffs` compares: the
+    two can disagree only on lattice points within a few ulp of a threshold.
     """
-    probs = grid.probabilities()
-    shocks = _grid_increments(contract, grid)
-    strikes = [b.strike for b in contract.binaries]
-    fired, states = _forward(contract, shocks, probs, np.exp, contract.barrier, strikes)
+    probs = grid.probabilities()  # raises CapacityError for an oversized grid
+    scale = contract.sigma * math.sqrt(contract.dt)
+    a = contract.mu * contract.dt - scale * grid.s_min
+    b = scale * grid.ds
+    top = 2**grid.k - 1
+
+    # the first G of step t whose level reaches (bisect_right: exceeds) ``level``
+    def first(t, level, above=bisect.bisect_left):
+        return above(range(t * top + 1), level, key=lambda g: np.exp(t * a + b * g))
+
+    barriers = [first(t, contract.barrier) for t in range(1, contract.steps + 1)]
+    strikes = [first(o.step, o.strike, bisect.bisect_right) - 1 for o in contract.binaries]
+    put_strike = first(contract.steps, contract.strike)
+    fired, _, (keys, mass) = _recursion(
+        contract, np.arange(top + 1), probs, barriers, strikes, put_strike
+    )
     value = sum(contract.discounted_payout(i) * m for i, m in enumerate(fired))
-    discount_T = math.exp(-contract.rate * contract.maturity)
-    for _, r, c, m in _successors(states, shocks, probs, np.exp, contract.barrier):
-        put = c & (r < contract.strike)
-        value += float(m[put] @ (contract.notional * (r[put] - contract.strike) * discount_T))
-    return value
+    put = contract.notional * (np.exp(contract.steps * a + b * keys) - contract.strike)
+    return value + float(mass @ (put * math.exp(-contract.rate * contract.maturity)))
 
 
 def closed_form_quantized(
@@ -398,26 +402,21 @@ def closed_form_quantized(
 
     Reuses :class:`QuantizedModel`: quantized increments and thresholds,
     strict comparators, and the put branch valued through the integration
-    amplitude, then post-processed, exactly as the circuit does. The states
-    of the forward recursion (see :func:`_forward`) are ``(accumulator code,
-    crossed)`` pairs, so paths are classified on the same int64 codes the
-    circuit's accumulator holds. The put level is evaluated once per
-    distinct put-active terminal code.
+    amplitude, then post-processed, exactly as the circuit does. The keys of
+    the recursion (see :func:`_recursion`) are accumulator codes, so paths
+    are classified on the same int64 codes the circuit's accumulator holds.
+    The put level is evaluated once per distinct put-active terminal code.
     """
     model = QuantizedModel(contract, grid, fmt)
     # grid shocks that quantize to the same code are one shock of their summed mass
     shocks, code_of = np.unique(model.inc_codes, return_inverse=True)
     probs = np.bincount(code_of, weights=grid.probabilities())
-    fired, states = _forward(
-        contract, shocks, probs, _identity, model.barrier_code, model.strike_codes
+    barriers = [model.barrier_code] * contract.steps
+    fired, lost, (codes, mass) = _recursion(
+        contract, shocks, probs, barriers, model.strike_codes, model.put_strike_code
     )
     good_mass = sum(level * m for level, m in zip(model.binary_levels, fired))
-    # a terminal state without the put (not crossed, or at or above its
-    # strike) pays the zero level; the put-active ones are merged by code
-    (codes, _, mass), lost = _fold(
-        _successors(states, shocks, probs, _identity, model.barrier_code),
-        lambda v, r, c: ~c | (v >= model.put_strike_code),
-    )
+    # the last step's lost mass ends without the put and pays the zero level
     for m in lost:
         good_mass += model.mapping.zero_level * m
     levels = np.array([model.put_level(int(code)) for code in codes])

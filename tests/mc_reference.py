@@ -12,9 +12,13 @@ from qautocall.oracles import McResult
 
 
 def payoffs(incs, contract):
-    r = np.exp(np.cumsum(incs, axis=1))
-    payoff = np.zeros(len(incs))
-    alive = np.ones(len(incs), dtype=bool)
+    return level_payoffs(np.exp(np.cumsum(incs, axis=1)), contract)
+
+
+def level_payoffs(r, contract):
+    """Discounted payoffs of the paths whose levels after each step are the rows of ``r``."""
+    payoff = np.zeros(len(r))
+    alive = np.ones(len(r), dtype=bool)
     for i, b in enumerate(contract.binaries):
         trig = alive & (r[:, b.step - 1] > b.strike)
         payoff[trig] = contract.discounted_payout(i)

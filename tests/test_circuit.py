@@ -431,6 +431,21 @@ def test_constant_adds_expand_to_the_tables_they_replaced(width):
     _assert_table(shift, _add_constant_table(reg, half))
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (4, 3)])
+def test_add_names_name_the_census_stages(table2, p, k):
+    # the stage of every arithmetic op, as a gate census reads it from the
+    # name; the exponential prep starts at x0 = 0, where its window is the
+    # whole register, so no constant add (``add_<c>``) is ever emitted
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+    names = [op.name for op in pc.ops if isinstance(op, Add)]
+    assert names == [
+        "accumulate[1]", "barrier[1]", "binary[0]",
+        "accumulate[2]", "barrier[2]", "binary[1]",
+        "accumulate[3]", "barrier[3]", "put_flag", "put_compare",
+    ]
+
+
 def _tie_contract(barrier, strike, binaries=()):
     return AutocallableContract(
         notional=10.0, dt=1.0, steps=2 if binaries else 1, mu=0.0, sigma=0.25,

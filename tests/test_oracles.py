@@ -45,12 +45,22 @@ def _grid_paths(contract, grid):
 
 def brute_force_discretized(contract, grid):
     """Probability-weighted payoff summed over every grid path (exactly
-    rounded, so the reference adds no error of its own)."""
+    rounded, so the reference adds no error of its own).
+
+    A path's level after t steps is exp(t a + b G_t), G_t the sum of its first
+    t grid indices, as ``closed_form_discretized`` defines it. The running
+    float sums of the increments round differently, so a path that sits on a
+    threshold in real arithmetic (a step down and a step up of the same size
+    against a barrier of 1) can land on either side of it.
+    """
     probs = grid.probabilities()
     scale = contract.sigma * math.sqrt(contract.dt)
-    incs = contract.mu * contract.dt + scale * grid.points()
+    a = contract.mu * contract.dt - scale * grid.s_min
+    b = scale * grid.ds
+    t = np.arange(1, contract.steps + 1)
     return math.fsum(
-        probs[list(g)].prod() * payoff_of_path(incs[list(g)], contract)
+        probs[list(g)].prod()
+        * mc_reference.level_payoffs(np.exp(t * a + b * np.cumsum(g))[None, :], contract)[0]
         for g in _grid_paths(contract, grid)
     )
 
@@ -452,10 +462,11 @@ class TestClosedForms:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 24 * 2**20  # the path enumeration peaked at 28 MiB here
+            # peaks of 2.9 (cf-disc) and 5.7 MiB (cf-quant), 4.0 and 6.1 without binaries
+            assert peak < 24 * 2**20
 
     def test_capacity_error_from_public_entry(self, table2, fake_memory):
-        # at k = 6 each closed form keeps over 200 states in one step
+        # at k = 6 cf-disc keeps up to 78 states in one step, cf-quant 211
         grid = GaussianGridSpec(k=6, s_min=3.0)
         fmt = fit_format(table2, grid, 12)
         prices = (
@@ -478,6 +489,16 @@ class TestClosedForms:
         assert abs(mc.mean - cf) <= 4 * mc.stderr
         quant = closed_form_quantized(contract, GRID2, fit_format(contract, GRID2, 12))
         assert quant == pytest.approx(cf, abs=1e-4)
+
+    def test_twenty_step_lattice_fits_in_64_kib(self, table2, fake_memory):
+        # cf-disc keys its states on the grid-index sum: at most
+        # 2 * (t * (2^k - 1) + 1) <= 602 states per step at k = 4, under the
+        # 819 that fit; keyed on float log-returns it kept 10386
+        contract = dataclasses.replace(table2, steps=20)
+        grid = GaussianGridSpec(k=4, s_min=3.0)
+        want = closed_form_discretized(contract, grid)
+        fake_memory(2**16)
+        assert closed_form_discretized(contract, grid) == want
 
     def test_paths_validated(self, table2):
         with pytest.raises(ValueError):
