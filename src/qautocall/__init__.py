@@ -33,7 +33,6 @@ from .estimation import (
     iqae_estimate,
 )
 from .loading import (
-    ExponentialPrepSpec,
     GaussianGridSpec,
     exp_angles,
     gaussian_amplitudes,

@@ -15,15 +15,13 @@ algebra itself.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import AutocallableContract, FixedPointFormat, int_bits_for
-from .errors import CapacityError, ConfigError, MappingError
+from .errors import CapacityError, ConfigError, MappingError, physical_memory
 from .loading import (
-    ExponentialPrepSpec,
     GaussianGridSpec,
     gaussian_amplitudes,
     integration_amplitude,
@@ -191,7 +189,7 @@ class QuantizedModel:
         if not self.needs_comparator:
             return 0.0
         x = terminal_code - self.l_min_code - 1
-        amp = integration_amplitude(self.rate_step, x, 0, self.put_x1)
+        amp = integration_amplitude(self.rate_step, x, self.put_x1)
         return amp * amp * self.put_scale_sq
 
 
@@ -429,11 +427,6 @@ class PricingCircuit:
 BYTES_PER_ENTRY = 144
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory, the one limit every exact method is sized against."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _check_capacity(layout: RegisterLayout) -> None:
     """Raise :class:`CapacityError` unless the state fits in physical memory.
     Its support stays within ``2**(kT + w + 2)``: only the Gaussian and
@@ -476,10 +469,9 @@ def build_pricing_circuit(
     for reg in layout.gaussians:
         ops.extend(injection_ops(reg, gauss))
     if model.needs_comparator:
-        spec = ExponentialPrepSpec(
-            width=model.exp_width, a=model.rate_step, x0=0, x1=model.put_x1
+        ops.extend(
+            partial_exponential_prep_ops(layout.exponential, model.rate_step, model.put_x1)
         )
-        ops.extend(partial_exponential_prep_ops(layout.exponential, spec))
 
     by_step = {b.step: i for i, b in enumerate(contract.binaries)}
     for t in range(1, contract.steps + 1):

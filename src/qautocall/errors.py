@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the physical-memory limit
+that :class:`CapacityError` reports against."""
+
+import os
 
 
 class QAutocallError(Exception):
@@ -9,6 +12,11 @@ class CapacityError(QAutocallError):
     """A grid's points, a pricing circuit's support bound (in stored entries),
     or the states a closed form keeps in one step do not fit in physical
     memory."""
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the one limit every exact method is sized against."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class StructuralError(QAutocallError):

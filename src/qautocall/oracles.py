@@ -10,7 +10,7 @@ been crossed, and whether a binary has fired. Both run one forward recursion
 probability mass, expanding them by every grid shock in blocks of at most
 ``_CHUNK`` (state, shock) pairs. The one limit is the states a step keeps: at
 ``BYTES_PER_STATE`` bytes each they must fit in physical memory, the same
-:func:`~qautocall.circuit.physical_memory` that sizes the pricing circuit, or
+:func:`~qautocall.errors.physical_memory` that sizes the pricing circuit, or
 the run raises :class:`CapacityError`.
 
 The two Monte Carlo oracles draw and price their paths in blocks of at most
@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import QuantizedModel, physical_memory
+from .circuit import QuantizedModel
 from .contracts import AutocallableContract, FixedPointFormat
-from .errors import CapacityError
+from .errors import CapacityError, physical_memory
 from .loading import GaussianGridSpec
 
 _CHUNK = 2**18
@@ -307,15 +307,21 @@ def _merge(values, crossed, mass):
     return values[starts], crossed[starts], np.add.reduceat(mass, starts)
 
 
+def _merge_blocks(blocks):
+    """:func:`_merge` over the concatenation of ``(values, crossed, mass)`` blocks."""
+    return _merge(*(np.concatenate(part) for part in zip(*blocks)))
+
+
 def _fold(blocks, leaves):
     """Merge the states each successor block keeps, then merge their
     concatenation: the states the step keeps.
 
     ``leaves(keys, crossed)`` marks the successors whose mass leaves the
     recursion (None: none leave). Returns the kept ``(keys, crossed, mass)``
-    and each block's lost mass, in block order. Raises
-    :class:`CapacityError` once the kept states, at ``BYTES_PER_STATE`` bytes
-    each, no longer fit in physical memory.
+    and each block's lost mass, in block order. Once the held states, at
+    ``BYTES_PER_STATE`` bytes each, no longer fit in physical memory, the
+    held blocks are merged into one (overlapping blocks hold a state more
+    than once); raises :class:`CapacityError` if even that does not fit.
     """
     memory = physical_memory()
     kept, lost, count = [], [], 0
@@ -327,12 +333,15 @@ def _fold(blocks, leaves):
         kept.append(_merge(v, c, m))
         count += len(kept[-1][0])
         if count * BYTES_PER_STATE > memory:
+            kept = [_merge_blocks(kept)]
+            count = len(kept[0][0])
+        if count * BYTES_PER_STATE > memory:
             raise CapacityError(
                 f"the closed form holds {count} (value, crossed) states in one step, "
                 f"{BYTES_PER_STATE} bytes each, more than the {memory} bytes of physical "
                 "memory (reduce k or p, or use the discretized Monte Carlo oracle instead)"
             )
-    return _merge(*(np.concatenate(part) for part in zip(*kept))), lost
+    return _merge_blocks(kept), lost
 
 
 def _recursion(contract, shocks, probs, barriers, strikes, put_strike):

@@ -1,16 +1,16 @@
 import pytest
 
-from qautocall import AutocallableContract, BinaryOption, circuit
+from qautocall import AutocallableContract, BinaryOption, errors
 
 
 @pytest.fixture
 def fake_memory(monkeypatch):
     """Setter for the physical memory, in bytes, that the circuit builder and
-    the closed forms are sized against (``circuit.physical_memory``)."""
+    the closed forms are sized against (``errors.physical_memory``)."""
 
     def set_bytes(num_bytes):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": num_bytes // 4096}
-        monkeypatch.setattr(circuit.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(errors.os, "sysconf", pages.__getitem__)
 
     return set_bytes
 

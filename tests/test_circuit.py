@@ -20,15 +20,13 @@ from qautocall.contracts import AutocallableContract, BinaryOption, FixedPointFo
 from qautocall.errors import CapacityError
 from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import (
-    ExponentialPrepSpec,
     GaussianGridSpec,
-    _add_constant_op,
     integration_amplitude,
     partial_exponential_prep_ops,
 )
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
 from qautocall.simulator import (
-    Add, Condition, QubitRegister, X, allocate, invert, probability,
+    Add, Condition, PhaseOracle, QubitRegister, X, allocate, invert, probability,
 )
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
@@ -143,15 +141,24 @@ class TestFormatFitting:
 
 
 class TestCircuitAgainstOracle:
-    @pytest.mark.parametrize("p,k,qubits", [(2, 1, 19), (2, 2, 22), (3, 1, 21)])
-    def test_post_processed_probability_matches_quantized_oracle(self, table2, p, k, qubits):
+    @pytest.mark.parametrize(
+        "steps,p,k,qubits,rounds",
+        # the exponential prep amplifies in one round on Table-2, in more on
+        # its 4- and 8-step variants
+        [(3, 2, 1, 19, 1), (3, 2, 2, 22, 1), (3, 3, 1, 21, 1), (4, 3, 1, 24, 2), (8, 3, 1, 34, 4)],
+    )
+    def test_post_processed_probability_matches_quantized_oracle(
+        self, table2, steps, p, k, qubits, rounds
+    ):
+        contract = dataclasses.replace(table2, steps=steps)
         grid = GaussianGridSpec(k=k, s_min=3.0)
-        fmt = fit_format(table2, grid, p)
-        pc = build_pricing_circuit(table2, grid, fmt)
+        fmt = fit_format(contract, grid, p)
+        pc = build_pricing_circuit(contract, grid, fmt)
         assert pc.layout.num_qubits == qubits
+        assert sum(isinstance(op, PhaseOracle) for op in pc.ops) == 2 * rounds
         a = exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good)
         assert post_process(a, pc.mapping) == pytest.approx(
-            closed_form_quantized(table2, grid, fmt), abs=1e-9
+            closed_form_quantized(contract, grid, fmt), abs=1e-9
         )
 
     @pytest.mark.parametrize("p,k,support", [(2, 1, 128), (3, 1, 256), (2, 2, 1024)])
@@ -290,13 +297,12 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
         payoff_target=n + m + 1,
         num_qubits=n + m + 2,
     )
-    spec = ExponentialPrepSpec(width=n, a=model.rate_step, x0=0, x1=model.put_x1)
-    prep = partial_exponential_prep_ops(layout.exponential, spec)
+    prep = partial_exponential_prep_ops(layout.exponential, model.rate_step, model.put_x1)
     compare = put_comparator_op(model, layout)
     target = Condition(((layout.payoff_target, 1),))
     for raw in range(2**m):
         x = model.fmt.to_signed(raw) - model.l_min_code - 1
-        want = integration_amplitude(model.rate_step, x, 0, model.put_x1) ** 2
+        want = integration_amplitude(model.rate_step, x, model.put_x1) ** 2
         for flag in (0, 1):
             state = allocate(layout.num_qubits).apply_all(prep)
             state.apply_all(X(q) for j, q in enumerate(layout.accumulator.qubits) if raw >> j & 1)
@@ -368,11 +374,6 @@ def _put_compare_table(model, layout):
     return qubits, vals ^ (flip << (n + m + 1))
 
 
-def _add_constant_table(reg, c):
-    size = 2**reg.width
-    return reg.qubits, (np.arange(size, dtype=np.int64) + c) % size
-
-
 def _expand(op):
     """An Add as a table over its source then target qubits, LSB first."""
     ns, nt = len(op.source), len(op.target)
@@ -419,23 +420,10 @@ def test_adds_expand_to_the_tables_they_replaced(request, contract, p, k):
         _assert_table(op, want[op.name])
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
-def test_constant_adds_expand_to_the_tables_they_replaced(width):
-    reg = QubitRegister(2, width)
-    for c in range(-(2**width), 2 ** (width + 1)):
-        _assert_table(_add_constant_op(reg, c), _add_constant_table(reg, c))
-    # a power-of-two interval off zero is loaded on the low bits, then shifted
-    half = 2**width // 2
-    spec = ExponentialPrepSpec(width, 0.5, half, 2**width - 1)
-    (shift,) = [op for op in partial_exponential_prep_ops(reg, spec) if isinstance(op, Add)]
-    _assert_table(shift, _add_constant_table(reg, half))
-
-
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (4, 3)])
 def test_add_names_name_the_census_stages(table2, p, k):
     # the stage of every arithmetic op, as a gate census reads it from the
-    # name; the exponential prep starts at x0 = 0, where its window is the
-    # whole register, so no constant add (``add_<c>``) is ever emitted
+    # name; the exponential prep emits only Ry and PhaseOracle ops
     grid = GaussianGridSpec(k=k, s_min=3.0)
     pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
     names = [op.name for op in pc.ops if isinstance(op, Add)]

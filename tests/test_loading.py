@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dense_state import to_dense
-from qautocall.errors import CapacityError
+from qautocall.errors import CapacityError, StructuralError
 from qautocall.loading import (
     BYTES_PER_POINT,
-    ExponentialPrepSpec,
     GaussianGridSpec,
     exp_angles,
     exp_weight_sum,
@@ -19,6 +18,7 @@ from qautocall.loading import (
 from qautocall.simulator import (
     Add,
     Condition,
+    PhaseOracle,
     QubitRegister,
     Ry,
     allocate,
@@ -30,10 +30,9 @@ def _register_probs(state, width):
     return np.abs(to_dense(state)[: 2**width]) ** 2
 
 
-def _prepared(width, a, x0, x1):
-    """Fresh ``width``-qubit state with the partial exponential loaded."""
-    spec = ExponentialPrepSpec(width, a, x0, x1)
-    return allocate(width).apply_all(partial_exponential_prep_ops(QubitRegister(0, width), spec))
+def _prepared(width, a, x1):
+    """Fresh ``width``-qubit state with the exponential on [0, x1] loaded."""
+    return allocate(width).apply_all(partial_exponential_prep_ops(QubitRegister(0, width), a, x1))
 
 
 class TestGaussianGrid:
@@ -93,68 +92,72 @@ class TestExpAngles:
 
 class TestFullExponential:
     def test_rate_zero_uniform(self):
-        state = _prepared(2, 0.0, 0, 3)
+        state = _prepared(2, 0.0, 3)
         assert np.allclose(np.abs(to_dense(state)) ** 2, 0.25)
 
     def test_log2_frozen_distribution(self):
-        state = _prepared(2, math.log(2.0), 0, 3)
+        state = _prepared(2, math.log(2.0), 3)
         want = np.array([1, 2, 4, 8]) / 15.0
         assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("a", [-1.0, -0.1, 0.1, 1.0])
     def test_exhaustive_against_weights(self, n, a):
-        state = _prepared(n, a, 0, 2**n - 1)
+        state = _prepared(n, a, 2**n - 1)
         w = np.exp(a * np.arange(2**n))
         assert np.abs(np.abs(to_dense(state)) ** 2 - w / w.sum()).max() < 1e-12
 
 
-def _expected_partial(width, a, x0, x1):
+def _expected_partial(width, a, x1):
     w = np.zeros(2**width)
-    r = np.arange(x0, x1 + 1)
-    w[x0 : x1 + 1] = np.exp(a * r)
+    w[: x1 + 1] = np.exp(a * np.arange(x1 + 1))
     return w / w.sum()
 
 
 class TestPartialExponential:
     def test_full_interval_degenerates_to_full_prep(self):
-        state = _prepared(3, 0.4, 0, 7)
+        state = _prepared(3, 0.4, 7)
         ref = allocate(3).apply_all(Ry(i, float(t)) for i, t in enumerate(exp_angles(0.4, 3)))
         assert np.abs(to_dense(state) - to_dense(ref)).max() < 1e-12
 
     def test_log2_interval_frozen(self):
-        state = _prepared(2, math.log(2.0), 1, 2)
-        want = np.array([0.0, 1 / 3, 2 / 3, 0.0])
+        state = _prepared(2, math.log(2.0), 2)
+        want = np.array([1 / 7, 2 / 7, 4 / 7, 0.0])
         assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
 
     def test_non_power_of_two_interval(self):
-        probs = _register_probs(_prepared(3, 0.7, 1, 5), 3)
-        assert np.abs(probs - _expected_partial(3, 0.7, 1, 5)).max() < 1e-10
-        assert probs[0] < 1e-12 and probs[6] < 1e-12 and probs[7] < 1e-12
+        probs = _register_probs(_prepared(3, 0.7, 5), 3)
+        assert np.abs(probs - _expected_partial(3, 0.7, 5)).max() < 1e-10
+        assert probs[6] < 1e-12 and probs[7] < 1e-12
 
     @pytest.mark.parametrize("a", [-0.8, 0.0, 0.5])
-    @pytest.mark.parametrize("x0,x1", [(2, 5), (0, 3), (4, 7)])
-    def test_power_of_two_strategies_agree(self, a, x0, x1):
-        # power-of-two spans are loaded directly, without amplification
-        probs = _register_probs(_prepared(3, a, x0, x1), 3)
-        assert np.abs(probs - _expected_partial(3, a, x0, x1)).max() < 1e-12
-
-    def test_rate_zero_uniform_over_interval(self):
-        probs = _register_probs(_prepared(3, 0.0, 2, 6), 3)
-        assert np.abs(probs - _expected_partial(3, 0.0, 2, 6)).max() < 1e-10
+    @pytest.mark.parametrize("x1", [0, 1, 3, 7], ids=lambda x1: f"0-{x1}")
+    def test_power_of_two_strategies_agree(self, a, x1):
+        # power-of-two spans are loaded directly, without amplification:
+        # x1 = 0 by no op at all, any other by one RY per qubit
+        width = max(1, x1.bit_length())
+        ops = partial_exponential_prep_ops(QubitRegister(0, width), a, x1)
+        assert len(ops) == x1.bit_length() and all(isinstance(op, Ry) for op in ops)
+        probs = _register_probs(_prepared(width, a, x1), width)
+        assert np.abs(probs - _expected_partial(width, a, x1)).max() < 1e-12
 
     def test_low_share_interval_uses_extra_rounds(self):
-        # interval pinned at the light end of a steep exponential: single-round
-        # amplification is infeasible even on the best power-of-two window
-        spec = ExponentialPrepSpec(4, 1.2, 0, 2)
-        state = allocate(4)
-        ops = partial_exponential_prep_ops(QubitRegister(0, 4), spec)
-        state.apply_all(ops)
-        assert np.abs(_register_probs(state, 4) - _expected_partial(4, 1.2, 0, 2)).max() < 1e-10
+        # the register the 20-step Table-2 contract gets at p = 1: [0, 18]
+        # holds 0.15 % of the whole-register exponential, so exact
+        # amplification takes 20 rounds
+        ops = partial_exponential_prep_ops(QubitRegister(0, 5), 0.5, 18)
+        assert sum(isinstance(op, PhaseOracle) for op in ops) == 2 * 20
+        state = allocate(5).apply_all(ops)
+        assert np.abs(_register_probs(state, 5) - _expected_partial(5, 0.5, 18)).max() < 1e-14
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            ExponentialPrepSpec(3, 0.5, 4, 2)
+        with pytest.raises(StructuralError, match=r"\[0, -1\]"):
+            partial_exponential_prep_ops(QubitRegister(0, 1), 0.5, -1)
+
+    @pytest.mark.parametrize("width,x1", [(3, 3), (1, 2), (2, 0)])
+    def test_register_width_must_fit_the_interval(self, width, x1):
+        with pytest.raises(StructuralError, match="width max"):
+            partial_exponential_prep_ops(QubitRegister(0, width), 0.5, x1)
 
     def test_rounds_for_share_thresholds(self):
         assert rounds_for_share(1.0) == 1
@@ -189,37 +192,38 @@ class TestIntegrationComparator:
     @pytest.mark.parametrize("a", [-0.3, 0.6])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_prep_matches_closed_form(self, n, a):
-        spec = ExponentialPrepSpec(n, a, 0, 2**n - 1)
-        ops = partial_exponential_prep_ops(QubitRegister(0, n), spec)
+        ops = partial_exponential_prep_ops(QubitRegister(0, n), a, 2**n - 1)
         amps = self._amplitudes_for_all_x(n, ops)
         for x in range(2**n):
-            want = integration_amplitude(a, x, 0, 2**n - 1)
+            want = integration_amplitude(a, x, 2**n - 1)
             assert amps[x] == pytest.approx(want, abs=1e-10)
         assert amps[2**n - 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_prep_matches_piecewise_form(self):
-        n, a, x0, x1 = 3, 0.45, 1, 5  # non-power-of-two span
-        ops = partial_exponential_prep_ops(QubitRegister(0, n), ExponentialPrepSpec(n, a, x0, x1))
+        n, a, x1 = 3, 0.45, 5  # non-power-of-two span
+        ops = partial_exponential_prep_ops(QubitRegister(0, n), a, x1)
         amps = self._amplitudes_for_all_x(n, ops)
         for x in range(2**n):
-            assert amps[x] == pytest.approx(integration_amplitude(a, x, x0, x1), abs=1e-10)
-        assert amps[0] == pytest.approx(0.0, abs=1e-10)
+            assert amps[x] == pytest.approx(integration_amplitude(a, x, x1), abs=1e-10)
+        assert amps[0] == pytest.approx(math.sqrt(_expected_partial(n, a, x1)[0]), abs=1e-10)
+        assert amps[6] == pytest.approx(1.0, abs=1e-10)
         assert amps[7] == pytest.approx(1.0, abs=1e-10)
 
     def test_amplitude_nondecreasing_in_x(self):
-        n, a, x0, x1 = 3, -0.6, 2, 6
-        ops = partial_exponential_prep_ops(QubitRegister(0, n), ExponentialPrepSpec(n, a, x0, x1))
+        n, a, x1 = 3, -0.6, 6
+        ops = partial_exponential_prep_ops(QubitRegister(0, n), a, x1)
         amps = self._amplitudes_for_all_x(n, ops)
         assert all(amps[x + 1] >= amps[x] - 1e-12 for x in range(2**n - 1))
 
     def test_closed_form_frozen_example(self):
         # full prep, n=2, a=ln2, x=1: sqrt((1+2)/15)
-        got = integration_amplitude(math.log(2.0), 1, 0, 3)
+        got = integration_amplitude(math.log(2.0), 1, 3)
         assert got == pytest.approx(math.sqrt(3.0 / 15.0), abs=1e-12)
         assert got == pytest.approx(0.4472135954999579, abs=1e-12)
+        assert integration_amplitude(math.log(2.0), -1, 3) == 0.0
 
     def test_exp_weight_sum_closed_form(self):
-        assert exp_weight_sum(0.0, 2, 5) == 4.0
-        direct = sum(math.exp(0.3 * r) for r in range(2, 6))
-        assert exp_weight_sum(0.3, 2, 5) == pytest.approx(direct, rel=1e-14)
-        assert exp_weight_sum(0.3, 5, 2) == 0.0
+        direct = sum(math.exp(0.3 * r) for r in range(6))
+        assert exp_weight_sum(0.3, 5) == pytest.approx(direct, rel=1e-14)
+        shifted = sum(math.exp(-0.3 * (r - 5)) for r in range(6))
+        assert exp_weight_sum(-0.3, 5, ref=5) == pytest.approx(shifted, rel=1e-14)

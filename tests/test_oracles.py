@@ -481,6 +481,21 @@ class TestClosedForms:
             with pytest.raises(CapacityError, match=f"states in one step, {BYTES_PER_STATE} bytes"):
                 price()
 
+    def test_overlapping_blocks_fit_once_merged(self, table2, fake_memory):
+        # at k = 10 without binaries each step keeps at most 5252 states, but
+        # the successor blocks overlap, so the merged blocks count up to 7597
+        # (cf-quant) and 6139 (cf-disc) states before the step's last merge
+        contract = dataclasses.replace(table2, binaries=())
+        grid = GaussianGridSpec(k=10, s_min=3.0)
+        fmt = fit_format(contract, grid, 12)
+        prices = (
+            lambda: closed_form_discretized(contract, grid),
+            lambda: closed_form_quantized(contract, grid, fmt),
+        )
+        want = [price() for price in prices]
+        fake_memory(BYTES_PER_STATE * 6000)
+        assert [price() for price in prices] == want
+
     def test_twenty_step_table2_at_k2(self, table2):
         # (2^2)^20 = 2^40 grid paths, a few hundred kept states per step
         contract = dataclasses.replace(table2, steps=20)
