@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from dense_state import to_dense
+from test_oracles import mc_contracts
 from qautocall import circuit
 from qautocall.circuit import (
     BYTES_PER_ENTRY,
@@ -17,7 +20,7 @@ from qautocall.circuit import (
     put_comparator_op,
 )
 from qautocall.contracts import AutocallableContract, BinaryOption, FixedPointFormat
-from qautocall.errors import CapacityError
+from qautocall.errors import CapacityError, QAutocallError
 from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import (
     GaussianGridSpec,
@@ -160,6 +163,33 @@ class TestCircuitAgainstOracle:
         assert post_process(a, pc.mapping) == pytest.approx(
             closed_form_quantized(contract, grid, fmt), abs=1e-9
         )
+
+    @seed(0)
+    @settings(max_examples=100, deadline=None)
+    @given(contract=mc_contracts(max_steps=4), k=st.sampled_from([1, 2]), p=st.integers(1, 6))
+    def test_random_contracts_match_quantized_oracle(self, contract, k, p):
+        # quantum-exact against cf-quant: the same price to 1e-9, or the same
+        # error from both (a contract that pays nothing has no mapping)
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+
+        def quantum():
+            pc = build_pricing_circuit(contract, grid, fit_format(contract, grid, p))
+            return post_process(exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good), pc.mapping)
+
+        def classical():
+            return closed_form_quantized(contract, grid, fit_format(contract, grid, p))
+
+        outcomes = []
+        for price in (quantum, classical):
+            try:
+                outcomes.append(price())
+            except QAutocallError as err:
+                outcomes.append((type(err), str(err)))
+        got, want = outcomes
+        if isinstance(want, float):
+            assert got == pytest.approx(want, abs=1e-9)
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("p,k,support", [(2, 1, 128), (3, 1, 256), (2, 2, 1024)])
     def test_loaded_state_lists_only_its_support(self, table2, p, k, support):

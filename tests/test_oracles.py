@@ -114,10 +114,10 @@ def small_contracts(draw):
 
 
 @st.composite
-def mc_contracts(draw):
-    """Contracts of 1 to 6 steps with no binaries, some, or one on every step
-    before the last, and sigma = 0 among the volatilities."""
-    steps = draw(st.integers(1, 6))
+def mc_contracts(draw, max_steps=6):
+    """Contracts of 1 to ``max_steps`` steps with no binaries, some, or one on
+    every step before the last, and sigma = 0 among the volatilities."""
+    steps = draw(st.integers(1, max_steps))
     before_last = list(range(1, steps))
     binary_steps = draw(st.one_of(
         st.just([]),
