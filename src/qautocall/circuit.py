@@ -377,16 +377,24 @@ def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
     return Add((layout.put_flag,), source, active, name="put_flag")
 
 
+def exponential_prep_ops(model: QuantizedModel, layout: RegisterLayout) -> list[PrimitiveOp]:
+    """The exponential over r in [0, x1], loaded as r' = x1 - r at the rate -a
+    (the same weights), so that one amplification round loads it."""
+    return partial_exponential_prep_ops(layout.exponential, -model.rate_step, model.put_x1)
+
+
 def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
-    """Controlled integration comparator: target ^= flag and (r <= l_T - l_min - 1)."""
-    fmt, l_min = model.fmt, model.l_min_code
+    """Controlled integration comparator: target ^= flag and (r <= l_T - l_min - 1),
+    tested on the reflection r' = x1 - r the exponential register holds
+    (:func:`exponential_prep_ops`) as r' >= x1 - (l_T - l_min - 1)."""
+    fmt, l_min, x1 = model.fmt, model.l_min_code, model.put_x1
     n = model.exp_width
     m = fmt.width
 
     def below(v):  # v: exponential register, then the accumulator, then the put flag
-        r = v & (2**n - 1)
+        reflected = v & (2**n - 1)
         acc = fmt.to_signed((v >> n) & (2**m - 1))
-        return (((v >> (n + m)) == 1) & (r <= acc - l_min - 1)).astype(np.int64)
+        return (((v >> (n + m)) == 1) & (reflected >= x1 - (acc - l_min - 1))).astype(np.int64)
 
     source = layout.exponential.qubits + layout.accumulator.qubits + (layout.put_flag,)
     return Add((layout.payoff_target,), source, below, name="put_compare")
@@ -469,9 +477,7 @@ def build_pricing_circuit(
     for reg in layout.gaussians:
         ops.extend(injection_ops(reg, gauss))
     if model.needs_comparator:
-        ops.extend(
-            partial_exponential_prep_ops(layout.exponential, model.rate_step, model.put_x1)
-        )
+        ops.extend(exponential_prep_ops(model, layout))
 
     by_step = {b.step: i for i, b in enumerate(contract.binaries)}
     for t in range(1, contract.steps + 1):

@@ -4,9 +4,11 @@ accumulates that exponential into a target-qubit amplitude.
 
 Every preparation is a pure circuit builder that returns ``Ry`` and
 ``PhaseOracle`` ops for a register in its ground state; nothing here touches
-a statevector. The integration comparator itself is built with the pricing
-circuit (:func:`~.circuit.put_comparator_op`); :func:`integration_amplitude`
-is the amplitude it loads.
+a statevector. A partial exponential is loaded at a decreasing rate, where
+[0, x1] is the heavy end of its register (a share of at least 1/2), in one
+exact amplification round. The integration comparator itself is built with
+the pricing circuit (:func:`~.circuit.put_comparator_op`);
+:func:`integration_amplitude` is the amplitude it loads.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ def exp_angles(a: float, n: int) -> np.ndarray:
     return 2.0 * np.arctan(np.exp(a * (2.0**i) / 2.0))
 
 
-def exp_weight_sum(a: float, hi: int, ref: int = 0) -> float:
-    """Sum of e^{a*(r-ref)} for r in [0, hi], in closed form; a != 0."""
-    return math.exp(-a * ref) * math.expm1(a * (hi + 1)) / math.expm1(a)
+def exp_weight_sum(a: float, hi: int) -> float:
+    """Sum of e^{a*r} for r in [0, hi], in closed form; a != 0."""
+    return math.expm1(a * (hi + 1)) / math.expm1(a)
 
 
 def integration_amplitude(a: float, x: int, x1: int) -> float:
@@ -95,50 +97,35 @@ def integration_amplitude(a: float, x: int, x1: int) -> float:
 # -- partial exponential preparation -----------------------------------------
 
 
-def rounds_for_share(share: float) -> int:
-    """Iterations of exact amplitude amplification needed to reach probability 1.
-
-    One round suffices at share >= 1/4; below that the required phase does not
-    exist and more rounds are needed (theta >= pi/(4J+2)).
-    """
-    share = min(max(share, 0.0), 1.0)
-    if share <= 0.0:
-        raise ValueError("cannot amplify an interval holding zero probability")
-    theta = math.asin(math.sqrt(share))
-    return max(1, math.ceil((math.pi / theta - 2.0) / 4.0 - 1e-12))
-
-
-def _aa_bad_residual(s: float, phase: float, rounds: int) -> float:
-    """|bad amplitude| after the amplification rounds, in the 2D good/bad plane."""
+def _aa_bad_residual(s: float, phase: float) -> float:
+    """|bad amplitude| after one amplification round, in the 2D good/bad plane."""
     c = math.sqrt(max(0.0, 1.0 - s * s))
     a0 = np.array([s, c], dtype=complex)
-    vec = a0.copy()
     rot = complex(math.cos(phase), math.sin(phase))
-    for _ in range(rounds):
-        vec = vec * np.array([rot, 1.0])  # phase on the good component
-        vec = vec + (rot - 1.0) * np.vdot(a0, vec) * a0  # A S0 A^-1
+    vec = a0 * np.array([rot, 1.0])  # phase on the good component
+    vec = vec + (rot - 1.0) * np.vdot(a0, vec) * a0  # A S0 A^-1
     return abs(vec[1])
 
 
-def amplification_phase(share: float, rounds: int) -> float:
-    """Common reflection phase making the amplification exact after ``rounds``.
+def amplification_phase(share: float) -> float:
+    """Common reflection phase making one amplification round exact.
 
-    Signs are pinned by checking the residual bad amplitude in the reduced
-    two-dimensional picture; the sign convention that zeroes it wins.
+    The phase exists for share >= 1/4 (Brassard, Hoyer, Mosca and Tapp,
+    quant-ph/0005055). Its sign is pinned by checking the residual bad
+    amplitude in the reduced two-dimensional picture; the sign that zeroes it
+    wins.
     """
     s = math.sqrt(min(max(share, 0.0), 1.0))
-    arg = math.sin(math.pi / (4 * rounds + 2)) / s
-    if arg > 1.0 + 1e-9:
+    if 2.0 * s < 1.0 - 1e-9:  # sin(phi / 2) = 1 / (2 s) > 1
         raise NumericalError(
-            f"share {share:.6g} too small for exact amplification in {rounds} rounds"
+            f"share {share:.6g} too small for exact amplification in one round (needs >= 1/4)"
         )
-    phi = 2.0 * math.asin(min(arg, 1.0))
-    best = min((phi, -phi), key=lambda p: _aa_bad_residual(s, p, rounds))
-    residual = _aa_bad_residual(s, best, rounds)
+    phi = 2.0 * math.asin(min(0.5 / s, 1.0))
+    best = min((phi, -phi), key=lambda p: _aa_bad_residual(s, p))
+    residual = _aa_bad_residual(s, best)
     if residual > 1e-9:
         raise NumericalError(
-            f"amplification phase search failed (residual {residual:.3e} "
-            f"for share {share:.6g}, rounds {rounds})"
+            f"amplification phase search failed (residual {residual:.3e} for share {share:.6g})"
         )
     return best
 
@@ -149,9 +136,11 @@ def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[
     The register must be exactly wide enough for x1: ``max(1, x1.bit_length())``
     qubits, so x1 >= 2**(width - 1) unless x1 = 0. Power-of-two spans (x1 = 0,
     which needs no op, and the whole register, ``width`` parallel RYs) are
-    prepared directly. Any other span gets the whole-register preparation
-    followed by exact amplitude amplification whose oracle is a phase on the
-    interval's values; a != 0.
+    prepared directly, at any rate. Any other span needs a < 0: it is then
+    the heavy end of the whole-register exponential, more than half its
+    points, with a share of at least 1/2, and gets the whole-register
+    preparation followed by one round of exact amplitude amplification whose
+    oracle is a phase on the interval's values.
     """
     if not (x1 >= 0 and reg.width == max(1, x1.bit_length())):
         raise StructuralError(
@@ -161,23 +150,18 @@ def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[
     span = x1 + 1
     if span & (span - 1) == 0:
         return _power2_prep_ops(reg, a, span)
+    if not a < 0:
+        raise StructuralError(
+            f"the interval [0, {x1}] is not a power-of-two span, so it needs a "
+            f"decreasing rate a < 0, got a = {a}"
+        )
 
     domain_hi = 2**reg.width - 1
-    share = exp_weight_sum(a, x1, ref=x1) / exp_weight_sum(a, domain_hi, ref=x1)
-    rounds = rounds_for_share(share)
-    phase = amplification_phase(share, rounds)
-
+    phase = amplification_phase(exp_weight_sum(a, x1) / exp_weight_sum(a, domain_hi))
     prep = _power2_prep_ops(reg, a, domain_hi + 1)
-    unprep = invert(prep)
     in_interval = PhaseOracle(reg.qubits, range(x1 + 1), phase)
     at_zero = PhaseOracle(reg.qubits, (0,), phase)
-    ops: list[PrimitiveOp] = list(prep)
-    for _ in range(rounds):
-        ops.append(in_interval)
-        ops.extend(unprep)
-        ops.append(at_zero)
-        ops.extend(prep)
-    return ops
+    return [*prep, in_interval, *invert(prep), at_zero, *prep]
 
 
 def _power2_prep_ops(reg: QubitRegister, a: float, span: int) -> list[PrimitiveOp]:

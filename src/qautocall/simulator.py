@@ -230,8 +230,8 @@ class Statevector:
     amplitude 0. Memory therefore scales with the support (the number of
     listed states), not with ``2**num_qubits``: a pricing circuit keeps only
     its Gaussian, exponential, payoff-target and scale qubits in
-    superposition, so ``A|0>`` of the 22-qubit Table-2 circuit lists 1024
-    states.
+    superposition, so ``A|0>`` of the 22-qubit Table-2 circuit lists 1018
+    states, 580 of them above 1e-12 in magnitude.
 
     Each kernel works on the listed entries only. :class:`Ry` pairs every
     entry whose controls match with its partner ``i ^ (1 << target)``, reads

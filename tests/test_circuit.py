@@ -13,6 +13,7 @@ from qautocall.circuit import (
     BYTES_PER_ENTRY,
     QuantizedModel,
     build_pricing_circuit,
+    exponential_prep_ops,
     fit_format,
     log_return_increment,
     plan_layout,
@@ -22,11 +23,7 @@ from qautocall.circuit import (
 from qautocall.contracts import AutocallableContract, BinaryOption, FixedPointFormat
 from qautocall.errors import CapacityError, QAutocallError
 from qautocall.estimation import build_grover, exact_amplitude
-from qautocall.loading import (
-    GaussianGridSpec,
-    integration_amplitude,
-    partial_exponential_prep_ops,
-)
+from qautocall.loading import GaussianGridSpec, integration_amplitude
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
 from qautocall.simulator import (
     Add, Condition, PhaseOracle, QubitRegister, X, allocate, invert, probability,
@@ -145,20 +142,20 @@ class TestFormatFitting:
 
 class TestCircuitAgainstOracle:
     @pytest.mark.parametrize(
-        "steps,p,k,qubits,rounds",
-        # the exponential prep amplifies in one round on Table-2, in more on
-        # its 4- and 8-step variants
-        [(3, 2, 1, 19, 1), (3, 2, 2, 22, 1), (3, 3, 1, 21, 1), (4, 3, 1, 24, 2), (8, 3, 1, 34, 4)],
+        "steps,p,k,qubits",
+        # the exponential prep amplifies in one round, two PhaseOracle ops,
+        # on Table-2 and on its 4- and 8-step variants
+        [(3, 2, 1, 19), (3, 2, 2, 22), (3, 3, 1, 21), (4, 3, 1, 24), (8, 3, 1, 34)],
     )
     def test_post_processed_probability_matches_quantized_oracle(
-        self, table2, steps, p, k, qubits, rounds
+        self, table2, steps, p, k, qubits
     ):
         contract = dataclasses.replace(table2, steps=steps)
         grid = GaussianGridSpec(k=k, s_min=3.0)
         fmt = fit_format(contract, grid, p)
         pc = build_pricing_circuit(contract, grid, fmt)
         assert pc.layout.num_qubits == qubits
-        assert sum(isinstance(op, PhaseOracle) for op in pc.ops) == 2 * rounds
+        assert sum(isinstance(op, PhaseOracle) for op in pc.ops) == 2
         a = exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good)
         assert post_process(a, pc.mapping) == pytest.approx(
             closed_form_quantized(contract, grid, fmt), abs=1e-9
@@ -191,13 +188,28 @@ class TestCircuitAgainstOracle:
         else:
             assert got == want
 
-    @pytest.mark.parametrize("p,k,support", [(2, 1, 128), (3, 1, 256), (2, 2, 1024)])
+    @pytest.mark.parametrize("p,k,support", [(2, 1, 70), (3, 1, 196), (2, 2, 580)])
     def test_loaded_state_lists_only_its_support(self, table2, p, k, support):
         # only the Gaussian, exponential, payoff-target and scale qubits are in
-        # superposition; every other register is a function of them
+        # superposition; every other register is a function of them. Entries
+        # of order 1e-16 that the amplification leaves on r outside [0, x1]
+        # may be listed too, within the 2**(kT + w + 2) bound
         grid = GaussianGridSpec(k=k, s_min=3.0)
-        state = _run(build_pricing_circuit(table2, grid, fit_format(table2, grid, p)))
-        assert len(state.indices) == support
+        pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+        state = _run(pc)
+        assert np.count_nonzero(np.abs(state.values) > 1e-12) == support
+        assert len(state.indices) <= 2 ** (k * table2.steps + pc.layout.exponential.width + 2)
+
+    @pytest.mark.parametrize("p,loading_ops", [(1, 37), (2, 40)])
+    def test_twenty_step_circuit_loads_in_one_round(self, table2, fake_memory, p, loading_ops):
+        # building allocates no state, so a memory limit large enough for
+        # the 20-step support bound only lets the builder run
+        fake_memory(2**50)
+        contract = dataclasses.replace(table2, steps=20)
+        pc = build_pricing_circuit(contract, GRID1, fit_format(contract, GRID1, p))
+        assert sum(isinstance(op, PhaseOracle) for op in pc.ops) == 2
+        first_add = next(i for i, op in enumerate(pc.ops) if isinstance(op, Add))
+        assert first_add == loading_ops
 
     def test_branch_families_partition_unity(self, table2):
         fmt = fit_format(table2, GRID1, 2)
@@ -327,7 +339,7 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
         payoff_target=n + m + 1,
         num_qubits=n + m + 2,
     )
-    prep = partial_exponential_prep_ops(layout.exponential, model.rate_step, model.put_x1)
+    prep = exponential_prep_ops(model, layout)
     compare = put_comparator_op(model, layout)
     target = Condition(((layout.payoff_target, 1),))
     for raw in range(2**m):
@@ -394,9 +406,10 @@ def _put_flag_table(model, layout):
 def _put_compare_table(model, layout):
     n, m = model.exp_width, model.fmt.width
     vals = np.arange(2 ** (n + m + 2), dtype=np.int64)
-    r = vals & (2**n - 1)
+    reflected = vals & (2**n - 1)  # the register holds r' = x1 - r
     acc = model.fmt.to_signed((vals >> n) & (2**m - 1))
     flag = (vals >> (n + m)) & 1
+    r = model.put_x1 - reflected
     flip = ((flag == 1) & (r <= acc - model.l_min_code - 1)).astype(np.int64)
     qubits = layout.exponential.qubits + layout.accumulator.qubits + (
         layout.put_flag, layout.payoff_target,

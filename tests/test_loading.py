@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from dense_state import to_dense
-from qautocall.errors import CapacityError, StructuralError
+from qautocall.errors import CapacityError, NumericalError, StructuralError
 from qautocall.loading import (
     BYTES_PER_POINT,
     GaussianGridSpec,
+    amplification_phase,
     exp_angles,
     exp_weight_sum,
     gaussian_amplitudes,
     integration_amplitude,
     partial_exponential_prep_ops,
-    rounds_for_share,
 )
 from qautocall.simulator import (
     Add,
@@ -121,14 +121,20 @@ class TestPartialExponential:
         assert np.abs(to_dense(state) - to_dense(ref)).max() < 1e-12
 
     def test_log2_interval_frozen(self):
-        state = _prepared(2, math.log(2.0), 2)
-        want = np.array([1 / 7, 2 / 7, 4 / 7, 0.0])
+        state = _prepared(2, -math.log(2.0), 2)
+        want = np.array([4 / 7, 2 / 7, 1 / 7, 0.0])
         assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
 
     def test_non_power_of_two_interval(self):
-        probs = _register_probs(_prepared(3, 0.7, 5), 3)
-        assert np.abs(probs - _expected_partial(3, 0.7, 5)).max() < 1e-10
+        probs = _register_probs(_prepared(3, -0.7, 5), 3)
+        assert np.abs(probs - _expected_partial(3, -0.7, 5)).max() < 1e-10
         assert probs[6] < 1e-12 and probs[7] < 1e-12
+
+    def test_increasing_rate_on_non_power_of_two_span_refused(self):
+        # at a = 0.7, [0, 5] holds 24 % of the whole-register exponential,
+        # less than the 1/4 one amplification round needs
+        with pytest.raises(StructuralError, match="decreasing rate"):
+            partial_exponential_prep_ops(QubitRegister(0, 3), 0.7, 5)
 
     @pytest.mark.parametrize("a", [-0.8, 0.0, 0.5])
     @pytest.mark.parametrize("x1", [0, 1, 3, 7], ids=lambda x1: f"0-{x1}")
@@ -141,14 +147,14 @@ class TestPartialExponential:
         probs = _register_probs(_prepared(width, a, x1), width)
         assert np.abs(probs - _expected_partial(width, a, x1)).max() < 1e-12
 
-    def test_low_share_interval_uses_extra_rounds(self):
-        # the register the 20-step Table-2 contract gets at p = 1: [0, 18]
-        # holds 0.15 % of the whole-register exponential, so exact
-        # amplification takes 20 rounds
-        ops = partial_exponential_prep_ops(QubitRegister(0, 5), 0.5, 18)
-        assert sum(isinstance(op, PhaseOracle) for op in ops) == 2 * 20
+    def test_twenty_step_register_loads_in_one_round(self):
+        # the register the 20-step Table-2 contract gets at p = 1, loaded
+        # reflected at the rate -0.5: [0, 18] holds 99.99 % of the
+        # whole-register exponential, and one round loads it exactly
+        ops = partial_exponential_prep_ops(QubitRegister(0, 5), -0.5, 18)
+        assert sum(isinstance(op, PhaseOracle) for op in ops) == 2
         state = allocate(5).apply_all(ops)
-        assert np.abs(_register_probs(state, 5) - _expected_partial(5, 0.5, 18)).max() < 1e-14
+        assert np.abs(_register_probs(state, 5) - _expected_partial(5, -0.5, 18)).max() < 1e-14
 
     def test_empty_interval_rejected(self):
         with pytest.raises(StructuralError, match=r"\[0, -1\]"):
@@ -159,13 +165,15 @@ class TestPartialExponential:
         with pytest.raises(StructuralError, match="width max"):
             partial_exponential_prep_ops(QubitRegister(0, width), 0.5, x1)
 
-    def test_rounds_for_share_thresholds(self):
-        assert rounds_for_share(1.0) == 1
-        assert rounds_for_share(0.25) == 1
-        assert rounds_for_share(0.24) == 2
-        assert rounds_for_share(0.05) >= 3
-        with pytest.raises(ValueError):
-            rounds_for_share(0.0)
+    @pytest.mark.parametrize("share", [0.25, 0.5, 1.0])
+    def test_one_round_exact_from_a_quarter(self, share):
+        # at share 1/4 the phase is pi, the plain Grover reflection
+        assert abs(amplification_phase(share)) <= math.pi
+
+    @pytest.mark.parametrize("share", [0.0, 0.24])
+    def test_share_below_a_quarter_rejected(self, share):
+        with pytest.raises(NumericalError, match="one round"):
+            amplification_phase(share)
 
 
 def _compare_op(n):
@@ -200,7 +208,7 @@ class TestIntegrationComparator:
         assert amps[2**n - 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_prep_matches_piecewise_form(self):
-        n, a, x1 = 3, 0.45, 5  # non-power-of-two span
+        n, a, x1 = 3, -0.45, 5  # non-power-of-two span
         ops = partial_exponential_prep_ops(QubitRegister(0, n), a, x1)
         amps = self._amplitudes_for_all_x(n, ops)
         for x in range(2**n):
@@ -223,7 +231,6 @@ class TestIntegrationComparator:
         assert integration_amplitude(math.log(2.0), -1, 3) == 0.0
 
     def test_exp_weight_sum_closed_form(self):
-        direct = sum(math.exp(0.3 * r) for r in range(6))
-        assert exp_weight_sum(0.3, 5) == pytest.approx(direct, rel=1e-14)
-        shifted = sum(math.exp(-0.3 * (r - 5)) for r in range(6))
-        assert exp_weight_sum(-0.3, 5, ref=5) == pytest.approx(shifted, rel=1e-14)
+        for a in (-0.3, 0.3):
+            direct = sum(math.exp(a * r) for r in range(6))
+            assert exp_weight_sum(a, 5) == pytest.approx(direct, rel=1e-14)
