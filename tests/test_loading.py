@@ -165,10 +165,11 @@ class TestPartialExponential:
         with pytest.raises(StructuralError, match="width max"):
             partial_exponential_prep_ops(QubitRegister(0, width), 0.5, x1)
 
-    @pytest.mark.parametrize("share", [0.25, 0.5, 1.0])
-    def test_one_round_exact_from_a_quarter(self, share):
-        # at share 1/4 the phase is pi, the plain Grover reflection
-        assert abs(amplification_phase(share)) <= math.pi
+    @pytest.mark.parametrize("share,phase", [(0.25, math.pi), (1.0, math.pi / 3)])
+    def test_one_round_exact_from_a_quarter(self, share, phase):
+        # |phase| = 2 asin(1 / (2 sqrt(share))): at share 1/4 it is pi, the
+        # plain Grover reflection
+        assert abs(amplification_phase(share)) == pytest.approx(phase, abs=1e-12)
 
     @pytest.mark.parametrize("share", [0.0, 0.24])
     def test_share_below_a_quarter_rejected(self, share):
