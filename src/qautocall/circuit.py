@@ -102,6 +102,8 @@ class QuantizedModel:
         self.fmt = fmt
         T = contract.steps
 
+        if fmt.width > MAX_WIDTH:
+            raise ValueError(f"format is {fmt.width} bits wide, more than {MAX_WIDTH}")
         lo, hi = _end_codes(contract, grid, fmt)
         envelope = [0, lo, hi, T * lo, T * hi]
         if not (fmt.covers(min(envelope)) and fmt.covers(max(envelope))):
@@ -193,8 +195,10 @@ class QuantizedModel:
         return amp * amp * self.put_scale_sq
 
 
-#: largest fractional width: codes must fit a signed 63-bit (int64) probe
+#: largest fractional width: a sign bit and one integer bit still fit int64
 MAX_FRAC_BITS = 62
+#: widest accumulator format: the closed forms sum its codes in int64
+MAX_WIDTH = 64
 
 
 def _end_codes(
@@ -206,15 +210,20 @@ def _end_codes(
     return tuple(log_return_increment(g, contract, grid, fmt) for g in (0, 2**grid.k - 1))
 
 
-def _probe_codes(
+def _fit(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
-) -> tuple[int, int] | None:
-    """:func:`_end_codes` at ``frac_bits``, or None if one overflows the probe."""
-    probe = FixedPointFormat(MAX_FRAC_BITS - frac_bits, frac_bits)
+) -> FixedPointFormat | None:
+    """Smallest signed format whose accumulator covers every cumulative code,
+    or None when it is wider than :data:`MAX_WIDTH` bits."""
     try:
-        return _end_codes(contract, grid, probe)
-    except ValueError:
+        lo, hi = _end_codes(
+            contract, grid, FixedPointFormat(MAX_WIDTH - 1 - frac_bits, frac_bits)
+        )
+    except ValueError:  # one step's code alone overflows
         return None
+    T = contract.steps
+    fmt = FixedPointFormat(int_bits_for([0, lo, hi, T * lo, T * hi], frac_bits), frac_bits)
+    return fmt if fmt.width <= MAX_WIDTH else None
 
 
 def fit_format(
@@ -223,23 +232,20 @@ def fit_format(
     """Smallest signed format whose accumulator covers every cumulative code.
 
     Raises :class:`ConfigError`, naming the largest usable ``frac_bits``, when
-    a per-step increment does not fit the 63-bit probe.
+    that format is wider than :data:`MAX_WIDTH` bits.
     """
-    codes = _probe_codes(contract, grid, frac_bits)
-    if codes is None:
+    fmt = _fit(contract, grid, frac_bits)
+    if fmt is None:
         usable = next(
-            (p for p in range(frac_bits - 1, -1, -1) if _probe_codes(contract, grid, p) is not None),
+            (p for p in range(frac_bits - 1, -1, -1) if _fit(contract, grid, p) is not None),
             None,
         )
         raise ConfigError([
-            f"p = {frac_bits} is too large for this contract: a per-step log-return "
-            f"increment overflows {MAX_FRAC_BITS + 1} bits; "
+            f"p = {frac_bits} is too large for this contract: its accumulated "
+            f"log-returns overflow {MAX_WIDTH} bits; "
             + (f"the largest usable p is {usable}" if usable is not None else "no p is usable")
         ])
-    lo, hi = codes
-    T = contract.steps
-    envelope = [0, lo, hi, T * lo, T * hi]
-    return FixedPointFormat(int_bits_for(envelope, frac_bits), frac_bits)
+    return fmt
 
 
 @dataclass(frozen=True)

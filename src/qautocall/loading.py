@@ -97,37 +97,21 @@ def integration_amplitude(a: float, x: int, x1: int) -> float:
 # -- partial exponential preparation -----------------------------------------
 
 
-def _aa_bad_residual(s: float, phase: float) -> float:
-    """|bad amplitude| after one amplification round, in the 2D good/bad plane."""
-    c = math.sqrt(max(0.0, 1.0 - s * s))
-    a0 = np.array([s, c], dtype=complex)
-    rot = complex(math.cos(phase), math.sin(phase))
-    vec = a0 * np.array([rot, 1.0])  # phase on the good component
-    vec = vec + (rot - 1.0) * np.vdot(a0, vec) * a0  # A S0 A^-1
-    return abs(vec[1])
-
-
 def amplification_phase(share: float) -> float:
     """Common reflection phase making one amplification round exact.
 
     The phase exists for share >= 1/4 (Brassard, Hoyer, Mosca and Tapp,
-    quant-ph/0005055). Its sign is pinned by checking the residual bad
-    amplitude in the reduced two-dimensional picture; the sign that zeroes it
-    wins.
+    quant-ph/0005055): phi = 2 asin(1 / (2 s)), with s**2 the share and
+    c**2 = 1 - s**2. The round leaves no bad amplitude when e^{i phi} solves
+    z**2 + (c**2 / s**2 - 1) z + 1 = 0, whose roots are complex conjugates
+    from share 1/4 on, so -phi is as exact as the +phi returned.
     """
     s = math.sqrt(min(max(share, 0.0), 1.0))
     if 2.0 * s < 1.0 - 1e-9:  # sin(phi / 2) = 1 / (2 s) > 1
         raise NumericalError(
             f"share {share:.6g} too small for exact amplification in one round (needs >= 1/4)"
         )
-    phi = 2.0 * math.asin(min(0.5 / s, 1.0))
-    best = min((phi, -phi), key=lambda p: _aa_bad_residual(s, p))
-    residual = _aa_bad_residual(s, best)
-    if residual > 1e-9:
-        raise NumericalError(
-            f"amplification phase search failed (residual {residual:.3e} for share {share:.6g})"
-        )
-    return best
+    return 2.0 * math.asin(min(0.5 / s, 1.0))
 
 
 def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[PrimitiveOp]:

@@ -3,10 +3,10 @@
 Bit-order convention used across the whole package: qubit ``q`` is bit ``q``
 of the basis-state index (LSB-first), and a register occupying qubits
 ``offset .. offset+width-1`` stores value bit ``j`` on qubit ``offset+j``.
-A :class:`Statevector` stores only the basis states it holds: their sorted
-indices and their amplitudes, so its memory scales with the support of the
-state, not with ``2**n`` (see :class:`Statevector`). Its kernels compute the
-same amplitudes as a dense simulation, bit for bit.
+A :class:`Statevector` stores only the basis states it holds: their distinct
+indices, in any order, and their nonzero amplitudes, so its memory scales
+with the support of the state, not with ``2**n`` (see :class:`Statevector`).
+Its kernels compute the same amplitudes as a dense simulation, bit for bit.
 
 Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
 :class:`X` (optionally controlled), :class:`PhaseOracle` and the register
@@ -225,27 +225,28 @@ class Statevector:
     """Sparse complex state over ``num_qubits`` qubits: the basis states it
     holds and their amplitudes.
 
-    ``indices`` is a sorted int64 array of basis-state indices and ``values``
-    the complex128 amplitude of each; a basis state that is not listed has
-    amplitude 0. Memory therefore scales with the support (the number of
-    listed states), not with ``2**num_qubits``: a pricing circuit keeps only
-    its Gaussian, exponential, payoff-target and scale qubits in
-    superposition, so ``A|0>`` of the 22-qubit Table-2 circuit lists 1018
-    states, 580 of them above 1e-12 in magnitude.
+    ``indices`` is an int64 array of distinct basis-state indices, in no
+    particular order, and ``values`` the complex128 amplitude of each, never
+    exactly 0; a basis state that is not listed has amplitude 0. Memory
+    therefore scales with the support (the number of listed states), not
+    with ``2**num_qubits``: a pricing circuit keeps only its Gaussian,
+    exponential, payoff-target and scale qubits in superposition, so
+    ``A|0>`` of the 22-qubit Table-2 circuit lists 1018 states, 580 of them
+    above 1e-12 in magnitude.
 
     Each kernel works on the listed entries only. :class:`Ry` pairs every
-    entry whose controls match with its partner ``i ^ (1 << target)``, reads
-    a missing partner as 0 and updates the pair with the same floating-point
-    operations in the same order as a dense 2x2 update, so every amplitude
-    equals the one a dense simulation computes, bit for bit; entries that
-    come out exactly 0 are dropped. :class:`X` and :class:`Add` rewrite the
-    op's bits of each index and re-sort (they permute basis states, so
-    indices never collide), and :class:`PhaseOracle` multiplies the entries
-    whose value on its qubits is marked. The op's bits are read and written
-    one run of consecutive qubits (a register) at a time. Every sort is
-    stable, so numpy runs one that reuses the sorted runs of its input, which
-    the listed indices and the indices an op rewrote are made of; the keys
-    are unique, so the order is the one any sort gives.
+    entry whose controls match with its partner ``i ^ (1 << target)`` on the
+    sorted union of the entries and their partners, reads a missing partner
+    as 0 and updates the pair with the same floating-point operations in the
+    same order as a dense 2x2 update, so every amplitude equals the one a
+    dense simulation computes, bit for bit; entries that come out exactly 0
+    are dropped. :class:`X` and :class:`Add` rewrite the op's bits of each
+    index in place (they permute basis states, so indices never collide),
+    and :class:`PhaseOracle` multiplies the entries whose value on its
+    qubits is marked. The op's bits are read and written one run of
+    consecutive qubits (a register) at a time. :func:`probability` sums its
+    matching entries in index order, so its float does not depend on the
+    order the entries are stored in.
     """
 
     __slots__ = ("num_qubits", "indices", "values")
@@ -315,9 +316,7 @@ class Statevector:
         self.indices, self.values = indices[keep], values[keep]
 
     def _apply_flip(self, target: int, controls):
-        indices = self.indices.copy()
-        indices[_matches(indices, controls)] ^= 1 << target
-        self._reorder(indices)
+        self.indices[_matches(self.indices, controls)] ^= 1 << target
 
     def _apply_phase(self, op: PhaseOracle):
         marked = np.isin(_gather(self.indices, op.qubits), op.marked)
@@ -328,11 +327,7 @@ class Statevector:
         target = _gather(self.indices, op.target)
         target += op.f(_gather(self.indices, op.source))
         mask = sum(1 << q for q in op.target)
-        self._reorder((self.indices & ~mask) | _scatter(target, op.target))
-
-    def _reorder(self, indices: np.ndarray):
-        order = np.argsort(indices, kind="stable")
-        self.indices, self.values = indices[order], self.values[order]
+        self.indices = (self.indices & ~mask) | _scatter(target, op.target)
 
 
 def _matches(indices: np.ndarray, terms: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -402,7 +397,9 @@ def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:
 
 
 def probability(state: Statevector, cond: Condition) -> float:
-    """Exact probability mass of basis states satisfying ``cond``."""
+    """Exact probability mass of basis states satisfying ``cond``, summed in
+    index order."""
     state._check_bounds(q for q, _ in cond.terms)
-    sel = state.values[_matches(state.indices, cond.terms)]
+    matched = np.flatnonzero(_matches(state.indices, cond.terms))
+    sel = state.values[matched[np.argsort(state.indices[matched])]]
     return float(np.real(np.vdot(sel, sel)))

@@ -21,7 +21,7 @@ from qautocall.circuit import (
     put_comparator_op,
 )
 from qautocall.contracts import AutocallableContract, BinaryOption, FixedPointFormat
-from qautocall.errors import CapacityError, QAutocallError
+from qautocall.errors import CapacityError, ConfigError, QAutocallError
 from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import GaussianGridSpec, integration_amplitude
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
@@ -138,6 +138,22 @@ class TestFormatFitting:
             smaller = FixedPointFormat(fmt.int_bits - 1, p)
             with pytest.raises(ValueError):
                 QuantizedModel(table2, grid, smaller)
+
+    def test_accumulator_wider_than_int64_refused(self, table2):
+        # without binaries the T = 3 envelope fits 64 bits up to p = 61; at
+        # p = 62 the 65-bit sum of three codes would wrap in the int64 recursion
+        contract = dataclasses.replace(table2, binaries=())
+        assert fit_format(contract, GRID1, 61).width == 64
+        with pytest.raises(ConfigError, match="largest usable p is 61"):
+            fit_format(contract, GRID1, 62)
+        with pytest.raises(ValueError, match="65 bits wide"):
+            QuantizedModel(contract, GRID1, FixedPointFormat(2, 62))
+
+    def test_widest_format_prices_like_narrower_ones(self, table2):
+        contract = dataclasses.replace(table2, binaries=())
+        want = closed_form_quantized(contract, GRID1, fit_format(contract, GRID1, 60))
+        got = closed_form_quantized(contract, GRID1, fit_format(contract, GRID1, 61))
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestCircuitAgainstOracle:

@@ -85,7 +85,7 @@ def _rows(path):
             "price",
             CONTRACT.replace("sigma = 0.2382", "sigma = 0.5")
             + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 62\n[estimation]\nmethod = cf-quant\n",
-            "largest usable p is 61",
+            "largest usable p is 60",
         ),
         (
             "sweep",

@@ -171,6 +171,18 @@ class TestPartialExponential:
         # plain Grover reflection
         assert abs(amplification_phase(share)) == pytest.approx(phase, abs=1e-12)
 
+    @pytest.mark.parametrize("share", [0.25, 0.5, 0.9, 1.0])
+    def test_both_signs_of_the_phase_leave_no_bad_amplitude(self, share):
+        # one round in the two-dimensional good/bad plane: S_good(phi), then
+        # A S_0(phi) A^-1 = 1 + (e^{i phi} - 1) |a0><a0|
+        s, c = math.sqrt(share), math.sqrt(1.0 - share)
+        a0 = np.array([s, c], dtype=complex)
+        for phase in (amplification_phase(share), -amplification_phase(share)):
+            rot = complex(math.cos(phase), math.sin(phase))
+            vec = a0 * np.array([rot, 1.0])
+            vec = vec + (rot - 1.0) * np.vdot(a0, vec) * a0
+            assert abs(vec[1]) <= 1e-15, phase
+
     @pytest.mark.parametrize("share", [0.0, 0.24])
     def test_share_below_a_quarter_rejected(self, share):
         with pytest.raises(NumericalError, match="one round"):

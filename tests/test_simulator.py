@@ -300,13 +300,47 @@ def test_random_circuits_match_per_basis_state_reference():
     for _ in range(5):
         ops = _random_circuit(5, rng, length=40)
         want = to_dense(allocate(5))
+        state = allocate(5)
         for op in ops:
             want = _reference_apply(op, want)
-        state = allocate(5).apply_all(ops)
+            state.apply(op)
+            # the stored indices stay distinct, in any order, and no exact zero is kept
+            assert len(np.unique(state.indices)) == len(state.indices)
+            assert (state.values != 0).all()
         np.testing.assert_allclose(to_dense(state), want, rtol=0, atol=1e-12)
-        # the stored entries stay sorted and unique, and no exact zero is kept
-        assert (np.diff(state.indices) > 0).all()
-        assert (state.values != 0).all()
+
+
+def _sort_by_index(state):
+    order = np.argsort(state.indices)
+    state.indices, state.values = state.indices[order], state.values[order]
+
+
+def _assert_order_free(num_qubits, ops, cond):
+    """Run ``ops`` one by one on a state as the kernels leave it and on one
+    re-sorted by index after every op: sorted, both hold the same bits, and
+    ``probability`` returns the same float for both."""
+    state, resorted = allocate(num_qubits), allocate(num_qubits)
+    for op in ops:
+        state.apply(op)
+        _sort_by_index(resorted.apply(op))
+        order = np.argsort(state.indices)
+        assert state.indices[order].tobytes() == resorted.indices.tobytes(), op
+        assert state.values[order].tobytes() == resorted.values.tobytes(), op
+        assert probability(state, cond) == probability(resorted, cond), op
+
+
+def test_random_circuits_independent_of_entry_order():
+    rng = np.random.default_rng(23)
+    cond = Condition(((3, 1), (0, 0)))
+    for _ in range(5):
+        _assert_order_free(5, _random_circuit(5, rng, length=40), cond)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (4, 3)])
+def test_pricing_state_independent_of_entry_order(table2, p, k):
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+    _assert_order_free(pc.layout.num_qubits, pc.ops, pc.good)
 
 
 def _gather_per_qubit(indices, qubits):
