@@ -5,10 +5,9 @@ precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
 a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
-grid's 2**k points, the circuit's state support bound, the states a closed
-form keeps in one step, or the payoffs of a Monte Carlo run's
-``estimation.paths`` paths do not fit in physical memory), 3 numerical,
-4 internal (a malformed op or unnormalized amplitudes: a fault in the package).
+grid's 2**k points, the circuit's state support bound or the states a closed
+form keeps in one step do not fit in physical memory), 3 numerical, 4
+internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 Identical config and seed produce byte-identical CSV; the wall_ms column is
 left empty unless --timing is passed, since timings are inherently

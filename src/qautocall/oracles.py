@@ -14,18 +14,19 @@ probability mass, expanding them by every grid shock in blocks of at most
 the run raises :class:`CapacityError`.
 
 The two Monte Carlo oracles draw and price their paths in blocks of at most
-``_MC_BLOCK`` rows, so their memory grows with the path count by
-``BYTES_PER_PATH`` bytes a path only (the payoff vector, reduced in place),
-which must fit in physical memory too. A block is priced step by step over
-the paths still alive: once a path's binary fires it leaves, and its later
+``_MC_BLOCK`` rows and reduce each block's payoffs as soon as it is priced,
+so their memory does not grow with the path count: one block's uniforms and
+payoffs, under 3 MiB at 3 steps. A block is priced step by step over the
+paths still alive: once a path's binary fires it leaves, and its later
 uniforms, drawn all the same, are never turned into shocks.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform array,
-and the blocks take its rows in order from the one stream, so results are
-bit-stable for a fixed seed regardless of the block size. Standard normals
-are produced by inverse CDF, never rejection, and grid draws by an exact
-inverse-CDF lookup.
+and the blocks take its rows in order from the one stream, so every path's
+payoff is bit-stable for a fixed seed. The mean and stderr reduce the
+payoffs over consecutive ``_MC_BLOCK`` = 2**15-row blocks, a fixed constant,
+merged in path order (:func:`_mc_blocks`). Standard normals are produced by
+inverse CDF, never rejection, and grid draws by an exact inverse-CDF lookup.
 
 The normal inverse CDF is :func:`_ndtri`, a numpy port of Cephes ``ndtri``
 (the algorithm ``scipy.special.ndtri`` runs) with its branches, coefficient
@@ -55,10 +56,6 @@ _CHUNK = 2**18
 #: state at 1.6-9.0 million (both closed forms), cf-disc at k = 12 without
 #: binaries 79 at 0.27 million, where one block's ~14 MiB working set weighs more
 BYTES_PER_STATE = 80
-#: peak bytes per Monte Carlo path: its float64 payoff, which the mean and
-#: stderr reduce in place; 2 * 10**6 mc paths peaked 9.4 bytes per path
-#: (mc-disc 8.9), the blocks' fixed working set of under 3 MiB included
-BYTES_PER_PATH = 8
 _MC_BLOCK = 2**15
 _BUCKET_BITS = 12
 
@@ -143,41 +140,38 @@ def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.
     )
 
 
-def _mc_result(payoffs: np.ndarray, seed: int) -> McResult:
-    """Mean and standard error of ``payoffs``, which it overwrites: the same
-    operations ``np.mean`` and ``np.std(ddof=1)`` make, without their copy."""
-    n = len(payoffs)
-    mean = payoffs.sum() / n
-    payoffs -= mean
-    payoffs *= payoffs
-    stderr = float(np.sqrt(payoffs.sum() / (n - 1)) / math.sqrt(n)) if n > 1 else 0.0
-    return McResult(mean=float(mean), stderr=stderr, paths=n, seed=seed)
-
-
 def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments) -> McResult:
     """Price ``paths`` paths in blocks of at most ``_MC_BLOCK`` rows.
 
     Block after block draws the next rows of the one ``(paths, steps)``
     uniform array from the seeded stream and writes their payoffs
-    (:func:`_payoffs`) into one vector, which :func:`_mc_result` reduces
-    whole. Raises :class:`CapacityError` before allocating it when the paths,
-    at ``BYTES_PER_PATH`` bytes each, do not fit in physical memory.
+    (:func:`_payoffs`) into one reused buffer. Each block's count, mean and
+    centred sum of squares merge into running totals in path order (Chan,
+    Golub and LeVeque): with delta = mean_b - mean and w = n_b / (n + n_b),
+    mean += delta w and M2 += M2_b + delta^2 n w. One block gives the floats
+    of ``np.mean`` and ``np.std(ddof=1)``.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-    memory = physical_memory()
-    if paths * BYTES_PER_PATH > memory:
-        raise CapacityError(
-            f"estimation.paths = {paths} paths, {BYTES_PER_PATH} bytes each, need more than "
-            f"the {memory} bytes of physical memory (reduce estimation.paths)"
-        )
     rng = np.random.default_rng(seed)
-    payoffs = np.empty(paths)
+    buffer = np.empty(min(paths, _MC_BLOCK))
+    n, mean, m2 = 0, 0.0, 0.0
     for start in range(0, paths, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, paths)
-        u = rng.random((stop - start, contract.steps))
-        _payoffs(u, contract, increments, payoffs[start:stop])
-    return _mc_result(payoffs, seed)
+        rows = min(_MC_BLOCK, paths - start)
+        block = buffer[:rows]
+        # ``u`` lives until the next draw replaces it: freed at the heap's top,
+        # glibc would trim and refault the heap every block (50 % slower)
+        u = rng.random((rows, contract.steps))
+        _payoffs(u, contract, increments, block)
+        block_mean = block.sum() / rows
+        block -= block_mean
+        block *= block
+        delta, w = block_mean - mean, rows / (n + rows)
+        mean += delta * w
+        m2 += block.sum() + delta * delta * n * w
+        n += rows
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    return McResult(mean=float(mean), stderr=stderr, paths=n, seed=seed)
 
 
 def _rational(x: np.ndarray, p, q) -> np.ndarray:
@@ -199,8 +193,10 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     """Standard normal inverse CDF of ``y0``, all in (0, 1), computed in
     place when ``y0`` is contiguous.
 
-    The central rational runs in place over the whole array; the logarithmic
-    branch runs only on the tail draws, y0 <= e^-2 or y0 > 1 - e^-2.
+    The central rational runs in place over the whole array, tail draws
+    included, since gathering and scattering the central draws costs more than
+    the passes it saves; the logarithmic branch runs only on the tail draws,
+    y0 <= e^-2 or y0 > 1 - e^-2.
     """
     y = y0.reshape(-1)
     tail = np.flatnonzero((y <= _EXPM2) | (y > 1.0 - _EXPM2))

@@ -14,7 +14,6 @@ from qautocall.circuit import BYTES_PER_ENTRY
 from qautocall.cli import main
 from qautocall.errors import PreconditionError, StructuralError
 from qautocall.loading import BYTES_PER_POINT
-from qautocall.oracles import BYTES_PER_PATH
 
 CONTRACT = """\
 [contract]
@@ -228,21 +227,16 @@ def test_closed_form_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memor
 
 
 @pytest.mark.parametrize("method", ["mc", "mc-disc"])
-def test_monte_carlo_paths_beyond_physical_memory_exit_2(tmp_path, capsys, fake_memory, method):
+def test_monte_carlo_paths_beyond_physical_memory_exit_0(tmp_path, fake_memory, method):
+    # the payoffs are reduced block by block, so no path count is refused:
+    # more paths than 8-byte payoffs fit, within a block and across blocks
     text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = {}\npaths = {}\n"
-    # 10**13 paths need 160 TB, more than the physical memory of any test host
-    code, out = _run(tmp_path, "price", text.format(method, 10**13))
-    assert code == 2
-    assert capsys.readouterr().err.startswith("capacity error: estimation.paths = 10000000000000 ")
-    assert not out.exists()
-    fake_memory(4096 * BYTES_PER_PATH)
-    code, out = _run(tmp_path, "price", text.format(method, 4096))
-    assert code == 0
-    out.unlink()
-    code, out = _run(tmp_path, "price", text.format(method, 4097))
-    assert code == 2
-    assert capsys.readouterr().err.startswith("capacity error: estimation.paths = 4097 ")
-    assert not out.exists()
+    fake_memory(4096 * 8)
+    for paths in (4097, 2**16 + 1):
+        code, out = _run(tmp_path, "price", text.format(method, paths))
+        assert code == 0
+        assert _rows(out)[0]["paths_or_shots"] == str(paths)
+        out.unlink()
 
 
 GRID_METHODS = ("quantum-exact", "quantum-iqae", "cf-quant", "cf-disc", "mc-disc")

@@ -197,9 +197,10 @@ class TestMonteCarlo:
         )
 
     def test_flat_contract_deterministic(self, table2_flat):
-        res = mc_price(table2_flat, 2000, seed=4)
-        assert res.stderr <= 1e-15  # identical payoffs up to summation rounding
-        assert res.mean == pytest.approx(2 * math.exp(-0.04), abs=1e-12)
+        for paths in (2000, 3 * _MC_BLOCK + 1):
+            res = mc_price(table2_flat, paths, seed=4)
+            assert res.stderr <= 1e-15  # identical payoffs up to summation rounding
+            assert res.mean == pytest.approx(2 * math.exp(-0.04), abs=1e-12)
 
     def test_stderr_scales_with_inverse_root_paths(self, table2):
         small = mc_price(table2, 10**4, seed=11)
@@ -323,11 +324,24 @@ class TestBlockedMonteCarlo:
         np.testing.assert_array_equal(inverse_cdf(u[idx].copy()), inverse_cdf(u.copy())[idx])
 
     def test_pinned_results(self, table2):
-        # recorded from the whole-block oracles these replaced
+        # recorded from the blocked oracles, which reduce 2**15 paths at a time
         plain = mc_price(table2, 10**5, seed=11)
-        assert (plain.mean, plain.stderr) == (1.6910364554729838, 0.007002686648763637)
+        assert (plain.mean, plain.stderr) == (1.6910364554729835, 0.007002686648763635)
         disc = mc_price_discretized(table2, GRID2, 10**5, 0)
-        assert (disc.mean, disc.stderr) == (1.9992619930715605, 0.006115536948151182)
+        assert (disc.mean, disc.stderr) == (1.9992619930715603, 0.006115536948151182)
+
+    @pytest.mark.parametrize("paths", [_MC_BLOCK + 1, 10**5, 10**6])
+    def test_merged_moments_match_whole_vector(self, table2, paths):
+        grid = GaussianGridSpec(k=7, s_min=3.0)
+        for seed in range(3):
+            for got, values in [
+                (mc_price(table2, paths, seed), mc_reference.mc_payoffs(table2, paths, seed)),
+                (mc_price_discretized(table2, grid, paths, seed),
+                 mc_reference.mc_disc_payoffs(table2, grid, paths, seed)),
+            ]:
+                assert got.mean == pytest.approx(np.mean(values), rel=1e-15, abs=0.0)
+                want = np.std(values, ddof=1) / math.sqrt(paths)
+                assert got.stderr == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_bucketed_lookup_matches_searchsorted_at_edges(self, k):
@@ -347,16 +361,18 @@ class TestBlockedMonteCarlo:
     def test_memory_stays_bounded_at_a_million_paths(self, table2, oracle):
         grid = GaussianGridSpec(k=7, s_min=3.0)
         price = {
-            "mc": lambda: mc_price(table2, 10**6, seed=1),
-            "mc-disc": lambda: mc_price_discretized(table2, grid, 10**6, 1),
+            "mc": lambda paths: mc_price(table2, paths, seed=1),
+            "mc-disc": lambda paths: mc_price_discretized(table2, grid, paths, 1),
         }[oracle]
-        tracemalloc.start()
-        try:
-            price()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20  # peaks of 10.3 (mc) and 9.4 MiB (mc-disc) plus 1.7 MiB
+        for paths in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                price(paths)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one block's working set: peaks of 2.0-2.9 MiB at either path count
+            assert peak < 4 * 2**20
 
 
 class TestClosedForms:
