@@ -219,7 +219,7 @@ def _fit(
         lo, hi = _end_codes(
             contract, grid, FixedPointFormat(MAX_WIDTH - 1 - frac_bits, frac_bits)
         )
-    except ValueError:  # one step's code alone overflows
+    except (ValueError, OverflowError):  # one step's code alone overflows, or is infinite
         return None
     T = contract.steps
     fmt = FixedPointFormat(int_bits_for([0, lo, hi, T * lo, T * hi], frac_bits), frac_bits)
@@ -322,9 +322,7 @@ def accumulate_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Add:
     """acc += increment(g_t), in place, mod 2**m."""
     codes = model.inc_codes
     return Add(
-        layout.accumulator.qubits,
-        layout.gaussians[t - 1].qubits,
-        lambda g: codes[g],
+        layout.accumulator, (layout.gaussians[t - 1],), lambda g: codes[g],
         name=f"accumulate[{t}]",
     )
 
@@ -333,8 +331,8 @@ def barrier_flag_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Ad
     """c_t ^= (l_t < quantize(ln b)), strict."""
     fmt, code = model.fmt, model.barrier_code
     return Add(
-        (layout.barrier_flags.qubit(t - 1),),
-        layout.accumulator.qubits,
+        QubitRegister(layout.barrier_flags.qubit(t - 1), 1),
+        (layout.accumulator,),
         lambda acc: (fmt.to_signed(acc) < code).astype(np.int64),
         name=f"barrier[{t}]",
     )
@@ -343,13 +341,13 @@ def barrier_flag_op(model: QuantizedModel, layout: RegisterLayout, t: int) -> Ad
 def binary_flag_op(model: QuantizedModel, layout: RegisterLayout, i: int) -> Add:
     """b_i ^= (l > quantize(ln k_i)) and no earlier binary fired."""
     fmt, code = model.fmt, model.strike_codes[i]
-    m = fmt.width
+    flags = layout.binary_flags
 
-    def fires(v):  # v: accumulator, then the earlier binary flags
-        return ((fmt.to_signed(v & (2**m - 1)) > code) & ((v >> m) == 0)).astype(np.int64)
+    def fires(acc, earlier=0):  # earlier: the flags of binaries 0 .. i-1
+        return ((fmt.to_signed(acc) > code) & (earlier == 0)).astype(np.int64)
 
-    source = layout.accumulator.qubits + tuple(layout.binary_flags.qubit(h) for h in range(i))
-    return Add((layout.binary_flags.qubit(i),), source, fires, name=f"binary[{i}]")
+    sources = (layout.accumulator,) + ((QubitRegister(flags.offset, i),) if i else ())
+    return Add(QubitRegister(flags.qubit(i), 1), sources, fires, name=f"binary[{i}]")
 
 
 def constant_payoff_ops(
@@ -367,20 +365,14 @@ def constant_payoff_ops(
 def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
     """flag ^= (no binary fired) and (barrier crossed) and (l_T < quantize(ln K))."""
     fmt, code = model.fmt, model.put_strike_code
-    m = fmt.width
-    T = model.contract.steps
 
-    def active(v):  # v: accumulator, then the barrier flags, then the binary flags
-        below = fmt.to_signed(v & (2**m - 1)) < code
-        crossed = ((v >> m) & (2**T - 1)) != 0
-        return (below & crossed & ((v >> (m + T)) == 0)).astype(np.int64)
+    def active(acc, crossed, fired=0):  # fired: the binary flags, if any
+        return ((fmt.to_signed(acc) < code) & (crossed != 0) & (fired == 0)).astype(np.int64)
 
-    source = (
-        layout.accumulator.qubits
-        + layout.barrier_flags.qubits
-        + (layout.binary_flags.qubits if layout.binary_flags else ())
+    sources = (layout.accumulator, layout.barrier_flags) + (
+        (layout.binary_flags,) if layout.binary_flags else ()
     )
-    return Add((layout.put_flag,), source, active, name="put_flag")
+    return Add(QubitRegister(layout.put_flag, 1), sources, active, name="put_flag")
 
 
 def exponential_prep_ops(model: QuantizedModel, layout: RegisterLayout) -> list[PrimitiveOp]:
@@ -394,16 +386,13 @@ def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
     tested on the reflection r' = x1 - r the exponential register holds
     (:func:`exponential_prep_ops`) as r' >= x1 - (l_T - l_min - 1)."""
     fmt, l_min, x1 = model.fmt, model.l_min_code, model.put_x1
-    n = model.exp_width
-    m = fmt.width
 
-    def below(v):  # v: exponential register, then the accumulator, then the put flag
-        reflected = v & (2**n - 1)
-        acc = fmt.to_signed((v >> n) & (2**m - 1))
-        return (((v >> (n + m)) == 1) & (reflected >= x1 - (acc - l_min - 1))).astype(np.int64)
+    def below(reflected, acc, flag):
+        reached = reflected >= x1 - (fmt.to_signed(acc) - l_min - 1)
+        return ((flag == 1) & reached).astype(np.int64)
 
-    source = layout.exponential.qubits + layout.accumulator.qubits + (layout.put_flag,)
-    return Add((layout.payoff_target,), source, below, name="put_compare")
+    sources = (layout.exponential, layout.accumulator, QubitRegister(layout.put_flag, 1))
+    return Add(QubitRegister(layout.payoff_target, 1), sources, below, name="put_compare")
 
 
 def put_scale_op(model: QuantizedModel, layout: RegisterLayout) -> Ry:

@@ -3,6 +3,7 @@
 Subcommands: ``price`` (one method, one parameter point), ``sweep`` (grid over
 precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
+such as a non-finite number or a grid whose normal pdf is 0 at every point,
 a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
 grid's 2**k points, the circuit's state support bound or the states a closed
@@ -19,12 +20,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import difflib
 import io
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .circuit import MAX_FRAC_BITS, build_pricing_circuit, fit_format, post_process
@@ -100,6 +99,7 @@ class _Reader:
         known = _SECTION_KEYS.get(section, set())
         for key in self.raw:
             if key not in known:
+                import difflib  # imported here, not at start-up: only a hint needs it
                 hint = difflib.get_close_matches(key, known, n=1)
                 suffix = f" (did you mean '{hint[0]}'?)" if hint else ""
                 problems.append(f"unknown key '{section}.{key}'{suffix}")
@@ -115,6 +115,9 @@ class _Reader:
         except (ValueError, TypeError):
             self.problems.append(f"invalid value for '{self.section}.{key}': {text!r}")
             return default
+        if isinstance(value, float) and not math.isfinite(value):
+            self.problems.append(f"'{self.section}.{key}' must be finite, got {text!r}")
+            return default
         if check is not None and not check(value):
             self.problems.append(f"'{self.section}.{key}' {describe}, got {text!r}")
             return default
@@ -128,7 +131,10 @@ def _parse_binaries(text: str) -> tuple[BinaryOption, ...]:
     legs = []
     for part in text.split(","):
         step, strike, payout = part.strip().split(":")
-        legs.append(BinaryOption(int(step), float(strike), float(payout)))
+        strike, payout = float(strike), float(payout)
+        if not (math.isfinite(strike) and math.isfinite(payout)):
+            raise ValueError(f"binary {part.strip()!r} is not finite")
+        legs.append(BinaryOption(int(step), strike, payout))
     return tuple(legs)
 
 
@@ -150,6 +156,7 @@ def parse_config(text: str) -> RunConfig:
 
     for section in parser.sections():
         if section not in _SECTION_KEYS:
+            import difflib
             hint = difflib.get_close_matches(section, _SECTION_KEYS, n=1)
             suffix = f" (did you mean '[{hint[0]}]'?)" if hint else ""
             problems.append(f"unknown section '[{section}]'{suffix}")
@@ -389,6 +396,7 @@ def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> lis
         return price_row(config, method, k=k, p=p, timing=timing)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not at start-up: ~7 ms
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(compute, points))
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -49,6 +50,8 @@ class AutocallableContract:
             raise ValueError(
                 f"need 0 < barrier < strike, got barrier={self.barrier}, strike={self.strike}"
             )
+        if -self.rate * self.maturity > math.log(sys.float_info.max):
+            raise ValueError(f"rate {self.rate} overflows the discount factor exp(-rate * T)")
         last = 0
         for b in self.binaries:
             if not 1 <= b.step <= self.steps - 1:

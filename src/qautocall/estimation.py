@@ -24,7 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .simulator import Condition, PhaseOracle, PrimitiveOp, allocate, invert, probability
+from .errors import StructuralError
+from .simulator import (
+    Condition, PhaseOracle, PrimitiveOp, QubitRegister, allocate, invert, probability,
+)
 
 
 _MAX_ROUNDS = 10_000  # stops a schedule that does not converge
@@ -63,11 +66,15 @@ class EstimateResult:
 def build_grover(
     a_ops: Sequence[PrimitiveOp], num_qubits: int, good: Condition
 ) -> list[PrimitiveOp]:
-    """Q = A S_0 A^-1 S_good with pi phase flips on both reflections."""
-    good_qubits = tuple(q for q, _ in good.terms)
-    pattern = sum(b << j for j, (_, b) in enumerate(good.terms))
-    s_good = PhaseOracle(good_qubits, (pattern,), math.pi)
-    s_zero = PhaseOracle(tuple(range(num_qubits)), (0,), math.pi)
+    """Q = A S_0 A^-1 S_good with pi phase flips on both reflections; S_good
+    marks one value of the good qubits, which must form one register."""
+    qubits = sorted(q for q, _ in good.terms)
+    if not qubits or qubits != list(range(qubits[0], qubits[0] + len(qubits))):
+        raise StructuralError(f"good qubits {qubits} do not form one register")
+    reg = QubitRegister(qubits[0], len(qubits))
+    pattern = sum(b << (q - reg.offset) for q, b in good.terms)
+    s_good = PhaseOracle(reg, (pattern,), math.pi)
+    s_zero = PhaseOracle(QubitRegister(0, num_qubits), (0,), math.pi)
     return [s_good, *invert(a_ops), s_zero, *list(a_ops)]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, StructuralError, physical_memory
+from .errors import CapacityError, ConfigError, NumericalError, StructuralError, physical_memory
 from .simulator import PhaseOracle, PrimitiveOp, QubitRegister, Ry, invert
 
 #: peak bytes per grid point while a method builds its grid arrays: cf-quant
@@ -54,13 +54,20 @@ class GaussianGridSpec:
                 f"the grid has 2**{self.k} = {2**self.k} points, {BYTES_PER_POINT} bytes "
                 f"each, more than the {memory} bytes of physical memory; reduce k"
             )
-        return -self.s_min + self.ds * np.arange(2**self.k)
+        with np.errstate(invalid="ignore"):  # an infinite step: nan points, see probabilities()
+            return -self.s_min + self.ds * np.arange(2**self.k)
 
     def probabilities(self) -> np.ndarray:
-        """Standard normal pdf sampled on the grid and renormalized."""
+        """Standard normal pdf sampled on the grid and renormalized. Raises
+        :class:`ConfigError` when it is 0 (or nan) at every point."""
         x = self.points()
-        pdf = np.exp(-0.5 * x * x)
-        return pdf / pdf.sum()
+        with np.errstate(over="ignore"):
+            pdf = np.exp(-0.5 * x * x)
+        total = pdf.sum()
+        if not total > 0:
+            raise ConfigError([f"'grid.s_min' = {self.s_min!r} leaves the normal pdf 0 at every "
+                               f"grid point at k = {self.k}; reduce s_min"])
+        return pdf / total
 
 
 def gaussian_amplitudes(spec: GaussianGridSpec) -> np.ndarray:
@@ -143,8 +150,8 @@ def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[
     domain_hi = 2**reg.width - 1
     phase = amplification_phase(exp_weight_sum(a, x1) / exp_weight_sum(a, domain_hi))
     prep = _power2_prep_ops(reg, a, domain_hi + 1)
-    in_interval = PhaseOracle(reg.qubits, range(x1 + 1), phase)
-    at_zero = PhaseOracle(reg.qubits, (0,), phase)
+    in_interval = PhaseOracle(reg, range(x1 + 1), phase)
+    at_zero = PhaseOracle(reg, (0,), phase)
     return [*prep, in_interval, *invert(prep), at_zero, *prep]
 
 

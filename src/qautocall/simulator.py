@@ -8,9 +8,11 @@ indices, in any order, and their nonzero amplitudes, so its memory scales
 with the support of the state, not with ``2**n`` (see :class:`Statevector`).
 Its kernels compute the same amplitudes as a dense simulation, bit for bit.
 
-Circuits are lists of four invertible primitive op kinds: :class:`Ry` and
-:class:`X` (optionally controlled), :class:`PhaseOracle` and the register
-arithmetic :class:`Add`. Amplitude loading is not a primitive:
+Circuits are lists of four invertible primitive op kinds. :class:`Ry` and
+:class:`X` (optionally controlled) act on one target qubit under
+``(qubit, bit)`` controls. :class:`PhaseOracle` and the register arithmetic
+:class:`Add` act on :class:`QubitRegister` operands, each read as one
+integer with one shift and one mask. Amplitude loading is not a primitive:
 :func:`injection_ops` expands it into ``Ry`` rotations when the circuit is
 built. No op checks the state it is applied to: a circuit is a list of ops
 built ahead of time and run only on a fresh :func:`allocate` state with
@@ -55,6 +57,9 @@ class QubitRegister:
     @property
     def qubits(self) -> tuple[int, ...]:
         return tuple(range(self.offset, self.offset + self.width))
+
+    def __repr__(self):
+        return f"QubitRegister({self.offset}, {self.width})"
 
     def qubit(self, j: int) -> int:
         if not 0 <= j < self.width:
@@ -116,67 +121,67 @@ class X:
 
 class PhaseOracle:
     """Diagonal phase: multiply by e^{i*phase} every basis state whose value on
-    ``qubits`` (LSB-first) is one of the ``marked`` values.
+    ``register`` is one of the ``marked`` values.
 
     Carries the reflections needed by Grover operators and by exact amplitude
     amplification; with ``phase=pi`` and the single marked value ``(v,)`` it is
     the ordinary multi-controlled Z. ``marked`` lists distinct values in
-    ``[0, 2**len(qubits))``, so the oracle's size does not grow with its width.
+    ``[0, 2**register.width)``, so the oracle's size does not grow with its width.
     """
 
-    __slots__ = ("qubits", "marked", "phase")
+    __slots__ = ("register", "marked", "phase")
 
-    def __init__(self, qubits: Sequence[int], marked: Iterable[int], phase: float):
-        self.qubits = tuple(int(q) for q in qubits)
-        if len(set(self.qubits)) != len(self.qubits):
-            raise StructuralError("phase oracle qubits must be distinct")
+    def __init__(self, register: QubitRegister, marked: Iterable[int], phase: float):
+        self.register = register
         self.marked = np.array(list(marked), dtype=np.int64)
         if len(np.unique(self.marked)) != len(self.marked):
             raise StructuralError("phase oracle marked values must be distinct")
-        size = 2 ** len(self.qubits)
+        size = 2**register.width
         if ((self.marked < 0) | (self.marked >= size)).any():
             raise StructuralError(f"phase oracle marked values must lie in [0, {size})")
         self.phase = float(phase)
 
     def inverse_ops(self) -> list["PrimitiveOp"]:
-        return [PhaseOracle(self.qubits, self.marked, -self.phase)]
+        return [PhaseOracle(self.register, self.marked, -self.phase)]
 
     def __repr__(self):
-        return f"PhaseOracle(qubits={self.qubits}, phase={self.phase})"
+        return f"PhaseOracle({self.register}, phase={self.phase})"
 
 
 class Add:
-    """Register arithmetic: ``target += f(value on source) mod 2**len(target)``.
+    """Register arithmetic: ``target += f(*source values) mod 2**target.width``.
 
-    ``f`` maps an int64 array of source values (LSB-first over ``source``) to
-    the int64 amounts to add; with no source it sees zeros and adds a
-    constant. On a one-qubit target it XORs a flag with ``f``'s low bit. The
-    op is a bijection by construction, because the target is not empty and
-    shares no qubit with the source; its inverse adds ``-f``, so ``f`` returns
+    ``f`` takes one int64 array per register of ``sources``, each entry's
+    value on that register, and returns the int64 amounts to add; with no
+    source it is called with no argument and returns a constant. On a
+    one-qubit target it XORs a flag with ``f``'s low bit. The op is a
+    bijection by construction, because no source shares a qubit with the
+    target or with another source; its inverse adds ``-f``, so ``f`` returns
     int64, not bool. Simulated on each listed entry's register values; its
     gate-level cost is accounted in the resource model, not here.
     """
 
-    __slots__ = ("target", "source", "f", "name")
+    __slots__ = ("target", "sources", "f", "name")
 
-    def __init__(self, target: Sequence[int], source: Sequence[int], f, name: str = ""):
-        self.target = tuple(int(q) for q in target)
-        self.source = tuple(int(q) for q in source)
-        qubits = self.target + self.source
-        if not self.target or len(set(qubits)) != len(qubits):
+    def __init__(self, target: QubitRegister, sources: tuple[QubitRegister, ...], f,
+                 name: str = ""):
+        self.target = target
+        self.sources = tuple(sources)
+        qubits = [q for reg in (target, *self.sources) for q in reg.qubits]
+        if len(set(qubits)) != len(qubits):
             raise StructuralError(
-                f"add {name or '<anon>'} needs a non-empty target disjoint from its "
-                f"source, got target={self.target}, source={self.source}"
+                f"add {name or '<anon>'} needs registers that share no qubit, got "
+                f"target={target}, sources={self.sources}"
             )
         self.f = f
         self.name = name
 
     def inverse_ops(self) -> list["PrimitiveOp"]:
         f = self.f
-        return [Add(self.target, self.source, lambda v: -f(v), name=f"{self.name}^-1")]
+        return [Add(self.target, self.sources, lambda *v: -f(*v), name=f"{self.name}^-1")]
 
     def __repr__(self):
-        return f"Add({self.name}, target={self.target}, source={self.source})"
+        return f"Add({self.name}, target={self.target}, sources={self.sources})"
 
 
 PrimitiveOp = Union[Ry, X, PhaseOracle, Add]
@@ -243,8 +248,8 @@ class Statevector:
     are dropped. :class:`X` and :class:`Add` rewrite the op's bits of each
     index in place (they permute basis states, so indices never collide),
     and :class:`PhaseOracle` multiplies the entries whose value on its
-    qubits is marked. The op's bits are read and written one run of
-    consecutive qubits (a register) at a time. :func:`probability` sums its
+    register is marked. A register is read with one shift and one mask and
+    written back with one mask and one shift. :func:`probability` sums its
     matching entries in index order, so its float does not depend on the
     order the entries are stored in.
     """
@@ -261,6 +266,11 @@ class Statevector:
             if not 0 <= q < self.num_qubits:
                 raise StructuralError(f"qubit {q} outside state of {self.num_qubits} qubits")
 
+    def _check_registers(self, *registers: QubitRegister):
+        for reg in registers:
+            if reg.offset + reg.width > self.num_qubits:
+                raise StructuralError(f"{reg} outside state of {self.num_qubits} qubits")
+
     def apply(self, op: PrimitiveOp) -> "Statevector":
         if isinstance(op, Ry):
             self._check_bounds([op.target, *(q for q, _ in op.controls)])
@@ -269,10 +279,10 @@ class Statevector:
             self._check_bounds([op.target, *(q for q, _ in op.controls)])
             self._apply_flip(op.target, op.controls)
         elif isinstance(op, PhaseOracle):
-            self._check_bounds(op.qubits)
+            self._check_registers(op.register)
             self._apply_phase(op)
         elif isinstance(op, Add):
-            self._check_bounds(op.target + op.source)
+            self._check_registers(op.target, *op.sources)
             self._apply_add(op)
         else:
             raise StructuralError(f"unknown primitive op {op!r}")
@@ -319,15 +329,15 @@ class Statevector:
         self.indices[_matches(self.indices, controls)] ^= 1 << target
 
     def _apply_phase(self, op: PhaseOracle):
-        marked = np.isin(_gather(self.indices, op.qubits), op.marked)
+        marked = np.isin(_gather(self.indices, op.register), op.marked)
         self.values[marked] *= complex(math.cos(op.phase), math.sin(op.phase))
 
     def _apply_add(self, op: Add):
-        # _scatter keeps the sum's low bits: the sum mod 2**m, negative sums included
+        # _scatter keeps the sum's low bits: the sum mod 2**width, negative sums included
         target = _gather(self.indices, op.target)
-        target += op.f(_gather(self.indices, op.source))
-        mask = sum(1 << q for q in op.target)
-        self.indices = (self.indices & ~mask) | _scatter(target, op.target)
+        target += op.f(*(_gather(self.indices, reg) for reg in op.sources))
+        self.indices &= ~(((1 << op.target.width) - 1) << op.target.offset)
+        self.indices |= _scatter(target, op.target)
 
 
 def _matches(indices: np.ndarray, terms: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -339,44 +349,19 @@ def _matches(indices: np.ndarray, terms: Iterable[tuple[int, int]]) -> np.ndarra
     return (indices & mask) == value
 
 
-def _runs(qubits: Sequence[int]) -> list[tuple[int, int, int]]:
-    """``(first qubit, first value bit, length)`` of each run of consecutive
-    qubits in ``qubits``."""
-    runs = []
-    for j, q in enumerate(qubits):
-        if j and q == qubits[j - 1] + 1:
-            q0, j0, n = runs[-1]
-            runs[-1] = (q0, j0, n + 1)
-        else:
-            runs.append((q, j, 1))
-    return runs
-
-
-def _gather(indices: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Value of each index on ``qubits``, LSB first; 0 for no qubits.
-
-    One shift and mask per run of consecutive qubits (a register), not per
-    qubit."""
-    out = np.zeros_like(indices)
-    for q, j, n in _runs(qubits):
-        part = indices >> q
-        part &= (1 << n) - 1
-        if j:
-            part <<= j
-        out |= part
+def _gather(indices: np.ndarray, reg: QubitRegister) -> np.ndarray:
+    """Value of each index on ``reg``: one shift and one mask."""
+    out = indices >> reg.offset
+    out &= (1 << reg.width) - 1
     return out
 
 
-def _scatter(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`_gather`: each value's bits placed on ``qubits``;
-    bits above ``len(qubits)`` are dropped (two's complement for negatives)."""
-    out = np.zeros_like(values)
-    for q, j, n in _runs(qubits):
-        part = values >> j
-        part &= (1 << n) - 1
-        if q:
-            part <<= q
-        out |= part
+def _scatter(values: np.ndarray, reg: QubitRegister) -> np.ndarray:
+    """Inverse of :func:`_gather`: each value's low ``reg.width`` bits placed
+    on ``reg``, one mask and one shift; higher bits are dropped (two's
+    complement for negatives)."""
+    out = values & ((1 << reg.width) - 1)
+    out <<= reg.offset
     return out
 
 

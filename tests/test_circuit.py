@@ -434,12 +434,18 @@ def _put_compare_table(model, layout):
 
 
 def _expand(op):
-    """An Add as a table over its source then target qubits, LSB first."""
-    ns, nt = len(op.source), len(op.target)
-    vals = np.arange(2 ** (ns + nt), dtype=np.int64)
-    source = vals & (2**ns - 1)
-    target = ((vals >> ns) + op.f(source)) & (2**nt - 1)
-    return op.source + op.target, source | (target << ns)
+    """An Add as a table over its sources' then its target's qubits, LSB first."""
+    regs = (*op.sources, op.target)
+    qubits = tuple(q for reg in regs for q in reg.qubits)
+    vals = np.arange(2 ** len(qubits), dtype=np.int64)
+    parts, shift = [], 0
+    for reg in regs:
+        parts.append((vals >> shift) & (2**reg.width - 1))
+        shift += reg.width
+    *sources, target = parts
+    ns = len(qubits) - op.target.width
+    target = (target + op.f(*sources)) & (2**op.target.width - 1)
+    return qubits, (vals & (2**ns - 1)) | (target << ns)
 
 
 def _assert_table(op, want):
@@ -491,6 +497,56 @@ def test_add_names_name_the_census_stages(table2, p, k):
         "accumulate[2]", "barrier[2]", "binary[1]",
         "accumulate[3]", "barrier[3]", "put_flag", "put_compare",
     ]
+
+
+def _stage_registers(layout, name):
+    """The (target, sources) registers a stage's op must name: plan_layout
+    registers, single flag qubits, or the leading run of the binary flags."""
+    one = lambda q: QubitRegister(q, 1)  # noqa: E731
+    stage, _, index = name.rstrip("]").partition("[")
+    if stage == "accumulate":
+        return layout.accumulator, (layout.gaussians[int(index) - 1],)
+    if stage == "barrier":
+        return one(layout.barrier_flags.qubit(int(index) - 1)), (layout.accumulator,)
+    if stage == "binary":
+        i = int(index)
+        earlier = (QubitRegister(layout.binary_flags.offset, i),) if i else ()
+        return one(layout.binary_flags.qubit(i)), (layout.accumulator, *earlier)
+    if stage == "put_flag":
+        flags = (layout.binary_flags,) if layout.binary_flags else ()
+        return one(layout.put_flag), (layout.accumulator, layout.barrier_flags, *flags)
+    assert stage == "put_compare", name
+    return one(layout.payoff_target), (layout.exponential, layout.accumulator, one(layout.put_flag))
+
+
+@pytest.mark.parametrize(
+    "steps,p,k,third_binary",
+    [(3, 2, 1, False), (3, 3, 1, False), (3, 2, 2, False), (3, 4, 3, False),
+     (8, 3, 1, False), (8, 3, 1, True)],
+)
+@pytest.mark.parametrize("flat", [False, True])
+def test_register_ops_address_layout_registers(
+    table2, table2_flat, steps, p, k, third_binary, flat
+):
+    # a gate census reads each adder's and comparator's widths off these registers;
+    # a third binary's earlier flags are a two-qubit run
+    contract = table2_flat if flat else table2
+    extra = (BinaryOption(5, 1.2, 6.0),) if third_binary else ()
+    contract = dataclasses.replace(contract, steps=steps, binaries=contract.binaries + extra)
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(contract, grid, fit_format(contract, grid, p))
+    layout = pc.layout
+    adds = [op for op in pc.ops if isinstance(op, Add)]
+    names = [f"{stage}[{t}]" for t in range(1, steps + 1) for stage in ("accumulate", "barrier")]
+    names += [f"binary[{i}]" for i in range(len(contract.binaries))]
+    names += ["put_flag"] * (layout.put_flag is not None)
+    names += ["put_compare"] * (layout.exponential is not None)
+    assert sorted(op.name for op in adds) == sorted(names)
+    for op in adds:
+        assert (op.target, op.sources) == _stage_registers(layout, op.name), op
+    oracles = [op for op in pc.ops if isinstance(op, PhaseOracle)]
+    assert len(oracles) == (2 if layout.exponential else 0)
+    assert all(op.register == layout.exponential for op in oracles)
 
 
 def _tie_contract(barrier, strike, binaries=()):

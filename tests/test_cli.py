@@ -123,6 +123,57 @@ def _rows(path):
             CONTRACT + "[estimation]\nmethod = mc\nseed = -5\n",
             "'estimation.seed' must be >= 0",
         ),
+        (
+            "price",
+            CONTRACT.replace("mu = 0.1274", "mu = 1e308")
+            + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n[estimation]\nmethod = cf-quant\n",
+            "no p is usable",
+        ),
+        (
+            "price",
+            CONTRACT.replace("mu = 0.1274", "mu = 1e308")
+            + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n"
+            "[estimation]\nmethod = quantum-exact\n",
+            "no p is usable",
+        ),
+        (
+            "price",
+            CONTRACT.replace("mu = 0.1274", "mu = nan")
+            + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = cf-disc\n",
+            "'contract.mu' must be finite, got 'nan'",
+        ),
+        (
+            "price",
+            CONTRACT.replace("rate = 0.04", "rate = inf")
+            + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = cf-disc\n",
+            "'contract.rate' must be finite, got 'inf'",
+        ),
+        (
+            "price",
+            CONTRACT.replace("rate = 0.04", "rate = -1000")
+            + "[estimation]\nmethod = mc\n",
+            "rate -1000.0 overflows the discount factor",
+        ),
+        (
+            "price",
+            CONTRACT.replace("1:1.1:2.0", "1:1.1:nan") + "[estimation]\nmethod = mc\n",
+            "invalid value for 'contract.binaries'",
+        ),
+        (
+            "price",
+            CONTRACT + "[grid]\nk = 1\ns_min = inf\n[estimation]\nmethod = cf-disc\n",
+            "'grid.s_min' must be finite",
+        ),
+        ("resources", "[resources]\nsigma_max = nan\n", "'resources.sigma_max' must be finite"),
+        ("resources", "[resources]\ndt = inf\n", "'resources.dt' must be finite"),
+        ("resources", "[resources]\nf_max = inf\n", "'resources.f_max' must be finite"),
+        ("resources", "[resources]\nmu = -inf\n", "'resources.mu' must be finite"),
+        (
+            "price",
+            CONTRACT + "[grid]\nk = 1\ns_min = 3.0\nsmin = 3.0\n[estimation]\nmethod = mc\n",
+            "unknown key 'grid.smin' (did you mean 's_min'?)",
+        ),
+        ("price", CONTRACT + "[gird]\nk = 1\n", "unknown section '[gird]' (did you mean '[grid]'?)"),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -132,6 +183,10 @@ def _rows(path):
         "resources-sigma-max-negative", "resources-f-max-negative",
         "resources-sigma-max-zero", "binary-strike-zero",
         "price-without-contract", "sweep-without-grid", "sweep-without-p", "negative-seed",
+        "mu-overflows-every-format-cf-quant", "mu-overflows-every-format-quantum-exact",
+        "mu-nan", "rate-inf", "rate-overflows-discount", "binary-payout-nan", "s-min-inf",
+        "resources-sigma-max-nan", "resources-dt-inf", "resources-f-max-inf", "resources-mu-inf",
+        "unknown-key-hint", "unknown-section-hint",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -417,6 +472,34 @@ def test_resources_truncation_bound_met_at_the_positive_floor(tmp_path):
 
 
 # Prints the exit codes of the runs and, after each stage, the scipy modules loaded.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["quantum-exact", "cf-quant", "cf-disc", "mc-disc"])
+@pytest.mark.parametrize("k, s_min", [(1, "40"), (2, "1e300"), (1, "1e308")])
+def test_grid_without_probability_exits_1_naming_s_min(tmp_path, capsys, method, k, s_min):
+    # the normal pdf underflows to 0 at every grid point (at 1e308 the grid step
+    # overflows): a config error, not a warning and a nan price; at 1e300 the
+    # increments overflow every accumulator format first, so cf-quant and
+    # quantum-exact name p instead
+    text = CONTRACT + f"[grid]\nk = {k}\ns_min = {s_min}\n[fixedpoint]\np = 2\n"
+    code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\n")
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    fits = s_min == "40" or method in ("cf-disc", "mc-disc")
+    assert err.startswith("config error: " + ("'grid.s_min'" if fits else "p = 2"))
+
+
+def test_cli_import_loads_neither_thread_pool_nor_difflib():
+    # each is imported where it is used: --threads > 1, or an unknown key or section
+    src = str(Path(qautocall.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, qautocall.cli; print(sorted({'concurrent.futures', 'difflib'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 STARTUP_PROBE = """
 import json, sys
 

@@ -13,8 +13,9 @@ from qautocall.estimation import (
     iqae_estimate,
     sample,
 )
+from qautocall.errors import StructuralError
 from qautocall.loading import GaussianGridSpec
-from qautocall.simulator import Condition, Ry, allocate, probability
+from qautocall.simulator import Condition, PhaseOracle, QubitRegister, Ry, allocate, probability
 
 
 def bernoulli_circuit(a):
@@ -77,6 +78,16 @@ class TestGrover:
         state.apply_all(ops)
         state.apply_all(build_grover(ops, nq, good))
         assert probability(state, good) == pytest.approx(1.0, abs=1e-12)
+
+    def test_good_qubits_form_one_register(self):
+        # S_good marks one value of the good qubits' register, whatever the term order
+        ops = [Ry(1, 0.3), Ry(2, 0.7)]
+        s_good = build_grover(ops, 4, Condition(((2, 0), (1, 1))))[0]
+        assert isinstance(s_good, PhaseOracle)
+        assert s_good.register == QubitRegister(1, 2) and s_good.marked.tolist() == [1]
+        for terms in [((0, 1), (2, 1)), ()]:
+            with pytest.raises(StructuralError, match="one register"):
+                build_grover(ops, 4, Condition(terms))
 
     def test_works_on_wider_registers(self):
         # same Bernoulli amplitude embedded in a 3-qubit circuit with bystanders

@@ -192,7 +192,8 @@ class TestPartialExponential:
 def _compare_op(n):
     """target ^= (r <= x), inclusive, over (r, x, target) on qubits 0 .. 2n."""
     return Add(
-        (2 * n,), range(2 * n), lambda v: ((v & (2**n - 1)) <= (v >> n)).astype(np.int64)
+        QubitRegister(2 * n, 1), (QubitRegister(0, n), QubitRegister(n, n)),
+        lambda r, x: (r <= x).astype(np.int64),
     )
 
 

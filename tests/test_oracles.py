@@ -301,6 +301,20 @@ class TestBlockedMonteCarlo:
         ),
         paths=_MC_BLOCK + 1, k=3, seed=0,
     )
+    # put payoffs whose tail draws scipy's ndtri and _ndtri round apart by an ulp
+    @example(
+        contract=AutocallableContract(
+            notional=1.0837684601264186, dt=0.5, steps=4, mu=-0.18544621361879232,
+            sigma=0.13142577617413864, rate=0.0016456058859668221,
+            barrier=0.4613118695392591, strike=0.8359792642992357,
+            binaries=(
+                BinaryOption(1, 0.8657943979395281, 0.874936783016734),
+                BinaryOption(2, 0.8231983257060664, 1.0621394847117716),
+                BinaryOption(3, 0.96204814399516, 1.5717823295401723),
+            ),
+        ),
+        paths=_MC_BLOCK, k=1, seed=10444,
+    )
     def test_step_wise_matches_whole_block(self, contract, paths, k, seed):
         assert mc_price(contract, paths, seed) == mc_reference.mc_price(contract, paths, seed)
         grid = GaussianGridSpec(k=k, s_min=3.0)

@@ -89,20 +89,21 @@ def test_classical_identity_noop():
     reg = QubitRegister(0, 2)
     state = allocate(3).apply(Ry(0, 0.7)).apply(Ry(2, 1.1))
     before = to_dense(state)
-    state.apply(Add(reg.qubits, (2,), lambda v: 0 * v, name="add_0"))
+    state.apply(Add(reg, (QubitRegister(2, 1),), lambda v: 0 * v, name="add_0"))
     assert np.array_equal(to_dense(state), before)
 
 
 def test_classical_increment_register_local():
     reg = QubitRegister(0, 2)
     state = allocate(3)
-    state.apply(Add(reg.qubits, (), lambda _: 1, name="add_1"))
+    state.apply(Add(reg, (), lambda: 1, name="add_1"))
     assert abs(to_dense(state)[0b001]) == pytest.approx(1.0)
 
 
 def test_add_on_one_qubit_is_an_involution():
     # a one-qubit target XORs a flag, so adding 1 or -1 undoes itself
-    flag = Add((2,), (0, 1), lambda v: (v == 3).astype(np.int64), name="and")
+    flag = Add(QubitRegister(2, 1), (QubitRegister(0, 2),), lambda v: (v == 3).astype(np.int64),
+               name="and")
     state = allocate(3).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, controls=((0, 1),)))
     before = to_dense(state)
     state.apply(flag)
@@ -114,9 +115,21 @@ def test_add_on_one_qubit_is_an_involution():
 
 
 def test_add_rejects_overlap_and_empty_target():
-    for target, source in [((), (0, 1)), ((0, 1), (1, 2)), ((2, 2), ()), ((0,), (3, 3))]:
-        with pytest.raises(StructuralError, match="non-empty target disjoint"):
-            Add(target, source, lambda v: v)
+    r = QubitRegister
+    for target, sources in [(r(0, 2), (r(1, 2),)), (r(2, 1), (r(0, 2), r(1, 1))),
+                            (r(3, 1), (r(0, 3), r(3, 2)))]:
+        with pytest.raises(StructuralError, match="share no qubit"):
+            Add(target, sources, lambda *v: v[0])
+    with pytest.raises(StructuralError, match="invalid register"):
+        Add(r(0, 0), (r(1, 1),), lambda v: v)
+
+
+def test_register_ops_beyond_the_state_rejected():
+    for op in (PhaseOracle(QubitRegister(2, 2), (0,), 0.1),
+               Add(QubitRegister(0, 1), (QubitRegister(1, 3),), lambda v: v),
+               Add(QubitRegister(3, 1), (), lambda: 1)):
+        with pytest.raises(StructuralError, match="outside state of 3 qubits"):
+            allocate(3).apply(op)
 
 
 @given(codes=st.lists(st.integers(-50, 50), min_size=2, max_size=2))
@@ -127,7 +140,7 @@ def test_classical_preserves_probability_multiset(codes):
     state = from_dense(3, amps / np.linalg.norm(amps))
     before = np.sort(np.abs(to_dense(state)) ** 2)
     codes = np.array(codes, dtype=np.int64)
-    state.apply(Add((0, 2), (1,), lambda v: codes[v]))
+    state.apply(Add(QubitRegister(0, 2), (QubitRegister(2, 1),), lambda v: codes[v]))
     assert np.allclose(np.sort(np.abs(to_dense(state)) ** 2), before, atol=1e-15)
 
 
@@ -180,6 +193,17 @@ def test_invert_reverses_order():
     assert invert([a, b]) == [b, Ry(0, -0.3)]
 
 
+def _lookup(codes, sources):
+    """``f`` reading ``codes`` at the sources' values, packed LSB first in order."""
+    def f(*values):
+        index, shift = 0, 0
+        for v, reg in zip(values, sources):
+            index = index + (v << shift)
+            shift += reg.width
+        return codes[index]
+    return f
+
+
 def _random_circuit(num_qubits, rng, length=25):
     ops = []
     ops.extend(injection_ops(QubitRegister(0, 2), np.sqrt([0.1, 0.2, 0.3, 0.4])))
@@ -197,15 +221,19 @@ def _random_circuit(num_qubits, rng, length=25):
         elif kind == 1:
             ops.append(X(target, controls))
         elif kind == 2:
-            qubits = [int(q) for q in rng.permutation(num_qubits)]
-            width = int(rng.integers(1, 3))
-            source = qubits[width : width + int(rng.integers(0, 3))]
-            codes = rng.integers(-5, 6, size=2 ** len(source))
-            ops.append(Add(qubits[:width], source, lambda v, codes=codes: codes[v], "codes"))
+            # the target and up to two sources: three registers that split the qubits
+            cuts = sorted(int(c) for c in rng.choice(np.arange(1, num_qubits), 2, replace=False))
+            bounds = [0, *cuts, num_qubits]
+            regs = [QubitRegister(a, b - a) for a, b in zip(bounds, bounds[1:])]
+            order = rng.permutation(3)
+            sources = tuple(regs[i] for i in order[1 : 1 + int(rng.integers(0, 3))])
+            codes = rng.integers(-5, 6, size=2 ** sum(reg.width for reg in sources))
+            ops.append(Add(regs[order[0]], sources, _lookup(codes, sources), "codes"))
         else:
-            qubits = tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
-            marked = np.flatnonzero(rng.integers(2, size=4))
-            ops.append(PhaseOracle(qubits, marked, float(rng.uniform(-math.pi, math.pi))))
+            width = int(rng.integers(1, 4))
+            reg = QubitRegister(int(rng.integers(0, num_qubits - width + 1)), width)
+            marked = np.flatnonzero(rng.integers(2, size=2**width))
+            ops.append(PhaseOracle(reg, marked, float(rng.uniform(-math.pi, math.pi))))
     return ops
 
 
@@ -251,13 +279,14 @@ def _reference_apply(op, amps):
                 c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
                 out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
         elif isinstance(op, PhaseOracle):
-            if _value(i, op.qubits) in op.marked:
+            if _value(i, op.register.qubits) in op.marked:
                 out[i] = amps[i] * complex(math.cos(op.phase), math.sin(op.phase))
-        else:  # Add: target += f(value on source) mod 2**len(target)
-            add = np.ravel(op.f(np.array([_value(i, op.source)], dtype=np.int64)))[0]
-            w = (_value(i, op.target) + int(add)) % 2 ** len(op.target)
+        else:  # Add: target += f(*values on sources) mod 2**target.width
+            values = (np.array([_value(i, reg.qubits)], dtype=np.int64) for reg in op.sources)
+            add = np.ravel(op.f(*values))[0]
+            w = (_value(i, op.target.qubits) + int(add)) % 2**op.target.width
             j = i
-            for k, q in enumerate(op.target):
+            for k, q in enumerate(op.target.qubits):
                 j = (j & ~(1 << q)) | (((w >> k) & 1) << q)
             out[j] = amps[i]
     return out
@@ -274,12 +303,13 @@ _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
         Ry(2, 0.7, controls=((4, 1), (0, 0))),
         X(0),
         X(3, controls=((0, 1), (4, 0), (1, 1))),
-        PhaseOracle((3, 0, 2), _MARKED[_MARKED < 8], 0.9),
-        PhaseOracle((2, 4, 1, 0), _MARKED, math.pi),
-        PhaseOracle((4, 0, 3, 1, 2), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
-        Add((4, 2, 0), (1, 3), lambda v: _CODES[v], name="codes"),
-        Add((3,), (4, 0, 1), lambda v: (v % 3 == 1).astype(np.int64), name="flag"),
-        Add((1, 4, 0, 3), (), lambda _: -5, name="neg5"),
+        PhaseOracle(QubitRegister(0, 3), _MARKED[_MARKED < 8], 0.9),
+        PhaseOracle(QubitRegister(1, 4), _MARKED, math.pi),
+        PhaseOracle(QubitRegister(0, 5), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
+        Add(QubitRegister(2, 3), (QubitRegister(0, 2),), lambda v: _CODES[v], name="codes"),
+        Add(QubitRegister(3, 1), (QubitRegister(4, 1), QubitRegister(0, 3)),
+            lambda a, b: ((a + 2 * b) % 3 == 1).astype(np.int64), name="flag"),
+        Add(QubitRegister(1, 4), (), lambda: -5, name="neg5"),
     ],
     ids=repr,
 )
@@ -359,38 +389,28 @@ def _scatter_per_qubit(values, qubits):
     return out
 
 
-def _qubit_tuples(rng):
-    yield ()
-    yield tuple(range(MAX_QUBITS))
-    yield tuple(range(3, 50))
-    yield tuple(range(61, -1, -1))
-    yield tuple(range(10, 0, -2)) + tuple(range(11, 30))
-    yield (0, 2, 1, 3, 5, 4, 6, 61, 60)
-    for width in range(1, 25):
-        qubits = rng.choice(MAX_QUBITS, size=width, replace=False)
-        yield tuple(int(q) for q in qubits)
-        # three runs of one register, in a random order
-        start = int(rng.integers(0, MAX_QUBITS - width + 1))
-        a, b = sorted(int(c) for c in rng.integers(0, width + 1, size=2))
-        run = list(range(start, start + width))
-        pieces = (run[:a], run[a:b], run[b:])
-        yield tuple(q for i in rng.permutation(3) for q in pieces[i])
+def _registers(rng):
+    yield QubitRegister(0, MAX_QUBITS)
+    yield QubitRegister(MAX_QUBITS - 1, 1)
+    yield QubitRegister(0, 1)
+    yield QubitRegister(3, 47)
+    for width in range(1, MAX_QUBITS + 1):
+        yield QubitRegister(int(rng.integers(0, MAX_QUBITS - width + 1)), width)
 
 
 def test_gather_and_scatter_match_their_per_qubit_definition():
     rng = np.random.default_rng(29)
     indices = rng.integers(0, 2**MAX_QUBITS, size=500, dtype=np.int64)
-    for qubits in _qubit_tuples(rng):
-        got = simulator._gather(indices, qubits)
-        assert (got == _gather_per_qubit(indices, qubits)).all(), qubits
-        values = indices & (2 ** len(qubits) - 1)
-        want = _scatter_per_qubit(values, qubits)
-        assert (simulator._scatter(values, qubits) == want).all(), qubits
-        assert (simulator._gather(want, qubits) == values).all(), qubits
-        # bits above len(qubits) are dropped, so Add's sums land mod 2**len(qubits)
+    for reg in _registers(rng):
+        got = simulator._gather(indices, reg)
+        assert (got == _gather_per_qubit(indices, reg.qubits)).all(), reg
+        values = indices & (2**reg.width - 1)
+        want = _scatter_per_qubit(values, reg.qubits)
+        assert (simulator._scatter(values, reg) == want).all(), reg
+        assert (simulator._gather(want, reg) == values).all(), reg
+        # bits above reg.width are dropped, so Add's sums land mod 2**reg.width
         for wide in (indices, -indices):
-            assert (simulator._scatter(wide, qubits) == _scatter_per_qubit(wide, qubits)).all()
-    assert simulator._gather(indices, ()).tolist() == [0] * len(indices)
+            assert (simulator._scatter(wide, reg) == _scatter_per_qubit(wide, reg.qubits)).all()
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (4, 3)])
@@ -398,8 +418,8 @@ def test_pricing_state_identical_to_per_qubit_kernels(table2, monkeypatch, p, k)
     grid = GaussianGridSpec(k=k, s_min=3.0)
     pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
     state = allocate(pc.layout.num_qubits).apply_all(pc.ops)
-    monkeypatch.setattr(simulator, "_gather", _gather_per_qubit)
-    monkeypatch.setattr(simulator, "_scatter", _scatter_per_qubit)
+    monkeypatch.setattr(simulator, "_gather", lambda i, reg: _gather_per_qubit(i, reg.qubits))
+    monkeypatch.setattr(simulator, "_scatter", lambda v, reg: _scatter_per_qubit(v, reg.qubits))
     want = allocate(pc.layout.num_qubits).apply_all(pc.ops)
     assert state.indices.tolist() == want.indices.tolist()
     assert state.values.tolist() == want.values.tolist()
@@ -420,17 +440,17 @@ def test_condition_rejects_duplicates():
 
 def test_phase_oracle_marks_values():
     state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, math.pi / 2))
-    state.apply(PhaseOracle((0, 1), (3,), math.pi))
+    state.apply(PhaseOracle(QubitRegister(0, 2), (3,), math.pi))
     assert to_dense(state)[3].real == pytest.approx(-0.5, abs=1e-12)
     assert to_dense(state)[0].real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_phase_oracle_stores_only_its_marked_values():
     # the S_0 reflection on every qubit of the widest state holds one value
-    assert PhaseOracle(range(MAX_QUBITS), (0,), math.pi).marked.tolist() == [0]
+    assert PhaseOracle(QubitRegister(0, MAX_QUBITS), (0,), math.pi).marked.tolist() == [0]
     for marked in ([1, 1], [4], [-1]):
         with pytest.raises(StructuralError, match="marked values"):
-            PhaseOracle((0, 1), marked, math.pi)
+            PhaseOracle(QubitRegister(0, 2), marked, math.pi)
 
 
 def test_register_helpers():
