@@ -63,7 +63,6 @@ from .simulator import (
     QubitRegister,
     Ry,
     Statevector,
-    X,
     allocate,
     injection_ops,
     invert,

@@ -34,7 +34,6 @@ from .simulator import (
     PrimitiveOp,
     QubitRegister,
     Ry,
-    X,
     injection_ops,
 )
 
@@ -232,8 +231,10 @@ def fit_format(
     """Smallest signed format whose accumulator covers every cumulative code.
 
     Raises :class:`ConfigError`, naming the largest usable ``frac_bits``, when
-    that format is wider than :data:`MAX_WIDTH` bits.
+    that format is wider than :data:`MAX_WIDTH` bits, and naming ``grid.s_min``
+    first when the grid holds no probability.
     """
+    grid.check_probability()
     fmt = _fit(contract, grid, frac_bits)
     if fmt is None:
         usable = next(
@@ -353,12 +354,14 @@ def binary_flag_op(model: QuantizedModel, layout: RegisterLayout, i: int) -> Add
 def constant_payoff_ops(
     model: QuantizedModel, layout: RegisterLayout, i: int
 ) -> list[PrimitiveOp]:
-    """Controlled on b_i: rotate the target to sqrt(level) and set the scale."""
+    """Controlled on b_i: rotate the target to sqrt(level), and set the scale
+    with ``binary_scale[i]``: scale ^= b_i."""
     level = model.binary_levels[i]
-    control = ((layout.binary_flags.qubit(i), 1),)
+    flag = layout.binary_flags.qubit(i)
     return [
-        Ry(layout.payoff_target, 2.0 * math.asin(math.sqrt(level)), control),
-        X(layout.scale_indicator, control),
+        Ry(layout.payoff_target, 2.0 * math.asin(math.sqrt(level)), ((flag, 1),)),
+        Add(QubitRegister(layout.scale_indicator, 1), (QubitRegister(flag, 1),), lambda b: b,
+            name=f"binary_scale[{i}]"),
     ]
 
 
@@ -401,14 +404,20 @@ def put_scale_op(model: QuantizedModel, layout: RegisterLayout) -> Ry:
 
 
 def zero_payoff_ops(model: QuantizedModel, layout: RegisterLayout) -> list[PrimitiveOp]:
-    """On the remaining branch (no binary, put inactive) load the zero-payoff level."""
-    controls = tuple((q, 0) for q in (layout.binary_flags.qubits if layout.binary_flags else ()))
+    """On the remaining branch (no binary, put inactive) load the zero-payoff
+    level, and set the scale with ``zero_scale``: scale ^= (no flag is set)."""
+    flags = (layout.binary_flags,) if layout.binary_flags else ()
     if layout.put_flag is not None:
-        controls += ((layout.put_flag, 0),)
+        flags += (QubitRegister(layout.put_flag, 1),)
+    controls = tuple((q, 0) for reg in flags for q in reg.qubits)
     angle = 2.0 * math.asin(math.sqrt(model.mapping.zero_level))
+
+    def unset(*values):  # the binary flags and the put flag, whichever exist
+        return np.equal(sum(values), 0).astype(np.int64)
+
     return [
         Ry(layout.payoff_target, angle, controls),
-        X(layout.scale_indicator, controls),
+        Add(QubitRegister(layout.scale_indicator, 1), flags, unset, name="zero_scale"),
     ]
 
 

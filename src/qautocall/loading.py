@@ -57,6 +57,13 @@ class GaussianGridSpec:
         with np.errstate(invalid="ignore"):  # an infinite step: nan points, see probabilities()
             return -self.s_min + self.ds * np.arange(2**self.k)
 
+    def check_probability(self, mass: float | None = None) -> None:
+        """Raise :class:`ConfigError` unless ``mass``, the pdf summed over the grid,
+        is positive; by default, in O(1), the pdf at +-ds/2, the points nearest 0."""
+        if not (math.exp(-self.ds * self.ds / 8.0) if mass is None else mass) > 0:
+            raise ConfigError([f"'grid.s_min' = {self.s_min!r} leaves the normal pdf 0 at every "
+                               f"grid point at k = {self.k}; reduce s_min"])
+
     def probabilities(self) -> np.ndarray:
         """Standard normal pdf sampled on the grid and renormalized. Raises
         :class:`ConfigError` when it is 0 (or nan) at every point."""
@@ -64,9 +71,7 @@ class GaussianGridSpec:
         with np.errstate(over="ignore"):
             pdf = np.exp(-0.5 * x * x)
         total = pdf.sum()
-        if not total > 0:
-            raise ConfigError([f"'grid.s_min' = {self.s_min!r} leaves the normal pdf 0 at every "
-                               f"grid point at k = {self.k}; reduce s_min"])
+        self.check_probability(total)
         return pdf / total
 
 

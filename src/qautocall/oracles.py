@@ -156,20 +156,23 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     rng = np.random.default_rng(seed)
     buffer = np.empty(min(paths, _MC_BLOCK))
     n, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, paths, _MC_BLOCK):
-        rows = min(_MC_BLOCK, paths - start)
-        block = buffer[:rows]
-        # ``u`` lives until the next draw replaces it: freed at the heap's top,
-        # glibc would trim and refault the heap every block (50 % slower)
-        u = rng.random((rows, contract.steps))
-        _payoffs(u, contract, increments, block)
-        block_mean = block.sum() / rows
-        block -= block_mean
-        block *= block
-        delta, w = block_mean - mean, rows / (n + rows)
-        mean += delta * w
-        m2 += block.sum() + delta * delta * n * w
-        n += rows
+    # an extreme drift overflows log-returns and levels to +-inf, which
+    # classify every path as a finite one would; entered once per call
+    with np.errstate(over="ignore"):
+        for start in range(0, paths, _MC_BLOCK):
+            rows = min(_MC_BLOCK, paths - start)
+            block = buffer[:rows]
+            # ``u`` lives until the next draw replaces it: freed at the heap's top,
+            # glibc would trim and refault the heap every block (50 % slower)
+            u = rng.random((rows, contract.steps))
+            _payoffs(u, contract, increments, block)
+            block_mean = block.sum() / rows
+            block -= block_mean
+            block *= block
+            delta, w = block_mean - mean, rows / (n + rows)
+            mean += delta * w
+            m2 += block.sum() + delta * delta * n * w
+            n += rows
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
     return McResult(mean=float(mean), stderr=stderr, paths=n, seed=seed)
 
@@ -389,9 +392,11 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     def first(t, level, above=bisect.bisect_left):
         return above(range(t * top + 1), level, key=lambda g: np.exp(t * a + b * g))
 
-    barriers = [first(t, contract.barrier) for t in range(1, contract.steps + 1)]
-    strikes = [first(o.step, o.strike, bisect.bisect_right) - 1 for o in contract.binaries]
-    put_strike = first(contract.steps, contract.strike)
+    # an extreme drift overflows the level to inf, which classifies as a finite one would
+    with np.errstate(over="ignore"):
+        barriers = [first(t, contract.barrier) for t in range(1, contract.steps + 1)]
+        strikes = [first(o.step, o.strike, bisect.bisect_right) - 1 for o in contract.binaries]
+        put_strike = first(contract.steps, contract.strike)
     fired, _, (keys, mass) = _recursion(
         contract, np.arange(top + 1), probs, barriers, strikes, put_strike
     )

@@ -8,11 +8,12 @@ indices, in any order, and their nonzero amplitudes, so its memory scales
 with the support of the state, not with ``2**n`` (see :class:`Statevector`).
 Its kernels compute the same amplitudes as a dense simulation, bit for bit.
 
-Circuits are lists of four invertible primitive op kinds. :class:`Ry` and
-:class:`X` (optionally controlled) act on one target qubit under
-``(qubit, bit)`` controls. :class:`PhaseOracle` and the register arithmetic
-:class:`Add` act on :class:`QubitRegister` operands, each read as one
-integer with one shift and one mask. Amplitude loading is not a primitive:
+Circuits are lists of three invertible primitive op kinds, each inverted by
+one op of its kind: the rotation :class:`Ry` acts on one target qubit under
+``(qubit, bit)`` controls, and the register arithmetic :class:`Add` and the
+phase :class:`PhaseOracle` act on :class:`QubitRegister` operands, each read
+as one integer with one shift and one mask; a bit flip, controlled or not, is
+an ``Add`` on a one-qubit target. Amplitude loading is not a primitive:
 :func:`injection_ops` expands it into ``Ry`` rotations when the circuit is
 built. No op checks the state it is applied to: a circuit is a list of ops
 built ahead of time and run only on a fresh :func:`allocate` state with
@@ -82,14 +83,6 @@ class Condition:
             raise StructuralError("condition bits must be 0 or 1")
 
 
-def _check_controls(controls: Iterable[tuple[int, int]], target: int):
-    """Control terms, checked as a :class:`Condition`'s, that leave out ``target``."""
-    terms = Condition(tuple(controls)).terms
-    if any(q == target for q, _ in terms):
-        raise StructuralError(f"qubit {target} used as both control and target")
-    return terms
-
-
 @dataclass(frozen=True)
 class Ry:
     """Y-rotation on ``target``, optionally controlled; CRY when controls given."""
@@ -99,24 +92,13 @@ class Ry:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", _check_controls(self.controls, self.target))
+        terms = Condition(tuple(self.controls)).terms  # distinct qubits, bits 0 or 1
+        if any(q == self.target for q, _ in terms):
+            raise StructuralError(f"qubit {self.target} used as both control and target")
+        object.__setattr__(self, "controls", terms)
 
-    def inverse_ops(self) -> list["PrimitiveOp"]:
-        return [Ry(self.target, -self.angle, self.controls)]
-
-
-@dataclass(frozen=True)
-class X:
-    """Bit flip on ``target``; MCX when controls given."""
-
-    target: int
-    controls: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "controls", _check_controls(self.controls, self.target))
-
-    def inverse_ops(self) -> list["PrimitiveOp"]:
-        return [self]
+    def inverse(self) -> "Ry":
+        return Ry(self.target, -self.angle, self.controls)
 
 
 class PhaseOracle:
@@ -141,8 +123,8 @@ class PhaseOracle:
             raise StructuralError(f"phase oracle marked values must lie in [0, {size})")
         self.phase = float(phase)
 
-    def inverse_ops(self) -> list["PrimitiveOp"]:
-        return [PhaseOracle(self.register, self.marked, -self.phase)]
+    def inverse(self) -> "PhaseOracle":
+        return PhaseOracle(self.register, self.marked, -self.phase)
 
     def __repr__(self):
         return f"PhaseOracle({self.register}, phase={self.phase})"
@@ -176,15 +158,15 @@ class Add:
         self.f = f
         self.name = name
 
-    def inverse_ops(self) -> list["PrimitiveOp"]:
+    def inverse(self) -> "Add":
         f = self.f
-        return [Add(self.target, self.sources, lambda *v: -f(*v), name=f"{self.name}^-1")]
+        return Add(self.target, self.sources, lambda *v: -f(*v), name=f"{self.name}^-1")
 
     def __repr__(self):
         return f"Add({self.name}, target={self.target}, sources={self.sources})"
 
 
-PrimitiveOp = Union[Ry, X, PhaseOracle, Add]
+PrimitiveOp = Union[Ry, PhaseOracle, Add]
 
 
 def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> list[Ry]:
@@ -239,16 +221,17 @@ class Statevector:
     ``A|0>`` of the 22-qubit Table-2 circuit lists 1018 states, 580 of them
     above 1e-12 in magnitude.
 
-    Each kernel works on the listed entries only. :class:`Ry` pairs every
-    entry whose controls match with its partner ``i ^ (1 << target)`` on the
-    sorted union of the entries and their partners, reads a missing partner
-    as 0 and updates the pair with the same floating-point operations in the
-    same order as a dense 2x2 update, so every amplitude equals the one a
-    dense simulation computes, bit for bit; entries that come out exactly 0
-    are dropped. :class:`X` and :class:`Add` rewrite the op's bits of each
-    index in place (they permute basis states, so indices never collide),
-    and :class:`PhaseOracle` multiplies the entries whose value on its
-    register is marked. A register is read with one shift and one mask and
+    One kernel per op kind works on the listed entries only. The rotation
+    :class:`Ry` pairs every entry whose controls match with its partner
+    ``i ^ (1 << target)`` on the sorted union of the entries and their
+    partners, reads a missing partner as 0 and updates the pair with the same
+    floating-point operations in the same order as a dense 2x2 update, so
+    every amplitude equals the one a dense simulation computes, bit for bit;
+    entries that come out exactly 0 are dropped. The register arithmetic
+    :class:`Add` rewrites its target's bits of each index in place (it
+    permutes basis states, so indices never collide), and the phase
+    :class:`PhaseOracle` multiplies the entries whose value on its register
+    is marked. A register is read with one shift and one mask and
     written back with one mask and one shift. :func:`probability` sums its
     matching entries in index order, so its float does not depend on the
     order the entries are stored in.
@@ -275,9 +258,6 @@ class Statevector:
         if isinstance(op, Ry):
             self._check_bounds([op.target, *(q for q, _ in op.controls)])
             self._apply_rotation(op.target, op.angle, op.controls)
-        elif isinstance(op, X):
-            self._check_bounds([op.target, *(q for q, _ in op.controls)])
-            self._apply_flip(op.target, op.controls)
         elif isinstance(op, PhaseOracle):
             self._check_registers(op.register)
             self._apply_phase(op)
@@ -324,9 +304,6 @@ class Statevector:
         values[i1] = v1
         keep = values != 0
         self.indices, self.values = indices[keep], values[keep]
-
-    def _apply_flip(self, target: int, controls):
-        self.indices[_matches(self.indices, controls)] ^= 1 << target
 
     def _apply_phase(self, op: PhaseOracle):
         marked = np.isin(_gather(self.indices, op.register), op.marked)
@@ -378,7 +355,7 @@ def allocate(num_qubits: int) -> Statevector:
 
 def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:
     """Exact inverse circuit: reversed order, each op inverted."""
-    return [inv for op in reversed(circuit) for inv in op.inverse_ops()]
+    return [op.inverse() for op in reversed(circuit)]
 
 
 def probability(state: Statevector, cond: Condition) -> float:

@@ -26,7 +26,7 @@ from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import GaussianGridSpec, integration_amplitude
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
 from qautocall.simulator import (
-    Add, Condition, PhaseOracle, QubitRegister, X, allocate, invert, probability,
+    Add, Condition, PhaseOracle, QubitRegister, Ry, allocate, invert, probability,
 )
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
@@ -363,9 +363,8 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
         want = integration_amplitude(model.rate_step, x, model.put_x1) ** 2
         for flag in (0, 1):
             state = allocate(layout.num_qubits).apply_all(prep)
-            state.apply_all(X(q) for j, q in enumerate(layout.accumulator.qubits) if raw >> j & 1)
-            if flag:
-                state.apply(X(layout.put_flag))
+            state.apply(Add(layout.accumulator, (), lambda: raw))
+            state.apply(Add(QubitRegister(layout.put_flag, 1), (), lambda: flag))
             state.apply(compare)
             assert probability(state, target) == pytest.approx(flag * want, abs=1e-12)
 
@@ -373,8 +372,9 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
 # -- each Add against the 2**bits permutation table it replaced ---------------
 #
 # Test-local copies of the table builders the circuit used before its
-# arithmetic became Add ops: each returns its qubits (source, then target) and
-# the table sending a value on them to its image.
+# arithmetic became Add ops, and the tables of the controlled flips the scale
+# Adds replaced: each returns its qubits (source, then target) and the table
+# sending a value on them to its image.
 
 
 def _accumulate_table(model, layout, t):
@@ -401,6 +401,23 @@ def _binary_table(model, layout, i):
     flip = ((acc > model.strike_codes[i]) & (earlier == 0)).astype(np.int64)
     qubits = layout.accumulator.qubits + tuple(layout.binary_flags.qubit(h) for h in range(i + 1))
     return qubits, vals ^ (flip << (m + i))
+
+
+def _binary_scale_table(layout, i):
+    # the scale qubit flipped under the control b_i = 1
+    vals = np.arange(4, dtype=np.int64)
+    return (layout.binary_flags.qubit(i), layout.scale_indicator), vals ^ ((vals & 1) << 1)
+
+
+def _zero_scale_table(layout):
+    # the scale qubit flipped under every binary flag and the put flag at 0
+    flags = (layout.binary_flags.qubits if layout.binary_flags else ()) + (
+        (layout.put_flag,) if layout.put_flag is not None else ()
+    )
+    n = len(flags)
+    vals = np.arange(2 ** (n + 1), dtype=np.int64)
+    clear = ((vals & (2**n - 1)) == 0).astype(np.int64)
+    return flags + (layout.scale_indicator,), vals ^ (clear << n)
 
 
 def _put_flag_table(model, layout):
@@ -454,7 +471,7 @@ def _assert_table(op, want):
     assert np.bincount(table, minlength=len(table)).tolist() == [1] * len(table), op
     assert qubits == want[0], op
     assert table.tolist() == want[1].tolist(), op
-    (inverse,) = op.inverse_ops()
+    inverse = op.inverse()
     assert _expand(inverse)[1][table].tolist() == list(range(len(table))), op
 
 
@@ -474,6 +491,8 @@ def test_adds_expand_to_the_tables_they_replaced(request, contract, p, k):
         want[f"barrier[{t}]"] = _barrier_table(model, layout, t)
     for i in range(len(contract.binaries)):
         want[f"binary[{i}]"] = _binary_table(model, layout, i)
+        want[f"binary_scale[{i}]"] = _binary_scale_table(layout, i)
+    want["zero_scale"] = _zero_scale_table(layout)
     if model.put_reachable:
         want["put_flag"] = _put_flag_table(model, layout)
     if model.needs_comparator:
@@ -487,15 +506,15 @@ def test_adds_expand_to_the_tables_they_replaced(request, contract, p, k):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (4, 3)])
 def test_add_names_name_the_census_stages(table2, p, k):
-    # the stage of every arithmetic op, as a gate census reads it from the
-    # name; the exponential prep emits only Ry and PhaseOracle ops
+    # the stage of every arithmetic op and flag flip, as a gate census reads it
+    # from the name; the exponential prep emits only Ry and PhaseOracle ops
     grid = GaussianGridSpec(k=k, s_min=3.0)
     pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
     names = [op.name for op in pc.ops if isinstance(op, Add)]
     assert names == [
-        "accumulate[1]", "barrier[1]", "binary[0]",
-        "accumulate[2]", "barrier[2]", "binary[1]",
-        "accumulate[3]", "barrier[3]", "put_flag", "put_compare",
+        "accumulate[1]", "barrier[1]", "binary[0]", "binary_scale[0]",
+        "accumulate[2]", "barrier[2]", "binary[1]", "binary_scale[1]",
+        "accumulate[3]", "barrier[3]", "put_flag", "put_compare", "zero_scale",
     ]
 
 
@@ -512,9 +531,14 @@ def _stage_registers(layout, name):
         i = int(index)
         earlier = (QubitRegister(layout.binary_flags.offset, i),) if i else ()
         return one(layout.binary_flags.qubit(i)), (layout.accumulator, *earlier)
+    if stage == "binary_scale":
+        return one(layout.scale_indicator), (one(layout.binary_flags.qubit(int(index))),)
+    flags = (layout.binary_flags,) if layout.binary_flags else ()
     if stage == "put_flag":
-        flags = (layout.binary_flags,) if layout.binary_flags else ()
         return one(layout.put_flag), (layout.accumulator, layout.barrier_flags, *flags)
+    if stage == "zero_scale":
+        put = (one(layout.put_flag),) if layout.put_flag is not None else ()
+        return one(layout.scale_indicator), (*flags, *put)
     assert stage == "put_compare", name
     return one(layout.payoff_target), (layout.exponential, layout.accumulator, one(layout.put_flag))
 
@@ -538,15 +562,38 @@ def test_register_ops_address_layout_registers(
     layout = pc.layout
     adds = [op for op in pc.ops if isinstance(op, Add)]
     names = [f"{stage}[{t}]" for t in range(1, steps + 1) for stage in ("accumulate", "barrier")]
-    names += [f"binary[{i}]" for i in range(len(contract.binaries))]
+    names += [f"{stage}[{i}]" for i in range(len(contract.binaries))
+              for stage in ("binary", "binary_scale")]
     names += ["put_flag"] * (layout.put_flag is not None)
     names += ["put_compare"] * (layout.exponential is not None)
+    names += ["zero_scale"]
     assert sorted(op.name for op in adds) == sorted(names)
     for op in adds:
         assert (op.target, op.sources) == _stage_registers(layout, op.name), op
     oracles = [op for op in pc.ops if isinstance(op, PhaseOracle)]
     assert len(oracles) == (2 if layout.exponential else 0)
     assert all(op.register == layout.exponential for op in oracles)
+
+
+@pytest.mark.parametrize("case", ["table2", "8-step", "no-binaries", "flat", "no-flags"])
+def test_circuit_emits_only_the_three_op_kinds(table2, table2_flat, case):
+    # rotations, register arithmetic and phases: every flag flip is an Add
+    contract = {
+        "table2": table2,
+        "8-step": dataclasses.replace(table2, steps=8),
+        "no-binaries": dataclasses.replace(table2, binaries=()),
+        "flat": table2_flat,
+        # no binary, and the put strike quantizes onto the lowest terminal
+        # code: no flag qubit, so zero_scale has no source and always flips
+        "no-flags": dataclasses.replace(table2, binaries=(), barrier=0.2, strike=math.exp(-1.45)),
+    }[case]
+    grid = GaussianGridSpec(k=1, s_min=3.0)
+    fmt = fit_format(contract, grid, 2)
+    pc = build_pricing_circuit(contract, grid, fmt)
+    kinds = {type(op) for op in pc.ops}
+    assert kinds == {Ry, Add} | ({PhaseOracle} if pc.layout.exponential else set())
+    value = post_process(exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good), pc.mapping)
+    assert value == pytest.approx(closed_form_quantized(contract, grid, fmt), abs=1e-9)
 
 
 def _tie_contract(barrier, strike, binaries=()):

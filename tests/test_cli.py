@@ -478,14 +478,29 @@ def test_resources_truncation_bound_met_at_the_positive_floor(tmp_path):
 def test_grid_without_probability_exits_1_naming_s_min(tmp_path, capsys, method, k, s_min):
     # the normal pdf underflows to 0 at every grid point (at 1e308 the grid step
     # overflows): a config error, not a warning and a nan price; at 1e300 the
-    # increments overflow every accumulator format first, so cf-quant and
-    # quantum-exact name p instead
+    # increments would also overflow every accumulator format, but the grid is
+    # checked first, so every method names s_min
     text = CONTRACT + f"[grid]\nk = {k}\ns_min = {s_min}\n[fixedpoint]\np = 2\n"
     code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\n")
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
-    fits = s_min == "40" or method in ("cf-disc", "mc-disc")
-    assert err.startswith("config error: " + ("'grid.s_min'" if fits else "p = 2"))
+    assert err.startswith("config error: 'grid.s_min'")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mu, method", [(mu, m) for mu in ("1e308", "-1e308") for m in ("mc", "mc-disc", "cf-disc")]
+)
+def test_extreme_drift_prices_without_warnings(tmp_path, capsys, mu, method):
+    # every path autocalls at step 1 (mu = 1e308) and is paid 2 e^{-r}, or
+    # crosses the barrier and ends at level 0 (mu = -1e308) and is paid the put's
+    # -18 e^{-3r}: log-returns and levels overflow to +-inf, which classify each
+    # path as a finite level would
+    text = CONTRACT.replace("mu = 0.1274", f"mu = {mu}") + "[grid]\nk = 2\ns_min = 3.0\n"
+    code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\n")
+    assert code == 0 and capsys.readouterr().err == ""
+    value = 2.0 * math.exp(-0.04) if mu == "1e308" else -18.0 * math.exp(-0.12)
+    assert float(_rows(out)[0]["value"]) == pytest.approx(value, rel=1e-15, abs=0)
 
 
 def test_cli_import_loads_neither_thread_pool_nor_difflib():

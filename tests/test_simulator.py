@@ -17,7 +17,6 @@ from qautocall.simulator import (
     PhaseOracle,
     QubitRegister,
     Ry,
-    X,
     allocate,
     injection_ops,
     invert,
@@ -27,6 +26,21 @@ from qautocall.simulator import (
 
 def _loaded(width, amps):
     return allocate(width).apply_all(injection_ops(QubitRegister(0, width), amps))
+
+
+def _flip(target, controls=()):
+    """A bit flip on ``target`` where every ``(qubit, bit)`` control holds: an
+    Add on a one-qubit target whose sources are the control qubits."""
+    bits = [b for _, b in controls]
+
+    def hit(*values):
+        out = np.int64(1)
+        for v, b in zip(values, bits):
+            out = out & (v == b)
+        return out
+
+    sources = tuple(QubitRegister(q, 1) for q, _ in controls)
+    return Add(QubitRegister(target, 1), sources, hit, name=f"flip[{target}]")
 
 
 def test_allocate_ground_state():
@@ -55,12 +69,12 @@ def test_ry_half_pi_uniform():
 
 def test_toffoli_truth_table():
     # |110> (qubits 0,1 set) -> |111>
-    state = allocate(3).apply(X(0)).apply(X(1))
-    state.apply(X(2, controls=((0, 1), (1, 1))))
+    state = allocate(3).apply(_flip(0)).apply(_flip(1))
+    state.apply(_flip(2, controls=((0, 1), (1, 1))))
     assert abs(to_dense(state)[0b111]) == pytest.approx(1.0)
     # control not satisfied: nothing happens
-    state = allocate(3).apply(X(0))
-    state.apply(X(2, controls=((0, 1), (1, 1))))
+    state = allocate(3).apply(_flip(0))
+    state.apply(_flip(2, controls=((0, 1), (1, 1))))
     assert abs(to_dense(state)[0b001]) == pytest.approx(1.0)
 
 
@@ -68,7 +82,7 @@ def test_controlled_ry_acts_only_when_controls_match():
     angle = 2 * math.asin(math.sqrt(0.25))
     state = allocate(2).apply(Ry(1, angle, controls=((0, 1),)))
     assert probability(state, Condition(((1, 1),))) == pytest.approx(0.0, abs=1e-15)
-    state = allocate(2).apply(X(0)).apply(Ry(1, angle, controls=((0, 1),)))
+    state = allocate(2).apply(_flip(0)).apply(Ry(1, angle, controls=((0, 1),)))
     assert probability(state, Condition(((1, 1),))) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -80,7 +94,7 @@ def test_rotation_lists_no_exact_zeros():
 
 def test_control_target_overlap_rejected():
     with pytest.raises(StructuralError):
-        X(0, controls=((0, 1),))
+        Ry(0, 0.3, controls=((1, 0), (0, 1)))
     with pytest.raises(StructuralError):
         Ry(2, 0.3, controls=((2, 0),))
 
@@ -110,7 +124,7 @@ def test_add_on_one_qubit_is_an_involution():
     assert probability(state, Condition(((2, 1),))) == pytest.approx(abs(before[3]) ** 2)
     state.apply(flag)
     assert np.array_equal(to_dense(state), before)
-    state.apply(flag).apply_all(flag.inverse_ops())
+    state.apply(flag).apply(flag.inverse())
     assert np.array_equal(to_dense(state), before)
 
 
@@ -189,8 +203,18 @@ def test_invert_single_rotation():
 
 
 def test_invert_reverses_order():
-    a, b = Ry(0, 0.3), X(1, controls=((0, 1),))
-    assert invert([a, b]) == [b, Ry(0, -0.3)]
+    a, b = Ry(0, 0.3), Ry(1, 0.5, controls=((0, 1),))
+    assert invert([a, b]) == [Ry(1, -0.5, controls=((0, 1),)), Ry(0, -0.3)]
+
+
+def test_each_op_inverts_to_one_op_of_its_kind():
+    add = Add(QubitRegister(0, 2), (QubitRegister(2, 1),), lambda v: v + 1, name="inc")
+    oracle = PhaseOracle(QubitRegister(1, 2), (1, 3), 0.4)
+    undo_oracle, undo_add = invert([add, oracle])
+    assert (undo_add.target, undo_add.sources, undo_add.name) == (add.target, add.sources, "inc^-1")
+    assert undo_add.f(np.array([0, 1])).tolist() == [-1, -2]
+    assert undo_oracle.register == oracle.register and undo_oracle.phase == -0.4
+    assert undo_oracle.marked.tolist() == [1, 3]
 
 
 def _lookup(codes, sources):
@@ -219,7 +243,7 @@ def _random_circuit(num_qubits, rng, length=25):
         if kind == 0:
             ops.append(Ry(target, float(rng.uniform(-math.pi, math.pi)), controls))
         elif kind == 1:
-            ops.append(X(target, controls))
+            ops.append(_flip(target, controls))
         elif kind == 2:
             # the target and up to two sources: three registers that split the qubits
             cuts = sorted(int(c) for c in rng.choice(np.arange(1, num_qubits), 2, replace=False))
@@ -269,15 +293,12 @@ def _reference_apply(op, amps):
     """Apply ``op`` one basis state at a time, straight from its definition."""
     out = amps.copy()
     for i in range(len(amps)):
-        if isinstance(op, (Ry, X)):
+        if isinstance(op, Ry):
             if _bit(i, op.target) or any(_bit(i, q) != b for q, b in op.controls):
                 continue
             j = i | (1 << op.target)
-            if isinstance(op, X):
-                out[i], out[j] = amps[j], amps[i]
-            else:
-                c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
-                out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
+            c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
+            out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
         elif isinstance(op, PhaseOracle):
             if _value(i, op.register.qubits) in op.marked:
                 out[i] = amps[i] * complex(math.cos(op.phase), math.sin(op.phase))
@@ -301,8 +322,8 @@ _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
     [
         Ry(1, -1.3),
         Ry(2, 0.7, controls=((4, 1), (0, 0))),
-        X(0),
-        X(3, controls=((0, 1), (4, 0), (1, 1))),
+        _flip(0),
+        _flip(3, controls=((0, 1), (4, 0), (1, 1))),
         PhaseOracle(QubitRegister(0, 3), _MARKED[_MARKED < 8], 0.9),
         PhaseOracle(QubitRegister(1, 4), _MARKED, math.pi),
         PhaseOracle(QubitRegister(0, 5), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
