@@ -58,7 +58,6 @@ from .resources import (
 )
 from .simulator import (
     Add,
-    Condition,
     PhaseOracle,
     QubitRegister,
     Ry,

@@ -30,7 +30,6 @@ from .loading import (
 from .simulator import (
     MAX_QUBITS,
     Add,
-    Condition,
     PrimitiveOp,
     QubitRegister,
     Ry,
@@ -251,7 +250,13 @@ def fit_format(
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit assignment for one pricing circuit."""
+    """Qubit assignment for one pricing circuit.
+
+    The put flag directly follows the binary flags, so the branch that pays
+    zero, where none of these flags is set, is one register reading 0
+    (:func:`zero_payoff_ops`). The payoff target and the scale qubit follow,
+    the two-qubit register :attr:`PricingCircuit.good` reads.
+    """
 
     gaussians: tuple[QubitRegister, ...]
     accumulator: QubitRegister
@@ -270,9 +275,9 @@ class RegisterLayout:
             f"exponential: {self.exponential.width if self.exponential else 0}",
             f"barrier flags: {self.barrier_flags.width}",
             f"binary flags: {self.binary_flags.width if self.binary_flags else 0}",
+            f"put flag: {0 if self.put_flag is None else 1}",
             f"payoff target: 1",
             f"scale indicator: 1",
-            f"put flag: {0 if self.put_flag is None else 1}",
             f"total: {self.num_qubits}",
         ]
         return ", ".join(parts)
@@ -295,14 +300,9 @@ def plan_layout(model: QuantizedModel) -> RegisterLayout:
     exponential = take(model.exp_width) if model.needs_comparator else None
     barrier_flags = take(T)
     binary_flags = take(j) if j else None
-    payoff_target = cursor
-    cursor += 1
-    scale_indicator = cursor
-    cursor += 1
-    put_flag = None
-    if model.put_reachable:
-        put_flag = cursor
-        cursor += 1
+    put_flag = take(1).offset if model.put_reachable else None
+    payoff_target = take(1).offset
+    scale_indicator = take(1).offset
     return RegisterLayout(
         gaussians=gaussians,
         accumulator=accumulator,
@@ -357,10 +357,10 @@ def constant_payoff_ops(
     """Controlled on b_i: rotate the target to sqrt(level), and set the scale
     with ``binary_scale[i]``: scale ^= b_i."""
     level = model.binary_levels[i]
-    flag = layout.binary_flags.qubit(i)
+    flag = QubitRegister(layout.binary_flags.qubit(i), 1)
     return [
-        Ry(layout.payoff_target, 2.0 * math.asin(math.sqrt(level)), ((flag, 1),)),
-        Add(QubitRegister(layout.scale_indicator, 1), (QubitRegister(flag, 1),), lambda b: b,
+        Ry(layout.payoff_target, 2.0 * math.asin(math.sqrt(level)), flag, 1),
+        Add(QubitRegister(layout.scale_indicator, 1), (flag,), lambda b: b,
             name=f"binary_scale[{i}]"),
     ]
 
@@ -400,24 +400,27 @@ def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
 
 def put_scale_op(model: QuantizedModel, layout: RegisterLayout) -> Ry:
     angle = 2.0 * math.asin(math.sqrt(model.put_scale_sq))
-    return Ry(layout.scale_indicator, angle, ((layout.put_flag, 1),))
+    return Ry(layout.scale_indicator, angle, QubitRegister(layout.put_flag, 1), 1)
 
 
 def zero_payoff_ops(model: QuantizedModel, layout: RegisterLayout) -> list[PrimitiveOp]:
     """On the remaining branch (no binary, put inactive) load the zero-payoff
-    level, and set the scale with ``zero_scale``: scale ^= (no flag is set)."""
-    flags = (layout.binary_flags,) if layout.binary_flags else ()
-    if layout.put_flag is not None:
-        flags += (QubitRegister(layout.put_flag, 1),)
-    controls = tuple((q, 0) for reg in flags for q in reg.qubits)
+    level, and set the scale with ``zero_scale``: scale ^= (no flag is set).
+    Both read one register, the binary flags and the put flag, whichever
+    exist; with neither, the rotation is uncontrolled and the flip constant."""
+    j = layout.binary_flags.width if layout.binary_flags else 0
+    width = j + (layout.put_flag is not None)
+    offset = layout.binary_flags.offset if layout.binary_flags else layout.put_flag
+    flags = QubitRegister(offset, width) if width else None
     angle = 2.0 * math.asin(math.sqrt(model.mapping.zero_level))
 
-    def unset(*values):  # the binary flags and the put flag, whichever exist
-        return np.equal(sum(values), 0).astype(np.int64)
+    def unset(value=0):  # the flags register's value, 0 without one
+        return np.equal(value, 0).astype(np.int64)
 
     return [
-        Ry(layout.payoff_target, angle, controls),
-        Add(QubitRegister(layout.scale_indicator, 1), flags, unset, name="zero_scale"),
+        Ry(layout.payoff_target, angle, flags),
+        Add(QubitRegister(layout.scale_indicator, 1), (flags,) if flags else (), unset,
+            name="zero_scale"),
     ]
 
 
@@ -428,7 +431,7 @@ class PricingCircuit:
     ops: list[PrimitiveOp]
     layout: RegisterLayout
     mapping: AmplitudeMapping
-    good: Condition
+    good: QubitRegister  # the payoff target and the scale qubit: good where both read 1
     model: QuantizedModel
 
 
@@ -469,7 +472,8 @@ def build_pricing_circuit(
     fmt: FixedPointFormat,
 ) -> PricingCircuit:
     """Assemble the full pricing circuit; see the module docstring for the
-    pipeline. The good state is the conjunction (target=1 and scale=1).
+    pipeline. The good state is ``good`` reading all ones: target = 1 and
+    scale = 1.
     Raises :class:`CapacityError`, before any op is built, when the
     circuit's state cannot fit (:func:`_check_capacity`)."""
     model = QuantizedModel(contract, grid, fmt)
@@ -499,5 +503,5 @@ def build_pricing_circuit(
             ops.append(put_scale_op(model, layout))
     ops.extend(zero_payoff_ops(model, layout))
 
-    good = Condition(((layout.payoff_target, 1), (layout.scale_indicator, 1)))
+    good = QubitRegister(layout.payoff_target, 2)
     return PricingCircuit(ops=ops, layout=layout, mapping=model.mapping, good=good, model=model)

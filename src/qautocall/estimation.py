@@ -24,10 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError
-from .simulator import (
-    Condition, PhaseOracle, PrimitiveOp, QubitRegister, allocate, invert, probability,
-)
+from .simulator import PhaseOracle, PrimitiveOp, QubitRegister, allocate, invert, probability
 
 
 _MAX_ROUNDS = 10_000  # stops a schedule that does not converge
@@ -64,29 +61,20 @@ class EstimateResult:
 
 
 def build_grover(
-    a_ops: Sequence[PrimitiveOp], num_qubits: int, good: Condition
+    a_ops: Sequence[PrimitiveOp], num_qubits: int, good: QubitRegister
 ) -> list[PrimitiveOp]:
     """Q = A S_0 A^-1 S_good with pi phase flips on both reflections; S_good
-    marks one value of the good qubits, which must form one register."""
-    qubits = sorted(q for q, _ in good.terms)
-    if not qubits or qubits != list(range(qubits[0], qubits[0] + len(qubits))):
-        raise StructuralError(f"good qubits {qubits} do not form one register")
-    reg = QubitRegister(qubits[0], len(qubits))
-    pattern = sum(b << (q - reg.offset) for q, b in good.terms)
-    s_good = PhaseOracle(reg, (pattern,), math.pi)
+    marks the states on which every qubit of ``good`` reads 1."""
+    s_good = PhaseOracle(good, (2**good.width - 1,), math.pi)
     s_zero = PhaseOracle(QubitRegister(0, num_qubits), (0,), math.pi)
     return [s_good, *invert(a_ops), s_zero, *list(a_ops)]
 
 
-def exact_amplitude(
-    a_ops: Sequence[PrimitiveOp],
-    num_qubits: int,
-    good: Condition,
-) -> float:
-    """Exact good-state probability of A|0...0>."""
+def exact_amplitude(a_ops: Sequence[PrimitiveOp], num_qubits: int, good: QubitRegister) -> float:
+    """Exact good-state probability of A|0...0>: every qubit of ``good`` reads 1."""
     state = allocate(num_qubits)
     state.apply_all(a_ops)
-    return probability(state, good)
+    return probability(state, good, 2**good.width - 1)
 
 
 def sample(p: float, shots: int, seed: int) -> int:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .circuit import QuantizedModel
 from .contracts import AutocallableContract, FixedPointFormat
-from .errors import CapacityError, physical_memory
+from .errors import CapacityError, NumericalError, physical_memory
 from .loading import GaussianGridSpec
 
 _CHUNK = 2**18
@@ -103,11 +103,12 @@ class McResult:
     seed: int
 
 
-def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.ndarray) -> None:
+def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.ndarray,
+             notional: float, pays: list[float]) -> None:
     """Write to ``out`` the discounted payoffs of the paths whose uniforms are
-    the rows of the (M, T) block ``u``: the first binary in the money pays,
-    else a path that crossed the barrier and ends below the strike pays the
-    put, else nothing.
+    the rows of the (M, T) block ``u``: the first binary in the money pays
+    ``pays[i]``, else a path that crossed the barrier and ends below the
+    strike pays the put on ``notional``, else nothing.
 
     Prices step by step over the live paths: ``increments`` turns the step's
     uniforms of the live paths (a fresh array it may overwrite) into
@@ -128,13 +129,13 @@ def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.
         if i is not None:
             fired = level > contract.binaries[i].strike
             hit, keep = np.flatnonzero(fired), np.flatnonzero(~fired)
-            out[hit if live is None else live[hit]] = contract.discounted_payout(i)
+            out[hit if live is None else live[hit]] = pays[i]
             live = keep if live is None else live[keep]
             logret, crossed = logret[keep], crossed[keep]
     # no binary falls on the last step, so ``level`` is every live path's
     put = np.flatnonzero(crossed & (level < contract.strike))
     out[put if live is None else live[put]] = (
-        contract.notional
+        notional
         * (level[put] - contract.strike)
         * math.exp(-contract.rate * contract.maturity)
     )
@@ -150,9 +151,17 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     Golub and LeVeque): with delta = mean_b - mean and w = n_b / (n + n_b),
     mean += delta w and M2 += M2_b + delta^2 n w. One block gives the floats
     of ``np.mean`` and ``np.std(ddof=1)``.
+
+    The payoffs are priced with the notional and payouts scaled by 2**-e and
+    the mean and stderr scaled back, exactly: e = 0, no scaling, unless a
+    block sum or M2 could overflow (:func:`_payoff_exponent`). Raises
+    :class:`NumericalError` when the price itself is not finite.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    e = _payoff_exponent(contract, paths)
+    notional = math.ldexp(contract.notional, -e)
+    pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
     rng = np.random.default_rng(seed)
     buffer = np.empty(min(paths, _MC_BLOCK))
     n, mean, m2 = 0, 0.0, 0.0
@@ -165,7 +174,7 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
             # ``u`` lives until the next draw replaces it: freed at the heap's top,
             # glibc would trim and refault the heap every block (50 % slower)
             u = rng.random((rows, contract.steps))
-            _payoffs(u, contract, increments, block)
+            _payoffs(u, contract, increments, block, notional, pays)
             block_mean = block.sum() / rows
             block -= block_mean
             block *= block
@@ -174,7 +183,22 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
             m2 += block.sum() + delta * delta * n * w
             n += rows
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    return McResult(mean=float(mean), stderr=stderr, paths=n, seed=seed)
+    with np.errstate(over="ignore"):  # a price beyond the float range is inf, refused below
+        mean, stderr = (float(x) for x in np.ldexp((mean, stderr), e))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise NumericalError(f"Monte Carlo price is not finite: mean {mean}, stderr {stderr}")
+    return McResult(mean=mean, stderr=stderr, paths=n, seed=seed)
+
+
+def _payoff_exponent(c: AutocallableContract, paths: int) -> int:
+    """Least e >= 0 at which payoffs scaled by 2**-e overflow neither a block
+    sum nor M2 <= paths * (2 B)**2, B the largest discounted payout or
+    discounted notional * strike (a put pays notional * (level - strike), with
+    0 <= level < strike): the scaled B stays within 2**((1018 - b) / 2), with b
+    ``paths.bit_length()``, so M2 stays below 2**1020."""
+    log2_b = max([math.log2(c.notional) + math.log2(c.strike) - c.rate * c.maturity / math.log(2)]
+                 + [math.log2(b.payout) - c.rate * b.step * c.dt / math.log(2) for b in c.binaries])
+    return max(0, math.ceil(log2_b) - (1018 - paths.bit_length()) // 2)
 
 
 def _rational(x: np.ndarray, p, q) -> np.ndarray:

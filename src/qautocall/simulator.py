@@ -9,20 +9,22 @@ with the support of the state, not with ``2**n`` (see :class:`Statevector`).
 Its kernels compute the same amplitudes as a dense simulation, bit for bit.
 
 Circuits are lists of three invertible primitive op kinds, each inverted by
-one op of its kind: the rotation :class:`Ry` acts on one target qubit under
-``(qubit, bit)`` controls, and the register arithmetic :class:`Add` and the
-phase :class:`PhaseOracle` act on :class:`QubitRegister` operands, each read
-as one integer with one shift and one mask; a bit flip, controlled or not, is
-an ``Add`` on a one-qubit target. Amplitude loading is not a primitive:
-:func:`injection_ops` expands it into ``Ry`` rotations when the circuit is
-built. No op checks the state it is applied to: a circuit is a list of ops
-built ahead of time and run only on a fresh :func:`allocate` state with
-:meth:`Statevector.apply_all`. No op stores anything of size ``2**n``: a
-:class:`PhaseOracle` lists the values it marks and an :class:`Add` computes
-its sums on the listed entries, so every kernel's memory follows the state's
-support and nothing here limits the qubit count below the 62 that int64
-indices hold. How much a circuit may store is decided where it is built
-(:func:`~.circuit.build_pricing_circuit`), from the support it can reach.
+one op of its kind. Every operand but a rotation's target qubit is a
+:class:`QubitRegister`, read as one integer with one shift and one mask: the
+rotation :class:`Ry` acts on one target qubit where its control register
+reads one value, and the register arithmetic :class:`Add` and the phase
+:class:`PhaseOracle` act on registers; a bit flip, controlled or not, is an
+``Add`` on a one-qubit target. :func:`probability` reads a register value
+too. Amplitude loading is not a primitive: :func:`injection_ops` expands it
+into ``Ry`` rotations when the circuit is built. No op checks the state it
+is applied to: a circuit is a list of ops built ahead of time and run only
+on a fresh :func:`allocate` state with :meth:`Statevector.apply_all`. No op
+stores anything of size ``2**n``: a :class:`PhaseOracle` lists the values it
+marks and an :class:`Add` computes its sums on the listed entries, so every
+kernel's memory follows the state's support and nothing here limits the
+qubit count below the 62 that int64 indices hold. How much a circuit may
+store is decided where it is built (:func:`~.circuit.build_pricing_circuit`),
+from the support it can reach.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
@@ -69,36 +71,24 @@ class QubitRegister:
 
 
 @dataclass(frozen=True)
-class Condition:
-    """Conjunction of (qubit, required bit) terms; empty means always true."""
-
-    terms: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((int(q), int(b)) for q, b in self.terms))
-        qubits = [q for q, _ in self.terms]
-        if len(set(qubits)) != len(qubits):
-            raise StructuralError(f"condition repeats a qubit: {qubits}")
-        if any(b not in (0, 1) for _, b in self.terms):
-            raise StructuralError("condition bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class Ry:
-    """Y-rotation on ``target``, optionally controlled; CRY when controls given."""
+    """Y-rotation on ``target``; with a ``control`` register, only on the basis
+    states where it reads ``value`` (a CRY on a one-qubit control at value 1)."""
 
     target: int
     angle: float
-    controls: tuple[tuple[int, int], ...] = ()
+    control: QubitRegister | None = None
+    value: int = 0
 
     def __post_init__(self):
-        terms = Condition(tuple(self.controls)).terms  # distinct qubits, bits 0 or 1
-        if any(q == self.target for q, _ in terms):
+        if self.control is not None and self.target in self.control.qubits:
             raise StructuralError(f"qubit {self.target} used as both control and target")
-        object.__setattr__(self, "controls", terms)
+        size = 2 ** (self.control.width if self.control else 0)
+        if not 0 <= self.value < size:
+            raise StructuralError(f"control value {self.value} outside [0, {size})")
 
     def inverse(self) -> "Ry":
-        return Ry(self.target, -self.angle, self.controls)
+        return Ry(self.target, -self.angle, self.control, self.value)
 
 
 class PhaseOracle:
@@ -188,11 +178,11 @@ def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> lis
     norm = float(np.sum(probs))
     if abs(norm - 1.0) > 1e-12:
         raise PreconditionError(f"amplitude vector not normalized: |amps|^2 = {norm!r}")
-    qubits = reg.qubits
     k = reg.width
     ops: list[Ry] = []
     for t in range(k - 1, -1, -1):
-        high_bits = range(t + 1, k)
+        # the bits above t, which hold hi
+        high = QubitRegister(reg.offset + t + 1, k - 1 - t) if t < k - 1 else None
         for hi in range(2 ** (k - 1 - t)):
             base0 = (hi << 1) << t
             base1 = ((hi << 1) | 1) << t
@@ -201,10 +191,7 @@ def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> lis
             if m0 + m1 <= 0.0:
                 continue
             angle = 2.0 * math.atan2(math.sqrt(m1), math.sqrt(m0))
-            controls = tuple(
-                (qubits[b], (hi >> (b - (t + 1))) & 1) for b in high_bits
-            )
-            ops.append(Ry(qubits[t], angle, controls))
+            ops.append(Ry(reg.qubit(t), angle, high, hi))
     return ops
 
 
@@ -222,19 +209,19 @@ class Statevector:
     above 1e-12 in magnitude.
 
     One kernel per op kind works on the listed entries only. The rotation
-    :class:`Ry` pairs every entry whose controls match with its partner
-    ``i ^ (1 << target)`` on the sorted union of the entries and their
-    partners, reads a missing partner as 0 and updates the pair with the same
-    floating-point operations in the same order as a dense 2x2 update, so
-    every amplitude equals the one a dense simulation computes, bit for bit;
-    entries that come out exactly 0 are dropped. The register arithmetic
-    :class:`Add` rewrites its target's bits of each index in place (it
-    permutes basis states, so indices never collide), and the phase
-    :class:`PhaseOracle` multiplies the entries whose value on its register
-    is marked. A register is read with one shift and one mask and
-    written back with one mask and one shift. :func:`probability` sums its
-    matching entries in index order, so its float does not depend on the
-    order the entries are stored in.
+    :class:`Ry` pairs every entry on which its control register reads its
+    value with its partner ``i ^ (1 << target)`` on the sorted union of the
+    entries and their partners, reads a missing partner as 0 and updates the
+    pair with the same floating-point operations in the same order as a
+    dense 2x2 update, so every amplitude equals the one a dense simulation
+    computes, bit for bit; entries that come out exactly 0 are dropped. The
+    register arithmetic :class:`Add` rewrites its target's bits of each
+    index in place (it permutes basis states, so indices never collide), and
+    the phase :class:`PhaseOracle` multiplies the entries whose value on its
+    register is marked. A register is read with one shift and one mask and
+    written back with one mask and one shift. :func:`probability` sums the
+    entries on which its register reads its value in index order, so its
+    float does not depend on the order the entries are stored in.
     """
 
     __slots__ = ("num_qubits", "indices", "values")
@@ -244,11 +231,6 @@ class Statevector:
         self.indices = indices
         self.values = values
 
-    def _check_bounds(self, qubits: Iterable[int]):
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise StructuralError(f"qubit {q} outside state of {self.num_qubits} qubits")
-
     def _check_registers(self, *registers: QubitRegister):
         for reg in registers:
             if reg.offset + reg.width > self.num_qubits:
@@ -256,8 +238,9 @@ class Statevector:
 
     def apply(self, op: PrimitiveOp) -> "Statevector":
         if isinstance(op, Ry):
-            self._check_bounds([op.target, *(q for q, _ in op.controls)])
-            self._apply_rotation(op.target, op.angle, op.controls)
+            control = () if op.control is None else (op.control,)
+            self._check_registers(QubitRegister(op.target, 1), *control)
+            self._apply_rotation(op)
         elif isinstance(op, PhaseOracle):
             self._check_registers(op.register)
             self._apply_phase(op)
@@ -275,9 +258,9 @@ class Statevector:
 
     # -- op kernels --------------------------------------------------------
 
-    def _apply_rotation(self, target: int, angle: float, controls):
-        bit = 1 << target
-        matched = _matches(self.indices, controls)
+    def _apply_rotation(self, op: Ry):
+        bit = 1 << op.target
+        matched = _controlled(self.indices, op)
         # every matched entry plus its partner, a missing partner holding 0;
         # sorted and deduplicated here because np.union1d's hash-based unique
         # is several times slower
@@ -288,11 +271,11 @@ class Statevector:
         indices = indices[first]
         values = np.zeros(len(indices), dtype=np.complex128)
         values[np.searchsorted(indices, self.indices)] = self.values
-        i0 = np.flatnonzero(_matches(indices, (*controls, (target, 0))))
+        i0 = np.flatnonzero(_controlled(indices, op) & ((indices & bit) == 0))
         i1 = np.searchsorted(indices, indices[i0] | bit)
         v0, v1 = values[i0], values[i1]
-        c = math.cos(angle / 2.0)
-        s = math.sin(angle / 2.0)
+        c = math.cos(op.angle / 2.0)
+        s = math.sin(op.angle / 2.0)
         a0 = v0.copy()
         # (c*a0 - s*v1, s*a0 + c*v1), in the order a dense in-place update uses
         v0 *= c
@@ -317,13 +300,11 @@ class Statevector:
         self.indices |= _scatter(target, op.target)
 
 
-def _matches(indices: np.ndarray, terms: Iterable[tuple[int, int]]) -> np.ndarray:
-    """Boolean mask of the indices whose bit ``q`` is ``b`` for every term."""
-    mask = value = 0
-    for q, b in terms:
-        mask |= 1 << q
-        value |= b << q
-    return (indices & mask) == value
+def _controlled(indices: np.ndarray, op: Ry) -> np.ndarray:
+    """Boolean mask of the indices on which ``op``'s control reads its value."""
+    if op.control is None:
+        return np.ones(len(indices), dtype=bool)
+    return _gather(indices, op.control) == op.value
 
 
 def _gather(indices: np.ndarray, reg: QubitRegister) -> np.ndarray:
@@ -358,10 +339,10 @@ def invert(circuit: Sequence[PrimitiveOp]) -> list[PrimitiveOp]:
     return [op.inverse() for op in reversed(circuit)]
 
 
-def probability(state: Statevector, cond: Condition) -> float:
-    """Exact probability mass of basis states satisfying ``cond``, summed in
-    index order."""
-    state._check_bounds(q for q, _ in cond.terms)
-    matched = np.flatnonzero(_matches(state.indices, cond.terms))
+def probability(state: Statevector, register: QubitRegister, value: int) -> float:
+    """Exact probability that ``register`` reads ``value``, summed in index
+    order."""
+    state._check_registers(register)
+    matched = np.flatnonzero(_gather(state.indices, register) == value)
     sel = state.values[matched[np.argsort(state.indices[matched])]]
     return float(np.real(np.vdot(sel, sel)))

@@ -26,7 +26,7 @@ from qautocall.estimation import build_grover, exact_amplitude
 from qautocall.loading import GaussianGridSpec, integration_amplitude
 from qautocall.oracles import closed_form_discretized, closed_form_quantized
 from qautocall.simulator import (
-    Add, Condition, PhaseOracle, QubitRegister, Ry, allocate, invert, probability,
+    Add, PhaseOracle, QubitRegister, Ry, allocate, invert, probability,
 )
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
@@ -231,12 +231,12 @@ class TestCircuitAgainstOracle:
         fmt = fit_format(table2, GRID1, 2)
         pc = build_pricing_circuit(table2, GRID1, fmt)
         state = _run(pc)
-        lay = pc.layout
-        b0, b1 = lay.binary_flags.qubits
-        total = probability(state, Condition(((b0, 1),)))
-        total += probability(state, Condition(((b0, 0), (b1, 1))))
-        total += probability(state, Condition(((b0, 0), (b1, 0), (lay.put_flag, 1))))
-        total += probability(state, Condition(((b0, 0), (b1, 0), (lay.put_flag, 0))))
+        binaries = pc.layout.binary_flags
+        flags = QubitRegister(binaries.offset, 3)  # b0, b1 and the put flag
+        total = probability(state, QubitRegister(binaries.offset, 1), 1)
+        total += probability(state, binaries, 0b10)
+        total += probability(state, flags, 0b100)
+        total += probability(state, flags, 0b000)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_worst_path_contributes_zero_good_amplitude(self, table2):
@@ -272,9 +272,9 @@ class TestCircuitAgainstOracle:
         assert post_process(a, pc.mapping) == pytest.approx(2 * math.exp(-0.04), abs=1e-9)
         # both binaries are in the money, but only the first may fire
         state = _run(pc)
-        b0, b1 = pc.layout.binary_flags.qubits
-        assert probability(state, Condition(((b0, 1),))) == pytest.approx(1.0, abs=1e-12)
-        assert probability(state, Condition(((b1, 1),))) == pytest.approx(0.0, abs=1e-12)
+        b0, b1 = (QubitRegister(q, 1) for q in pc.layout.binary_flags.qubits)
+        assert probability(state, b0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert probability(state, b1, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_error_reports_register_breakdown(self, table2, fake_memory):
         # (p, k) = (4, 2): the support bound 2**(2*3 + 5 + 2) = 2**13 is the
@@ -341,6 +341,18 @@ class TestPutBranchValue:
         assert levels == sorted(levels)
 
 
+@pytest.mark.parametrize("p,k,want", [
+    (2, 1, "0x1.78d5fefef8bc8p-1"), (3, 1, "0x1.780d1bcff8a2bp-1"),
+    (2, 2, "0x1.b22b163c7bef6p-1"), (4, 3, "0x1.a96657c23bd2cp-1"),
+])
+def test_table2_good_probability_is_pinned(table2, p, k, want):
+    # the exact float of A|0>'s good-state probability: a change of layout or
+    # addressing that keeps every kernel's float operations keeps it bit for bit
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+    assert exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good).hex() == want
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
 def test_put_comparator_loads_integration_amplitude(table2, p, k):
     grid = GaussianGridSpec(k=k, s_min=3.0)
@@ -357,7 +369,7 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
     )
     prep = exponential_prep_ops(model, layout)
     compare = put_comparator_op(model, layout)
-    target = Condition(((layout.payoff_target, 1),))
+    target = QubitRegister(layout.payoff_target, 1)
     for raw in range(2**m):
         x = model.fmt.to_signed(raw) - model.l_min_code - 1
         want = integration_amplitude(model.rate_step, x, model.put_x1) ** 2
@@ -366,7 +378,7 @@ def test_put_comparator_loads_integration_amplitude(table2, p, k):
             state.apply(Add(layout.accumulator, (), lambda: raw))
             state.apply(Add(QubitRegister(layout.put_flag, 1), (), lambda: flag))
             state.apply(compare)
-            assert probability(state, target) == pytest.approx(flag * want, abs=1e-12)
+            assert probability(state, target, 1) == pytest.approx(flag * want, abs=1e-12)
 
 
 # -- each Add against the 2**bits permutation table it replaced ---------------
@@ -520,7 +532,8 @@ def test_add_names_name_the_census_stages(table2, p, k):
 
 def _stage_registers(layout, name):
     """The (target, sources) registers a stage's op must name: plan_layout
-    registers, single flag qubits, or the leading run of the binary flags."""
+    registers, single flag qubits, the leading run of the binary flags, or
+    the binary flags and the put flag as one register."""
     one = lambda q: QubitRegister(q, 1)  # noqa: E731
     stage, _, index = name.rstrip("]").partition("[")
     if stage == "accumulate":
@@ -537,8 +550,12 @@ def _stage_registers(layout, name):
     if stage == "put_flag":
         return one(layout.put_flag), (layout.accumulator, layout.barrier_flags, *flags)
     if stage == "zero_scale":
-        put = (one(layout.put_flag),) if layout.put_flag is not None else ()
-        return one(layout.scale_indicator), (*flags, *put)
+        qubits = (layout.binary_flags.qubits if layout.binary_flags else ()) + (
+            (layout.put_flag,) if layout.put_flag is not None else ()
+        )
+        every = (QubitRegister(qubits[0], len(qubits)),) if qubits else ()
+        assert qubits == (every[0].qubits if every else ()), "flags are not one register"
+        return one(layout.scale_indicator), every
     assert stage == "put_compare", name
     return one(layout.payoff_target), (layout.exponential, layout.accumulator, one(layout.put_flag))
 
@@ -570,6 +587,18 @@ def test_register_ops_address_layout_registers(
     assert sorted(op.name for op in adds) == sorted(names)
     for op in adds:
         assert (op.target, op.sources) == _stage_registers(layout, op.name), op
+    # the payoff rotations, as a census reads their control widths: each
+    # binary's on its flag at 1, the put scale on the put flag at 1 and the
+    # zero payoff on the zero_scale flags at 0
+    want = [(layout.payoff_target, QubitRegister(q, 1), 1) for q in
+            (layout.binary_flags.qubits if layout.binary_flags else ())]
+    if layout.exponential:
+        want.append((layout.scale_indicator, QubitRegister(layout.put_flag, 1), 1))
+    flags = _stage_registers(layout, "zero_scale")[1]
+    want.append((layout.payoff_target, flags[0] if flags else None, 0))
+    payoff = [(op.target, op.control, op.value) for op in pc.ops if isinstance(op, Ry)
+              and op.target in (layout.payoff_target, layout.scale_indicator)]
+    assert payoff == want
     oracles = [op for op in pc.ops if isinstance(op, PhaseOracle)]
     assert len(oracles) == (2 if layout.exponential else 0)
     assert all(op.register == layout.exponential for op in oracles)

@@ -503,6 +503,34 @@ def test_extreme_drift_prices_without_warnings(tmp_path, capsys, mu, method):
     assert float(_rows(out)[0]["value"]) == pytest.approx(value, rel=1e-15, abs=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("notional", ["1e160", "1e307"])
+def test_large_notional_prices_without_warnings(tmp_path, capsys, notional):
+    # the payoffs' squared deviations (and at 1e307 their block sums) overflow
+    # unless the Monte Carlo oracles reduce them at a power-of-two scale
+    text = CONTRACT.replace("notional = 18.0", f"notional = {notional}")
+    text += "[grid]\nk = 2\ns_min = 3.0\n"
+    rows = {}
+    for method in ("mc", "mc-disc", "cf-disc"):
+        code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\n")
+        assert code == 0 and capsys.readouterr().err == ""
+        rows[method] = {key: float(_rows(out)[0][key] or "nan") for key in ("value", "stderr")}
+    for method in ("mc", "mc-disc"):
+        assert math.isfinite(rows[method]["value"]) and 0 < rows[method]["stderr"] < math.inf
+    disc, exact = rows["mc-disc"], rows["cf-disc"]["value"]
+    assert abs(disc["value"] - exact) <= 4 * disc["stderr"]
+
+
+@pytest.mark.parametrize("method", ["mc", "mc-disc"])
+def test_monte_carlo_price_beyond_float_range_exits_3(tmp_path, capsys, method):
+    # strike 1e10 at notional 1e308: the put pays about -1e318, which no float holds
+    text = CONTRACT.replace("notional = 18.0", "notional = 1e308").replace(
+        "strike = 1.0", "strike = 1e10") + "[grid]\nk = 2\ns_min = 3.0\n"
+    code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\npaths = 1000\n")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("numerical error: Monte Carlo price")
+
+
 def test_cli_import_loads_neither_thread_pool_nor_difflib():
     # each is imported where it is used: --threads > 1, or an unknown key or section
     src = str(Path(qautocall.__file__).resolve().parent.parent)

@@ -13,14 +13,13 @@ from qautocall.estimation import (
     iqae_estimate,
     sample,
 )
-from qautocall.errors import StructuralError
 from qautocall.loading import GaussianGridSpec
-from qautocall.simulator import Condition, PhaseOracle, QubitRegister, Ry, allocate, probability
+from qautocall.simulator import PhaseOracle, QubitRegister, Ry, allocate, probability
 
 
 def bernoulli_circuit(a):
     """One-qubit circuit with good-state probability exactly ``a``."""
-    return [Ry(0, 2.0 * math.asin(math.sqrt(a)))], 1, Condition(((0, 1),))
+    return [Ry(0, 2.0 * math.asin(math.sqrt(a)))], 1, QubitRegister(0, 1)
 
 
 def table2_circuit(contract, p, k):
@@ -51,7 +50,7 @@ class TestGrover:
         for j in range(1, 9):
             state.apply_all(grover)
             want = math.sin((2 * j + 1) * theta) ** 2
-            assert probability(state, good) == pytest.approx(want, abs=1e-10)
+            assert probability(state, good, 1) == pytest.approx(want, abs=1e-10)
 
     def test_zero_amplitude_is_fixed_point(self):
         ops, nq, good = bernoulli_circuit(0.0)
@@ -60,7 +59,7 @@ class TestGrover:
         state.apply_all(ops)
         for _ in range(5):
             state.apply_all(grover)
-        assert probability(state, good) == pytest.approx(0.0, abs=1e-12)
+        assert probability(state, good, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_amplitude_is_fixed_point(self):
         ops, nq, good = bernoulli_circuit(1.0)
@@ -69,7 +68,7 @@ class TestGrover:
         state.apply_all(ops)
         for _ in range(5):
             state.apply_all(grover)
-        assert probability(state, good) == pytest.approx(1.0, abs=1e-12)
+        assert probability(state, good, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_amplitude_reaches_certainty_in_one_round(self):
         # sin^2(3 * arcsin(sqrt(0.25))) = sin^2(pi/2) = 1
@@ -77,29 +76,27 @@ class TestGrover:
         state = allocate(nq)
         state.apply_all(ops)
         state.apply_all(build_grover(ops, nq, good))
-        assert probability(state, good) == pytest.approx(1.0, abs=1e-12)
+        assert probability(state, good, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_good_qubits_form_one_register(self):
-        # S_good marks one value of the good qubits' register, whatever the term order
+        # S_good marks one value of the good register: every qubit reads 1
         ops = [Ry(1, 0.3), Ry(2, 0.7)]
-        s_good = build_grover(ops, 4, Condition(((2, 0), (1, 1))))[0]
+        s_good = build_grover(ops, 4, QubitRegister(1, 2))[0]
         assert isinstance(s_good, PhaseOracle)
-        assert s_good.register == QubitRegister(1, 2) and s_good.marked.tolist() == [1]
-        for terms in [((0, 1), (2, 1)), ()]:
-            with pytest.raises(StructuralError, match="one register"):
-                build_grover(ops, 4, Condition(terms))
+        assert s_good.register == QubitRegister(1, 2) and s_good.marked.tolist() == [3]
 
     def test_works_on_wider_registers(self):
         # same Bernoulli amplitude embedded in a 3-qubit circuit with bystanders
-        ops = [Ry(1, 2 * math.asin(math.sqrt(0.3))), Ry(0, 1.1), Ry(2, 0.4, ((0, 1),))]
-        good = Condition(((1, 1),))
+        ops = [Ry(1, 2 * math.asin(math.sqrt(0.3))), Ry(0, 1.1),
+               Ry(2, 0.4, QubitRegister(0, 1), 1)]
+        good = QubitRegister(1, 1)
         grover = build_grover(ops, 3, good)
         state = allocate(3)
         state.apply_all(ops)
         theta = math.asin(math.sqrt(0.3))
         for j in range(1, 5):
             state.apply_all(grover)
-            assert probability(state, good) == pytest.approx(
+            assert probability(state, good, 1) == pytest.approx(
                 math.sin((2 * j + 1) * theta) ** 2, abs=1e-10
             )
 
@@ -182,9 +179,9 @@ class TestIqae:
 
             grover = build_grover(pc.ops, nq, pc.good)
             state = allocate(nq).apply_all(pc.ops)
-            simulated = [probability(state, pc.good)]
+            simulated = [probability(state, pc.good, 0b11)]
             for j in range(1, max(8, *powers) + 1):
-                simulated.append(probability(state.apply_all(grover), pc.good))
+                simulated.append(probability(state.apply_all(grover), pc.good, 0b11))
                 want = math.sin((2 * j + 1) * theta) ** 2
                 assert simulated[j] == pytest.approx(want, abs=1e-12)
             for power, prob in zip(powers, probs):
@@ -216,9 +213,12 @@ class TestExactAmplitude:
         ops, nq, good = bernoulli_circuit(0.25)
         assert exact_amplitude(ops, nq, good) == pytest.approx(0.25, abs=1e-12)
 
-    def test_empty_condition_gives_total_mass(self):
-        ops, nq, _ = bernoulli_circuit(0.25)
-        assert exact_amplitude(ops, nq, Condition()) == pytest.approx(1.0, abs=1e-12)
+    def test_every_qubit_of_good_must_read_one(self):
+        # the Bernoulli qubit and a bystander at 1/2: both read 1 with probability 1/8
+        ops, _, _ = bernoulli_circuit(0.25)
+        ops = [*ops, Ry(1, math.pi / 2)]
+        assert exact_amplitude(ops, 2, QubitRegister(0, 2)) == pytest.approx(0.125, abs=1e-12)
+        assert exact_amplitude(ops, 2, QubitRegister(1, 1)) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_quantized_oracle_on_pricing_circuit(self, table2):
         from qautocall.circuit import post_process

@@ -13,7 +13,6 @@ from qautocall.loading import GaussianGridSpec
 from qautocall.simulator import (
     MAX_QUBITS,
     Add,
-    Condition,
     PhaseOracle,
     QubitRegister,
     Ry,
@@ -28,18 +27,11 @@ def _loaded(width, amps):
     return allocate(width).apply_all(injection_ops(QubitRegister(0, width), amps))
 
 
-def _flip(target, controls=()):
-    """A bit flip on ``target`` where every ``(qubit, bit)`` control holds: an
-    Add on a one-qubit target whose sources are the control qubits."""
-    bits = [b for _, b in controls]
-
-    def hit(*values):
-        out = np.int64(1)
-        for v, b in zip(values, bits):
-            out = out & (v == b)
-        return out
-
-    sources = tuple(QubitRegister(q, 1) for q, _ in controls)
+def _flip(target, control=None, value=0):
+    """A bit flip on ``target`` where ``control`` reads ``value``: an Add on a
+    one-qubit target whose one source, if any, is the control register."""
+    sources = () if control is None else (control,)
+    hit = lambda v=value: np.equal(v, value).astype(np.int64)  # noqa: E731
     return Add(QubitRegister(target, 1), sources, hit, name=f"flip[{target}]")
 
 
@@ -70,20 +62,20 @@ def test_ry_half_pi_uniform():
 def test_toffoli_truth_table():
     # |110> (qubits 0,1 set) -> |111>
     state = allocate(3).apply(_flip(0)).apply(_flip(1))
-    state.apply(_flip(2, controls=((0, 1), (1, 1))))
+    state.apply(_flip(2, QubitRegister(0, 2), 3))
     assert abs(to_dense(state)[0b111]) == pytest.approx(1.0)
     # control not satisfied: nothing happens
     state = allocate(3).apply(_flip(0))
-    state.apply(_flip(2, controls=((0, 1), (1, 1))))
+    state.apply(_flip(2, QubitRegister(0, 2), 3))
     assert abs(to_dense(state)[0b001]) == pytest.approx(1.0)
 
 
 def test_controlled_ry_acts_only_when_controls_match():
     angle = 2 * math.asin(math.sqrt(0.25))
-    state = allocate(2).apply(Ry(1, angle, controls=((0, 1),)))
-    assert probability(state, Condition(((1, 1),))) == pytest.approx(0.0, abs=1e-15)
-    state = allocate(2).apply(_flip(0)).apply(Ry(1, angle, controls=((0, 1),)))
-    assert probability(state, Condition(((1, 1),))) == pytest.approx(0.25, abs=1e-12)
+    state = allocate(2).apply(Ry(1, angle, QubitRegister(0, 1), 1))
+    assert probability(state, QubitRegister(1, 1), 1) == pytest.approx(0.0, abs=1e-15)
+    state = allocate(2).apply(_flip(0)).apply(Ry(1, angle, QubitRegister(0, 1), 1))
+    assert probability(state, QubitRegister(1, 1), 1) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_rotation_lists_no_exact_zeros():
@@ -93,10 +85,16 @@ def test_rotation_lists_no_exact_zeros():
 
 
 def test_control_target_overlap_rejected():
-    with pytest.raises(StructuralError):
-        Ry(0, 0.3, controls=((1, 0), (0, 1)))
-    with pytest.raises(StructuralError):
-        Ry(2, 0.3, controls=((2, 0),))
+    # a control register holding the target: as its top, its bottom, its one
+    # qubit, or inside it
+    for control in (QubitRegister(1, 2), QubitRegister(2, 2), QubitRegister(2, 1),
+                    QubitRegister(1, 3)):
+        with pytest.raises(StructuralError, match="both control and target"):
+            Ry(2, 0.3, control, 0)
+    # a value the control register cannot read; without a control, only 0
+    for control, value in ((QubitRegister(0, 2), 4), (QubitRegister(0, 2), -1), (None, 1)):
+        with pytest.raises(StructuralError, match="control value"):
+            Ry(2, 0.3, control, value)
 
 
 def test_classical_identity_noop():
@@ -118,10 +116,10 @@ def test_add_on_one_qubit_is_an_involution():
     # a one-qubit target XORs a flag, so adding 1 or -1 undoes itself
     flag = Add(QubitRegister(2, 1), (QubitRegister(0, 2),), lambda v: (v == 3).astype(np.int64),
                name="and")
-    state = allocate(3).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, controls=((0, 1),)))
+    state = allocate(3).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, QubitRegister(0, 1), 1))
     before = to_dense(state)
     state.apply(flag)
-    assert probability(state, Condition(((2, 1),))) == pytest.approx(abs(before[3]) ** 2)
+    assert probability(state, QubitRegister(2, 1), 1) == pytest.approx(abs(before[3]) ** 2)
     state.apply(flag)
     assert np.array_equal(to_dense(state), before)
     state.apply(flag).apply(flag.inverse())
@@ -139,7 +137,8 @@ def test_add_rejects_overlap_and_empty_target():
 
 
 def test_register_ops_beyond_the_state_rejected():
-    for op in (PhaseOracle(QubitRegister(2, 2), (0,), 0.1),
+    for op in (Ry(3, 0.1), Ry(0, 0.1, QubitRegister(2, 2), 0),
+               PhaseOracle(QubitRegister(2, 2), (0,), 0.1),
                Add(QubitRegister(0, 1), (QubitRegister(1, 3),), lambda v: v),
                Add(QubitRegister(3, 1), (), lambda: 1)):
         with pytest.raises(StructuralError, match="outside state of 3 qubits"):
@@ -203,8 +202,8 @@ def test_invert_single_rotation():
 
 
 def test_invert_reverses_order():
-    a, b = Ry(0, 0.3), Ry(1, 0.5, controls=((0, 1),))
-    assert invert([a, b]) == [Ry(1, -0.5, controls=((0, 1),)), Ry(0, -0.3)]
+    a, b = Ry(0, 0.3), Ry(1, 0.5, QubitRegister(0, 1), 1)
+    assert invert([a, b]) == [Ry(1, -0.5, QubitRegister(0, 1), 1), Ry(0, -0.3)]
 
 
 def test_each_op_inverts_to_one_op_of_its_kind():
@@ -228,22 +227,27 @@ def _lookup(codes, sources):
     return f
 
 
+def _control(num_qubits, target, rng):
+    """A random control register of 0 to 2 qubits beside ``target`` (None for
+    0), and a random value for it."""
+    width = int(rng.integers(0, 3))
+    if not width:
+        return None, 0
+    offsets = [a for a in range(num_qubits - width + 1) if not a <= target < a + width]
+    return QubitRegister(int(rng.choice(offsets)), width), int(rng.integers(2**width))
+
+
 def _random_circuit(num_qubits, rng, length=25):
     ops = []
     ops.extend(injection_ops(QubitRegister(0, 2), np.sqrt([0.1, 0.2, 0.3, 0.4])))
     for _ in range(length):
         kind = rng.integers(4)
         target = int(rng.integers(num_qubits))
-        others = [q for q in range(num_qubits) if q != target]
-        n_controls = int(rng.integers(0, 3))
-        controls = tuple(
-            (int(q), int(rng.integers(2)))
-            for q in rng.choice(others, size=n_controls, replace=False)
-        )
+        control, value = _control(num_qubits, target, rng)
         if kind == 0:
-            ops.append(Ry(target, float(rng.uniform(-math.pi, math.pi)), controls))
+            ops.append(Ry(target, float(rng.uniform(-math.pi, math.pi)), control, value))
         elif kind == 1:
-            ops.append(_flip(target, controls))
+            ops.append(_flip(target, control, value))
         elif kind == 2:
             # the target and up to two sources: three registers that split the qubits
             cuts = sorted(int(c) for c in rng.choice(np.arange(1, num_qubits), 2, replace=False))
@@ -294,7 +298,7 @@ def _reference_apply(op, amps):
     out = amps.copy()
     for i in range(len(amps)):
         if isinstance(op, Ry):
-            if _bit(i, op.target) or any(_bit(i, q) != b for q, b in op.controls):
+            if _bit(i, op.target) or (op.control and _value(i, op.control.qubits) != op.value):
                 continue
             j = i | (1 << op.target)
             c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
@@ -321,9 +325,10 @@ _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
     "op",
     [
         Ry(1, -1.3),
-        Ry(2, 0.7, controls=((4, 1), (0, 0))),
+        Ry(2, 0.7, QubitRegister(3, 2), 1),
+        Ry(0, 0.4, QubitRegister(1, 4), 0b1010),
         _flip(0),
-        _flip(3, controls=((0, 1), (4, 0), (1, 1))),
+        _flip(3, QubitRegister(0, 3), 0b011),
         PhaseOracle(QubitRegister(0, 3), _MARKED[_MARKED < 8], 0.9),
         PhaseOracle(QubitRegister(1, 4), _MARKED, math.pi),
         PhaseOracle(QubitRegister(0, 5), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
@@ -341,9 +346,9 @@ def test_kernels_match_per_basis_state_reference(op):
     state = from_dense(5, amps).apply(op)
     want = _reference_apply(op, amps)
     np.testing.assert_allclose(to_dense(state), want, rtol=0, atol=1e-14)
-    cond = Condition(((3, 1), (0, 0), (2, 1)))
-    mass = sum(abs(want[i]) ** 2 for i in range(32) if all(_bit(i, q) == b for q, b in cond.terms))
-    assert probability(state, cond) == pytest.approx(mass, abs=1e-14)
+    reg, value = QubitRegister(1, 3), 0b110
+    mass = sum(abs(want[i]) ** 2 for i in range(32) if _value(i, reg.qubits) == value)
+    assert probability(state, reg, value) == pytest.approx(mass, abs=1e-14)
 
 
 def test_random_circuits_match_per_basis_state_reference():
@@ -366,10 +371,10 @@ def _sort_by_index(state):
     state.indices, state.values = state.indices[order], state.values[order]
 
 
-def _assert_order_free(num_qubits, ops, cond):
+def _assert_order_free(num_qubits, ops, reg, value):
     """Run ``ops`` one by one on a state as the kernels leave it and on one
     re-sorted by index after every op: sorted, both hold the same bits, and
-    ``probability`` returns the same float for both."""
+    ``probability`` of ``reg`` reading ``value`` is the same float for both."""
     state, resorted = allocate(num_qubits), allocate(num_qubits)
     for op in ops:
         state.apply(op)
@@ -377,21 +382,20 @@ def _assert_order_free(num_qubits, ops, cond):
         order = np.argsort(state.indices)
         assert state.indices[order].tobytes() == resorted.indices.tobytes(), op
         assert state.values[order].tobytes() == resorted.values.tobytes(), op
-        assert probability(state, cond) == probability(resorted, cond), op
+        assert probability(state, reg, value) == probability(resorted, reg, value), op
 
 
 def test_random_circuits_independent_of_entry_order():
     rng = np.random.default_rng(23)
-    cond = Condition(((3, 1), (0, 0)))
     for _ in range(5):
-        _assert_order_free(5, _random_circuit(5, rng, length=40), cond)
+        _assert_order_free(5, _random_circuit(5, rng, length=40), QubitRegister(2, 2), 0b10)
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (4, 3)])
 def test_pricing_state_independent_of_entry_order(table2, p, k):
     grid = GaussianGridSpec(k=k, s_min=3.0)
     pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
-    _assert_order_free(pc.layout.num_qubits, pc.ops, pc.good)
+    _assert_order_free(pc.layout.num_qubits, pc.ops, pc.good, 0b11)
 
 
 def _gather_per_qubit(indices, qubits):
@@ -448,15 +452,13 @@ def test_pricing_state_identical_to_per_qubit_kernels(table2, monkeypatch, p, k)
 
 def test_probability_basics():
     state = allocate(2)
-    assert probability(state, Condition(((0, 1),))) == 0.0
+    assert probability(state, QubitRegister(0, 1), 1) == 0.0
     state.apply(Ry(0, math.pi / 2))
-    assert probability(state, Condition(((0, 1),))) == pytest.approx(0.5, abs=1e-12)
-    assert probability(state, Condition()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_condition_rejects_duplicates():
-    with pytest.raises(StructuralError):
-        Condition(((0, 1), (0, 0)))
+    assert probability(state, QubitRegister(0, 1), 1) == pytest.approx(0.5, abs=1e-12)
+    whole = QubitRegister(0, 2)
+    assert sum(probability(state, whole, v) for v in range(4)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(StructuralError, match="outside state of 2 qubits"):
+        probability(state, QubitRegister(1, 2), 0)
 
 
 def test_phase_oracle_marks_values():
