@@ -160,6 +160,10 @@ class QuantizedModel:
         # is (r_t_min - K) V e^{-rT}; clamped at zero when the quantized grid
         # cannot reach below the strike (the put then never pays).
         p_min = min(0.0, (r_t_min - c.strike) * c.notional * discount_T)
+        if not math.isfinite(p_min):
+            raise MappingError(
+                f"the put floor (r_t_min - strike) * notional * e^(-rT) = {p_min} is not finite"
+            )
         scale = f_max - p_min
         if scale <= 0.0:
             raise MappingError(

@@ -10,6 +10,11 @@ grid's 2**k points, the circuit's state support bound or the states a closed
 form keeps in one step do not fit in physical memory), 3 numerical, 4
 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
+``_SCHEMA`` is the one place config keys are declared, with each key's
+converter, default (or that its section needs it) and check: ``parse_config``
+and its unknown-key hints read it. ``[resources]`` defaults are
+``ResourceParams``' own; ``METHOD_INPUTS`` declares the inputs of each method.
+
 Identical config and seed produce byte-identical CSV; the wall_ms column is
 left empty unless --timing is passed, since timings are inherently
 non-reproducible.
@@ -24,24 +29,21 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .circuit import MAX_FRAC_BITS, build_pricing_circuit, fit_format, post_process
 from .contracts import AutocallableContract, BinaryOption
-from .errors import (
-    CapacityError, ConfigError, MappingError, NumericalError, PreconditionError, StructuralError,
-)
+from .errors import (CapacityError, ConfigError, MappingError, NumericalError,
+                     PreconditionError, StructuralError)
 from .estimation import IqaeConfig, exact_amplitude, iqae_estimate
 from .loading import GaussianGridSpec
-from .oracles import (
-    closed_form_discretized,
-    closed_form_quantized,
-    mc_price,
-    mc_price_discretized,
-)
+from .oracles import closed_form_discretized, closed_form_quantized, mc_price, mc_price_discretized
 from .resources import QSP_BASELINE_T_DEPTH, ResourceParams, d_total
 
-METHODS = ("quantum-exact", "quantum-iqae", "mc", "mc-disc", "cf-disc", "cf-quant")
+#: the grid inputs each method reads: k (with [grid] s_min) and p
+METHOD_INPUTS = {"quantum-exact": ("k", "p"), "quantum-iqae": ("k", "p"), "mc": (),
+                 "mc-disc": ("k",), "cf-disc": ("k",), "cf-quant": ("k", "p")}
+METHODS = tuple(METHOD_INPUTS)
 
 PRICE_COLUMNS = [
     "method", "k", "p", "value", "ci_low", "ci_high", "stderr",
@@ -57,20 +59,6 @@ RESOURCE_COLUMNS = [
     "qsp_baseline", "qsp_ratio",
 ]
 
-_SECTION_KEYS = {
-    "contract": {
-        "notional", "dt", "steps", "sigma", "mu", "rate", "barrier", "strike", "binaries",
-    },
-    "grid": {"k", "s_min"},
-    "fixedpoint": {"p"},
-    "estimation": {"method", "epsilon", "alpha", "shots", "paths", "seed"},
-    "sweep": {"p_values", "k_values", "methods"},
-    "resources": {
-        "steps", "assets", "epsilon", "layers", "gaussian_qubits", "binaries",
-        "m_values", "sigma_max", "mu", "dt", "notional", "strike", "f_max",
-    },
-}
-
 
 @dataclass
 class RunConfig:
@@ -83,45 +71,10 @@ class RunConfig:
     shots: int
     paths: int
     seed: int
-    sweep_p: list[int] = field(default_factory=list)
-    sweep_k: list[int] = field(default_factory=list)
-    sweep_methods: list[str] = field(default_factory=list)
-    resources: dict = field(default_factory=dict)
-
-
-class _Reader:
-    """Pulls typed values out of one section, accumulating problems."""
-
-    def __init__(self, parser, section, problems):
-        self.section = section
-        self.raw = dict(parser[section]) if parser.has_section(section) else {}
-        self.problems = problems
-        known = _SECTION_KEYS.get(section, set())
-        for key in self.raw:
-            if key not in known:
-                import difflib  # imported here, not at start-up: only a hint needs it
-                hint = difflib.get_close_matches(key, known, n=1)
-                suffix = f" (did you mean '{hint[0]}'?)" if hint else ""
-                problems.append(f"unknown key '{section}.{key}'{suffix}")
-
-    def get(self, key, convert, default=None, required=False, check=None, describe=""):
-        if key not in self.raw:
-            if required:
-                self.problems.append(f"missing required key '{self.section}.{key}'")
-            return default
-        text = self.raw[key]
-        try:
-            value = convert(text)
-        except (ValueError, TypeError):
-            self.problems.append(f"invalid value for '{self.section}.{key}': {text!r}")
-            return default
-        if isinstance(value, float) and not math.isfinite(value):
-            self.problems.append(f"'{self.section}.{key}' must be finite, got {text!r}")
-            return default
-        if check is not None and not check(value):
-            self.problems.append(f"'{self.section}.{key}' {describe}, got {text!r}")
-            return default
-        return value
+    sweep_p: tuple[int, ...]
+    sweep_k: tuple[int, ...]
+    sweep_methods: tuple[str, ...]
+    resources: dict  # empty when the config has no [resources]
 
 
 def _parse_binaries(text: str) -> tuple[BinaryOption, ...]:
@@ -138,12 +91,115 @@ def _parse_binaries(text: str) -> tuple[BinaryOption, ...]:
     return tuple(legs)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.replace(",", " ").split()]
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.replace(",", " ").split())
 
 
 def _frac_bits_ok(p: int) -> bool:
     return 0 <= p <= MAX_FRAC_BITS
+
+
+_REQUIRED = object()  # the default of a key required when its section is present
+
+# checks: (predicate, what a failed value is told), or no check
+_ANY = (None, "")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_ALL_AT_LEAST_1 = (lambda vs: all(v >= 1 for v in vs), "must all be >= 1")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "must be in (0, 1)")
+
+_PARAMS = {f.name: f.default for f in fields(ResourceParams)}
+_PARAMS["m_values"] = (_PARAMS["accumulator_width"],)  # accumulator widths, one row each
+
+#: section -> key -> (converter, default, check), in the order problems are reported
+_SCHEMA = {
+    "contract": {
+        "notional": (float, _REQUIRED, _POSITIVE),
+        "dt": (float, _REQUIRED, _POSITIVE),
+        "steps": (int, _REQUIRED, _AT_LEAST_1),
+        "sigma": (float, _REQUIRED, _NON_NEGATIVE),
+        "mu": (float, _REQUIRED, _ANY),
+        "rate": (float, _REQUIRED, _ANY),
+        "barrier": (float, _REQUIRED, _POSITIVE),
+        "strike": (float, _REQUIRED, _POSITIVE),
+        "binaries": (_parse_binaries, (), _ANY),
+    },
+    "grid": {"k": (int, None, _AT_LEAST_1), "s_min": (float, None, _POSITIVE)},
+    "fixedpoint": {"p": (int, None, (_frac_bits_ok, f"must be in [0, {MAX_FRAC_BITS}]"))},
+    "estimation": {
+        "method": (str, None, (lambda v: v in METHODS, f"must be one of {METHODS}")),
+        "epsilon": (float, 1e-3, (lambda v: 0 < v < 0.5, "must be in (0, 0.5)")),
+        "alpha": (float, 2e-3, _OPEN_UNIT),
+        "shots": (int, 100, _AT_LEAST_1),
+        "paths": (int, 100_000, _AT_LEAST_1),
+        "seed": (int, 0, _AT_LEAST_0),
+    },
+    "sweep": {
+        "p_values": (_parse_int_list, (), (lambda ps: all(map(_frac_bits_ok, ps)),
+                                           f"must all be in [0, {MAX_FRAC_BITS}]")),
+        "k_values": (_parse_int_list, (), _ALL_AT_LEAST_1),
+        "methods": (lambda t: tuple(m.strip() for m in t.split(",")), (), _ANY),
+    },
+    "resources": {
+        key: (convert, _PARAMS[key], check)
+        for key, convert, check in [
+            ("steps", int, _AT_LEAST_1),
+            ("assets", int, _AT_LEAST_1),
+            ("epsilon", float, _OPEN_UNIT),
+            ("layers", int, _AT_LEAST_0),
+            ("gaussian_qubits", int, _AT_LEAST_1),
+            ("binaries", int, _AT_LEAST_0),
+            ("m_values", _parse_int_list, _ALL_AT_LEAST_1),
+            ("sigma_max", float, _NON_NEGATIVE),
+            ("mu", float, _ANY),
+            ("dt", float, _POSITIVE),
+            ("notional", float, _POSITIVE),
+            ("strike", float, _POSITIVE),
+            ("f_max", float, _NON_NEGATIVE),
+        ]
+    },
+}
+
+
+def _hint(name: str, known, shape: str) -> str:
+    import difflib  # imported here, not at start-up: only a hint needs it
+    match = difflib.get_close_matches(name, known, n=1)
+    return f" (did you mean '{shape.format(match[0])}'?)" if match else ""
+
+
+def _read_section(parser, section: str, problems: list[str]) -> dict:
+    """Every key of one section: its value, or its default where the key is
+    absent or its value is refused, each refusal added to ``problems``."""
+    keys = _SCHEMA[section]
+    present = parser.has_section(section)
+    raw = dict(parser[section]) if present else {}
+    for key in raw:
+        if key not in keys:
+            problems.append(f"unknown key '{section}.{key}'{_hint(key, keys, '{}')}")
+    values = {}
+    for key, (convert, default, (check, describe)) in keys.items():
+        if default is _REQUIRED:
+            default = None
+            if present and key not in raw:
+                problems.append(f"missing required key '{section}.{key}'")
+        values[key] = default
+        if key not in raw:
+            continue
+        text = raw[key]
+        try:
+            value = convert(text)
+        except (ValueError, TypeError):
+            problems.append(f"invalid value for '{section}.{key}': {text!r}")
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"'{section}.{key}' must be finite, got {text!r}")
+        elif check is not None and not check(value):
+            problems.append(f"'{section}.{key}' {describe}, got {text!r}")
+        else:
+            values[key] = value
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -155,95 +211,20 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"config syntax error: {exc}"]) from exc
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            import difflib
-            hint = difflib.get_close_matches(section, _SECTION_KEYS, n=1)
-            suffix = f" (did you mean '[{hint[0]}]'?)" if hint else ""
-            problems.append(f"unknown section '[{section}]'{suffix}")
+        if section not in _SCHEMA:
+            problems.append(f"unknown section '[{section}]'{_hint(section, _SCHEMA, '[{}]')}")
 
-    # [contract] is optional (resources never reads it); when present, it is complete
-    con = _Reader(parser, "contract", problems)
-    has_contract = parser.has_section("contract")
-    notional = con.get("notional", float, required=has_contract, check=lambda v: v > 0,
-                       describe="must be positive")
-    dt = con.get("dt", float, required=has_contract, check=lambda v: v > 0,
-                 describe="must be positive")
-    steps = con.get("steps", int, required=has_contract, check=lambda v: v >= 1,
-                    describe="must be >= 1")
-    sigma = con.get("sigma", float, required=has_contract, check=lambda v: v >= 0,
-                    describe="must be non-negative")
-    mu = con.get("mu", float, required=has_contract)
-    rate = con.get("rate", float, required=has_contract)
-    barrier = con.get("barrier", float, required=has_contract, check=lambda v: v > 0,
-                      describe="must be positive")
-    strike = con.get("strike", float, required=has_contract, check=lambda v: v > 0,
-                     describe="must be positive")
-    binaries = con.get("binaries", _parse_binaries, default=())
+    read = {}
+    for section in _SCHEMA:
+        read[section] = _read_section(parser, section, problems)
+        if section == "sweep":
+            problems.extend(
+                f"unknown sweep method {m!r}; options: {', '.join(METHODS)}"
+                for m in read[section]["methods"] if m not in METHODS
+            )
 
-    gr = _Reader(parser, "grid", problems)
-    k = gr.get("k", int, check=lambda v: v >= 1, describe="must be >= 1")
-    s_min = gr.get("s_min", float, check=lambda v: v > 0, describe="must be positive")
-
-    fx = _Reader(parser, "fixedpoint", problems)
-    frac_bits = fx.get("p", int, check=_frac_bits_ok,
-                       describe=f"must be in [0, {MAX_FRAC_BITS}]")
-
-    est = _Reader(parser, "estimation", problems)
-    method = est.get("method", str, check=lambda v: v in METHODS,
-                     describe=f"must be one of {METHODS}")
-    epsilon = est.get("epsilon", float, default=1e-3, check=lambda v: 0 < v < 0.5,
-                      describe="must be in (0, 0.5)")
-    alpha = est.get("alpha", float, default=2e-3, check=lambda v: 0 < v < 1,
-                    describe="must be in (0, 1)")
-    shots = est.get("shots", int, default=100, check=lambda v: v >= 1, describe="must be >= 1")
-    paths = est.get("paths", int, default=100_000, check=lambda v: v >= 1,
-                    describe="must be >= 1")
-    seed = est.get("seed", int, default=0, check=lambda v: v >= 0, describe="must be >= 0")
-
-    sw = _Reader(parser, "sweep", problems)
-    sweep_p = sw.get("p_values", _parse_int_list, default=[],
-                     check=lambda ps: all(map(_frac_bits_ok, ps)),
-                     describe=f"must all be in [0, {MAX_FRAC_BITS}]")
-    sweep_k = sw.get("k_values", _parse_int_list, default=[],
-                     check=lambda ks: all(k >= 1 for k in ks), describe="must all be >= 1")
-    sweep_methods = sw.get(
-        "methods", lambda t: [m.strip() for m in t.split(",")], default=[]
-    )
-    for m in sweep_methods:
-        if m not in METHODS:
-            problems.append(f"unknown sweep method {m!r}; options: {', '.join(METHODS)}")
-
-    res = _Reader(parser, "resources", problems)
-    resources = {}
-    if parser.has_section("resources"):
-        resources = {
-            "steps": res.get("steps", int, default=20, check=lambda v: v >= 1,
-                             describe="must be >= 1"),
-            "assets": res.get("assets", int, default=3, check=lambda v: v >= 1,
-                              describe="must be >= 1"),
-            "epsilon": res.get("epsilon", float, default=2e-3, check=lambda v: 0 < v < 1,
-                               describe="must be in (0, 1)"),
-            "layers": res.get("layers", int, default=0, check=lambda v: v >= 0,
-                              describe="must be >= 0"),
-            "gaussian_qubits": res.get("gaussian_qubits", int, default=2,
-                                       check=lambda v: v >= 1, describe="must be >= 1"),
-            "binaries": res.get("binaries", int, default=2, check=lambda v: v >= 0,
-                                describe="must be >= 0"),
-            "m_values": res.get("m_values", _parse_int_list, default=[8],
-                                check=lambda ms: all(m >= 1 for m in ms),
-                                describe="must all be >= 1"),
-            "sigma_max": res.get("sigma_max", float, default=0.2382, check=lambda v: v >= 0,
-                                 describe="must be non-negative"),
-            "mu": res.get("mu", float, default=0.1274),
-            "dt": res.get("dt", float, default=1.0, check=lambda v: v > 0,
-                          describe="must be positive"),
-            "notional": res.get("notional", float, default=18.0, check=lambda v: v > 0,
-                                describe="must be positive"),
-            "strike": res.get("strike", float, default=1.0, check=lambda v: v > 0,
-                              describe="must be positive"),
-            "f_max": res.get("f_max", float, default=5.0 * math.exp(-0.08),
-                             check=lambda v: v >= 0, describe="must be non-negative"),
-        }
+    resources = read["resources"] if parser.has_section("resources") else {}
+    if resources:
         # The rescaling factor R(w) = f_max + (strike - r_t_min(w)) * notional
         # tends to f_max + strike * notional > 0 as w grows unless sigma_max = 0,
         # where it is constant; compared in logs because r_t_min can overflow.
@@ -258,56 +239,50 @@ def parse_config(text: str) -> RunConfig:
                 f"{floor:.6g}, so the payoff rescaling factor is never positive"
             )
 
+    # [contract] is optional (resources never reads it); when present, it is complete
     contract = None
-    if has_contract and not problems:
+    if parser.has_section("contract") and not problems:
         try:
-            contract = AutocallableContract(
-                notional=notional, dt=dt, steps=steps, mu=mu, sigma=sigma,
-                rate=rate, barrier=barrier, strike=strike, binaries=binaries,
-            )
+            contract = AutocallableContract(**read["contract"])
         except ValueError as exc:
             problems.append(f"contract: {exc}")
 
     grid = None
-    if k is not None and s_min is not None and not problems:
-        grid = GaussianGridSpec(k=k, s_min=s_min)
+    if None not in read["grid"].values() and not problems:
+        grid = GaussianGridSpec(**read["grid"])
 
     if problems:
         raise ConfigError(problems)
+    sweep = read["sweep"]
     return RunConfig(
-        contract=contract, grid=grid, frac_bits=frac_bits, method=method,
-        epsilon=epsilon, alpha=alpha, shots=shots, paths=paths, seed=seed,
-        sweep_p=sweep_p, sweep_k=sweep_k, sweep_methods=sweep_methods, resources=resources,
+        contract=contract, grid=grid, frac_bits=read["fixedpoint"]["p"], **read["estimation"],
+        sweep_p=sweep["p_values"], sweep_k=sweep["k_values"], sweep_methods=sweep["methods"],
+        resources=resources,
     )
 
 
-def _require(config: RunConfig, method: str, k: int | None, p: int | None):
+def _require(config: RunConfig, method: str, p: int | None) -> tuple[str, ...]:
+    """The inputs ``method`` reads; raises :class:`ConfigError` naming any the config lacks."""
+    if method not in METHOD_INPUTS:
+        raise ConfigError([f"unknown method {method!r}"])
+    needs = METHOD_INPUTS[method]
     problems = []
     if config.contract is None:
         problems.append(f"method {method} needs a [contract] section")
-    if method in ("mc-disc", "cf-disc", "cf-quant", "quantum-exact", "quantum-iqae"):
-        # s_min always comes from [grid], even when the sweep supplies k
-        if config.grid is None:
-            problems.append(f"method {method} needs a [grid] section with k and s_min")
-    if method in ("cf-quant", "quantum-exact", "quantum-iqae"):
-        if config.frac_bits is None and p is None:
-            problems.append(f"method {method} needs fixedpoint.p")
+    # s_min always comes from [grid], even when the sweep supplies k
+    if "k" in needs and config.grid is None:
+        problems.append(f"method {method} needs a [grid] section with k and s_min")
+    if "p" in needs and config.frac_bits is None and p is None:
+        problems.append(f"method {method} needs fixedpoint.p")
     if problems:
         raise ConfigError(problems)
+    return needs
 
 
 def _format(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _binaries_text(contract: AutocallableContract) -> str:
-    return ";".join(f"{b.step}:{b.strike}:{b.payout}" for b in contract.binaries)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def price_row(
@@ -318,7 +293,7 @@ def price_row(
     timing: bool = False,
 ) -> dict:
     """Run one (method, k, p) point and return its CSV row values."""
-    _require(config, method, k, p)
+    needs = _require(config, method, p)
     contract = config.contract
     grid = GaussianGridSpec(k, config.grid.s_min) if k is not None else config.grid
     p = p if p is not None else config.frac_bits
@@ -330,10 +305,12 @@ def price_row(
         notional=contract.notional, dt=contract.dt, steps=contract.steps,
         mu=contract.mu, sigma=contract.sigma, rate=contract.rate,
         barrier=contract.barrier, strike=contract.strike,
-        binaries=_binaries_text(contract),
+        binaries=";".join(f"{b.step}:{b.strike}:{b.payout}" for b in contract.binaries),
     )
-    if grid is not None and method != "mc":
+    if "k" in needs:
         row.update(k=grid.k, s_min=grid.s_min)
+    if "p" in needs:
+        row.update(p=p)
 
     if method in ("mc", "mc-disc"):
         if method == "mc":
@@ -348,8 +325,8 @@ def price_row(
         row.update(value=closed_form_discretized(contract, grid))
     elif method == "cf-quant":
         fmt = fit_format(contract, grid, p)
-        row.update(value=closed_form_quantized(contract, grid, fmt), p=p)
-    elif method in ("quantum-exact", "quantum-iqae"):
+        row.update(value=closed_form_quantized(contract, grid, fmt))
+    else:
         pc = build_pricing_circuit(contract, grid, fit_format(contract, grid, p))
         a = exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good)
         if method == "quantum-exact":
@@ -362,9 +339,7 @@ def price_row(
             row.update(paths_or_shots=iqae.shots_total, oracle_calls=iqae.oracle_calls,
                        epsilon=config.epsilon, alpha=config.alpha)
         value, ci_low, ci_high = (post_process(x, pc.mapping) for x in estimate)
-        row.update(value=value, ci_low=ci_low, ci_high=ci_high, p=p)
-    else:
-        raise ConfigError([f"unknown method {method!r}"])
+        row.update(value=value, ci_low=ci_low, ci_high=ci_high)
 
     if timing:
         row["wall_ms"] = round((time.perf_counter() - started) * 1e3, 3)
@@ -381,19 +356,15 @@ def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> lis
 
     points = []
     for method in methods:
-        if method == "mc":
-            found = [(method, None, None)]
-        elif method in ("mc-disc", "cf-disc"):
-            found = [(method, k, None) for k in ks]
-        else:
-            found = [(method, k, p) for k in ks for p in ps]
+        needs = METHOD_INPUTS[method]
+        found = [(method, k, p) for k in (ks if "k" in needs else [None])
+                 for p in (ps if "p" in needs else [None])]
         if not found:  # no k or no p: name what is missing
-            _require(config, method, None, None)
+            _require(config, method, None)
         points.extend(found)
 
-    def compute(point):
-        method, k, p = point
-        return price_row(config, method, k=k, p=p, timing=timing)
+    def compute(point):  # (method, k, p)
+        return price_row(config, *point, timing=timing)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # not at start-up: ~7 ms
@@ -406,31 +377,22 @@ def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> lis
 
 
 def resource_rows(config: RunConfig) -> list[dict]:
-    opts = dict(config.resources or {})
+    opts = dict(config.resources)
     if not opts:
         raise ConfigError(["resources needs a [resources] section"])
     m_values = opts.pop("m_values")
-    rows = []
-    for m in m_values:
-        report = d_total(ResourceParams(accumulator_width=m, **opts))
-        rows.append(emit_report(report))
-    return rows
+    return [emit_report(d_total(ResourceParams(accumulator_width=m, **opts))) for m in m_values]
 
 
 def emit_report(report) -> dict:
-    """One resource report as a CSV row dict in the stable column order."""
+    """One resource report as a CSV row dict, its values in ``RESOURCE_COLUMNS`` order."""
     p = report.params
-    return {
-        "steps": p.steps, "assets": p.assets, "epsilon": p.epsilon,
-        "layers": p.layers, "gaussian_qubits": p.gaussian_qubits,
-        "binaries": p.binaries, "m": p.accumulator_width,
-        "w": report.w, "r_t_min": report.r_t_min, "R": report.scale,
-        "n_iqae": report.n_iqae, "d_gaussian": report.d_gaussian,
-        "d_arith": report.d_arith, "d_exp": report.d_exp,
-        "d_amplitude_loading": report.d_amplitude_loading,
-        "d_total": report.d_total, "qsp_baseline": QSP_BASELINE_T_DEPTH,
-        "qsp_ratio": report.qsp_ratio,
-    }
+    return dict(zip(RESOURCE_COLUMNS, [
+        p.steps, p.assets, p.epsilon, p.layers, p.gaussian_qubits, p.binaries,
+        p.accumulator_width, report.w, report.r_t_min, report.scale, report.n_iqae,
+        report.d_gaussian, report.d_arith, report.d_exp, report.d_amplitude_loading,
+        report.d_total, QSP_BASELINE_T_DEPTH, report.qsp_ratio,
+    ], strict=True))
 
 
 def write_csv(rows: list[dict], columns: list[str], out) -> None:
@@ -497,13 +459,10 @@ def main(argv: list[str] | None = None) -> int:
             if config.method is None:
                 raise ConfigError(["price needs estimation.method"])
             rows = [price_row(config, config.method, timing=args.timing)]
-            columns = PRICE_COLUMNS
         elif args.command == "sweep":
             rows = sweep_rows(config, threads=args.threads, timing=args.timing)
-            columns = PRICE_COLUMNS
         else:
             rows = resource_rows(config)
-            columns = RESOURCE_COLUMNS
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -522,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
     buf = io.StringIO()
-    write_csv(rows, columns, buf)
+    write_csv(rows, RESOURCE_COLUMNS if args.command == "resources" else PRICE_COLUMNS, buf)
     if not args.out:
         sys.stdout.write(buf.getvalue())
         return 0

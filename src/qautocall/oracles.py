@@ -405,6 +405,10 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     the level first reaches each threshold. Paths are thus classified on
     exp(t a + b G), not on the running sums :func:`_payoffs` compares: the
     two can disagree only on lattice points within a few ulp of a threshold.
+
+    The put and the binaries are priced at the exact scale 2**-e of
+    :func:`_payoff_exponent` (e = 0 at ordinary notionals) and the price
+    scaled back. Raises :class:`NumericalError` when the price is not finite.
     """
     probs = grid.probabilities()  # raises CapacityError for an oversized grid
     scale = contract.sigma * math.sqrt(contract.dt)
@@ -424,9 +428,16 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     fired, _, (keys, mass) = _recursion(
         contract, np.arange(top + 1), probs, barriers, strikes, put_strike
     )
-    value = sum(contract.discounted_payout(i) * m for i, m in enumerate(fired))
-    put = contract.notional * (np.exp(contract.steps * a + b * keys) - contract.strike)
-    return value + float(mass @ (put * math.exp(-contract.rate * contract.maturity)))
+    e = _payoff_exponent(contract, 1)  # the masses sum to 1: bounded as one path's payoff
+    value = sum(math.ldexp(contract.discounted_payout(i), -e) * m for i, m in enumerate(fired))
+    notional = math.ldexp(contract.notional, -e)
+    put = notional * (np.exp(contract.steps * a + b * keys) - contract.strike)
+    value += float(mass @ (put * math.exp(-contract.rate * contract.maturity)))
+    with np.errstate(over="ignore"):  # a price beyond the float range is inf, refused below
+        value = float(np.ldexp(value, e))
+    if not math.isfinite(value):
+        raise NumericalError(f"closed-form price is not finite: {value}")
+    return value
 
 
 def closed_form_quantized(

@@ -52,13 +52,15 @@ class ResourceParams:
     """Inputs of the depth model.
 
     ``epsilon`` is the one error budget: every block's rotation error and the
-    truncation solver's payoff bound (in currency) read it.
+    truncation solver's payoff bound (in currency) read it. These defaults are
+    the command line's ``[resources]`` defaults, ``accumulator_width`` that of
+    ``m_values``.
     """
 
-    steps: int  # T
-    assets: int  # d
-    epsilon: float
-    accumulator_width: int  # m, final log-return register width
+    steps: int = 20  # T
+    assets: int = 3  # d
+    epsilon: float = 2e-3
+    accumulator_width: int = 8  # m, final log-return register width
     gaussian_qubits: int = 2  # k
     layers: int = 0  # L, Gaussian loader layers
     binaries: int = 2  # j

@@ -588,3 +588,204 @@ def test_no_command_imports_scipy(tmp_path):
     assert seen["import"] == []
     assert seen["no-mc"] == []
     assert seen["mc"] == []
+
+
+# A fault in every section: each problem's message and their order are pinned.
+EVERY_SECTION_FAULTS = """\
+[gird]
+k = 1
+[contract]
+notional = -1
+dt = 1.0
+steps = x
+sigma = 0.2382
+mu = nan
+rate = 0.04
+barrier = 0.7
+tenor = 3
+[grid]
+k = 0
+smin = 3.0
+[fixedpoint]
+p = 99
+[estimation]
+method = cf-quantum
+epsilon = 0.5
+alpha = 1
+shots = 0
+paths = 0
+seed = -1
+[sweep]
+p_values = 2, 99
+k_values = 0 1
+methods = mc, qmc, cf-disc
+[resources]
+steps = 0
+assets = 0
+epsilon = 0
+layers = -1
+gaussian_qubits = 0
+binaries = -1
+m_values = 8 0
+sigma_max = -1
+mu = inf
+dt = 0
+notional = 0
+strike = 0
+f_max = -1
+accumulator = 4
+[sweeps]
+"""
+
+METHOD_OPTIONS = "quantum-exact, quantum-iqae, mc, mc-disc, cf-disc, cf-quant"
+
+EVERY_SECTION_ERRORS = f"""\
+unknown section '[gird]' (did you mean '[grid]'?)
+unknown section '[sweeps]' (did you mean '[sweep]'?)
+unknown key 'contract.tenor'
+'contract.notional' must be positive, got '-1'
+invalid value for 'contract.steps': 'x'
+'contract.mu' must be finite, got 'nan'
+missing required key 'contract.strike'
+unknown key 'grid.smin' (did you mean 's_min'?)
+'grid.k' must be >= 1, got '0'
+'fixedpoint.p' must be in [0, 62], got '99'
+'estimation.method' must be one of ('quantum-exact', 'quantum-iqae', 'mc', 'mc-disc', \
+'cf-disc', 'cf-quant'), got 'cf-quantum'
+'estimation.epsilon' must be in (0, 0.5), got '0.5'
+'estimation.alpha' must be in (0, 1), got '1'
+'estimation.shots' must be >= 1, got '0'
+'estimation.paths' must be >= 1, got '0'
+'estimation.seed' must be >= 0, got '-1'
+'sweep.p_values' must all be in [0, 62], got '2, 99'
+'sweep.k_values' must all be >= 1, got '0 1'
+unknown sweep method 'qmc'; options: {METHOD_OPTIONS}
+unknown key 'resources.accumulator'
+'resources.steps' must be >= 1, got '0'
+'resources.assets' must be >= 1, got '0'
+'resources.epsilon' must be in (0, 1), got '0'
+'resources.layers' must be >= 0, got '-1'
+'resources.gaussian_qubits' must be >= 1, got '0'
+'resources.binaries' must be >= 0, got '-1'
+'resources.m_values' must all be >= 1, got '8 0'
+'resources.sigma_max' must be non-negative, got '-1'
+'resources.mu' must be finite, got 'inf'
+'resources.dt' must be positive, got '0'
+'resources.notional' must be positive, got '0'
+'resources.strike' must be positive, got '0'
+'resources.f_max' must be non-negative, got '-1'
+"""
+
+FLOOR_FAULTS = "[resources]\nsigma_max = 0\nsteps = 1.5\n[sweep]\nmethods = quantum\n"
+
+FLOOR_ERRORS = f"""\
+unknown sweep method 'quantum'; options: {METHOD_OPTIONS}
+invalid value for 'resources.steps': '1.5'
+'resources.sigma_max' = 0 with 'resources.mu', 'resources.dt' and 'resources.steps' fix the \
+terminal return at exp(2.548), not below 'resources.strike' + 'resources.f_max' / \
+'resources.notional' = 1.25642, so the payoff rescaling factor is never positive
+"""
+
+
+@pytest.mark.parametrize(
+    "text, errors",
+    [
+        (EVERY_SECTION_FAULTS, EVERY_SECTION_ERRORS),
+        (FLOOR_FAULTS, FLOOR_ERRORS),
+        (
+            CONTRACT.replace("1:1.1:2.0", "1:0:2.0") + "[grid]\nk = 1\ns_min = 3.0\n",
+            "contract: binary strike must be positive, got 0.0\n",
+        ),
+    ],
+    ids=["every-section", "rescaling-floor", "contract-construction"],
+)
+def test_config_problems_reported_in_full_and_in_order(tmp_path, capsys, text, errors):
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    assert main(["validate", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"config error: {line}\n" for line in errors.splitlines())
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        ("[resources]\n", "b821be8fe82a5dced2862b06a58b2e991ce3d1eb49c31ffb6f3c5af16cf0849d"),
+        (
+            RESOURCES_ONLY + "m_values = 4 8 16\n",
+            "f93a806715f3992117866f3a93cc129815a523743672c86cbfed8fa544660883",
+        ),
+    ],
+    ids=["defaults", "three-widths"],
+)
+def test_resources_csv_digest(tmp_path, text, digest):
+    import hashlib
+
+    code, out = _run(tmp_path, "resources", text)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+EVERY_KEY = CONTRACT + """\
+[grid]
+k = 2
+s_min = 3.0
+[fixedpoint]
+p = 3
+[estimation]
+method = cf-quant
+epsilon = 0.01
+alpha = 0.05
+shots = 50
+paths = 1000
+seed = 3
+[sweep]
+p_values = 2, 3
+k_values = 1 2
+methods = mc, cf-disc, cf-quant
+[resources]
+steps = 3
+assets = 1
+epsilon = 0.001
+layers = 1
+gaussian_qubits = 3
+binaries = 2
+m_values = 6 8
+sigma_max = 0.2382
+mu = 0.1274
+dt = 1.0
+notional = 18.0
+strike = 1.0
+f_max = 4.6
+"""
+
+
+def test_config_setting_every_key_validates(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(EVERY_KEY)
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr() == ("OK\n", "")
+
+
+BEYOND_FLOAT_RANGE = CONTRACT.replace("notional = 18.0", "notional = 1e308").replace(
+    "strike = 1.0", "strike = 1e10") + "[grid]\nk = 2\ns_min = 3.0\n[fixedpoint]\np = 2\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cf_disc_price_beyond_float_range_exits_3(tmp_path, capsys):
+    # the put pays about -1e318: priced at a power-of-two scale, then refused
+    code, out = _run(tmp_path, "price", BEYOND_FLOAT_RANGE + "[estimation]\nmethod = cf-disc\n")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == "numerical error: closed-form price is not finite: -inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["cf-quant", "quantum-exact"])
+def test_put_floor_beyond_float_range_exits_1_naming_it(tmp_path, capsys, method):
+    code, out = _run(tmp_path, "price", BEYOND_FLOAT_RANGE + f"[estimation]\nmethod = {method}\n")
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "mapping error: the put floor (r_t_min - strike) * notional * e^(-rT) = -inf "
+        "is not finite\n"
+    )
