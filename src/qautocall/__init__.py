@@ -12,7 +12,6 @@ from .circuit import (
     RegisterLayout,
     build_pricing_circuit,
     fit_format,
-    log_return_increment,
     post_process,
 )
 from .contracts import AutocallableContract, BinaryOption, FixedPointFormat

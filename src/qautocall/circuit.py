@@ -9,7 +9,10 @@ comparator and every remaining branch gets the zero-payoff rotation.
 The quantized semantics (increment codes, thresholds, the payoff-to-amplitude
 mapping) live in :class:`QuantizedModel`, which the classical quantized oracle
 shares verbatim, so circuit and oracle can only disagree through the gate
-algebra itself.
+algebra itself. One function, :func:`_increment_codes`, computes the
+increment codes: the model reads them at every grid point, and
+:func:`fit_format` fits the accumulator format from the same codes at the
+grid's two end points.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import AutocallableContract, FixedPointFormat, int_bits_for
+from .contracts import AutocallableContract, FixedPointFormat
 from .errors import CapacityError, ConfigError, MappingError, physical_memory
 from .loading import (
     GaussianGridSpec,
@@ -37,22 +40,14 @@ from .simulator import (
 )
 
 
-def log_return_increment(
-    g: int, contract: AutocallableContract, grid: GaussianGridSpec, fmt: FixedPointFormat
-) -> int:
-    """Quantized per-step log-return for grid index ``g``; every step shares it."""
-    if not 0 <= g < 2**grid.k:
-        raise ValueError(f"grid index {g} outside [0, {2 ** grid.k})")
-    value = contract.mu * contract.dt + contract.sigma * (
-        g * grid.ds - grid.s_min
-    ) * math.sqrt(contract.dt)
-    code = fmt.quantize(value)
-    if not fmt.covers(code):
-        needed = int_bits_for([code], fmt.frac_bits)
-        raise ValueError(
-            f"increment code {code} overflows the format; int_bits >= {needed} required"
-        )
-    return code
+def _increment_codes(
+    contract: AutocallableContract, frac_bits: int, points: np.ndarray
+) -> np.ndarray:
+    """Quantized per-step log-returns at the grid ``points``, ties to even,
+    as floats: inf or nan where a code overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = contract.mu * contract.dt + contract.sigma * points * math.sqrt(contract.dt)
+        return np.rint(value * 2**frac_bits)
 
 
 @dataclass(frozen=True)
@@ -87,6 +82,11 @@ class QuantizedModel:
 
     All comparisons are strict against pre-quantized thresholds (ties are
     false) and all encodings use round-half-even quantization.
+
+    ``inc_codes`` holds the increment code of every grid point. Raises
+    ``ValueError`` when ``fmt`` is wider than :data:`MAX_WIDTH` bits, or
+    narrower than the format :func:`fit_format` fits from those codes,
+    naming the int_bits it needs.
     """
 
     def __init__(
@@ -98,30 +98,24 @@ class QuantizedModel:
         self.contract = contract
         self.grid = grid
         self.fmt = fmt
-        T = contract.steps
 
         if fmt.width > MAX_WIDTH:
             raise ValueError(f"format is {fmt.width} bits wide, more than {MAX_WIDTH}")
-        lo, hi = _end_codes(contract, grid, fmt)
-        envelope = [0, lo, hi, T * lo, T * hi]
-        if not (fmt.covers(min(envelope)) and fmt.covers(max(envelope))):
-            needed = int_bits_for(envelope, fmt.frac_bits)
+        fitted = _fit(contract, grid, fmt.frac_bits)
+        if fitted is None or fmt.int_bits < fitted.int_bits:
             raise ValueError(
-                f"accumulated log-returns span codes [{min(envelope)}, {max(envelope)}] "
-                f"which overflow the format; int_bits >= {needed} required"
+                "accumulated log-returns overflow the format; "
+                + (f"int_bits >= {fitted.int_bits} required" if fitted
+                   else f"no format of at most {MAX_WIDTH} bits holds them")
             )
-        # every code lies in [lo, hi], so the format covers each; a grid point
-        # -s_min + ds * g equals g * ds - s_min bit for bit, so each value is
-        # the float log_return_increment quantizes
-        value = contract.mu * contract.dt + contract.sigma * grid.points() * math.sqrt(contract.dt)
-        self.inc_codes = np.rint(value * 2**fmt.frac_bits).astype(np.int64)
+        self.inc_codes = _increment_codes(contract, fmt.frac_bits, grid.points()).astype(np.int64)
 
         self.barrier_code = fmt.quantize(math.log(contract.barrier))
         self.strike_codes = tuple(
             fmt.quantize(math.log(b.strike)) for b in contract.binaries
         )
         self.put_strike_code = fmt.quantize(math.log(contract.strike))
-        self.l_min_code = T * lo
+        self.l_min_code = contract.steps * int(self.inc_codes[0])
 
         self.rate_step = 2.0**-fmt.frac_bits  # exponential rate: one code step
         # A put-active path ends at v in [l_min_code, K_code - 1]. The
@@ -203,35 +197,31 @@ MAX_FRAC_BITS = 62
 MAX_WIDTH = 64
 
 
-def _end_codes(
-    contract: AutocallableContract, grid: GaussianGridSpec, fmt: FixedPointFormat
-) -> tuple[int, int]:
-    """Smallest and largest per-step increment code, at grid indices 0 and
-    2**k - 1: each float op of the increment is monotone in g, and sigma >= 0.
-    Raises ValueError if one overflows ``fmt``."""
-    return tuple(log_return_increment(g, contract, grid, fmt) for g in (0, 2**grid.k - 1))
-
-
 def _fit(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
 ) -> FixedPointFormat | None:
     """Smallest signed format whose accumulator covers every cumulative code,
-    or None when it is wider than :data:`MAX_WIDTH` bits."""
-    try:
-        lo, hi = _end_codes(
-            contract, grid, FixedPointFormat(MAX_WIDTH - 1 - frac_bits, frac_bits)
-        )
-    except (ValueError, OverflowError):  # one step's code alone overflows, or is infinite
+    or None when it is wider than :data:`MAX_WIDTH` bits or a code is not
+    finite. The codes do not decrease along the grid (sigma >= 0), so those
+    of its end points, the first and last of ``grid.points()``, span them."""
+    ends = np.array([-grid.s_min, -grid.s_min + grid.ds * (2**grid.k - 1)])
+    lo, hi = _increment_codes(contract, frac_bits, ends)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
+    # a T-step sum lies in [T lo, T hi]; w bits hold c when c, or ~c for c < 0,
+    # has at most w - 1 bits
     T = contract.steps
-    fmt = FixedPointFormat(int_bits_for([0, lo, hi, T * lo, T * hi], frac_bits), frac_bits)
+    bits = max((c if c >= 0 else ~c).bit_length() for c in (T * int(lo), T * int(hi)))
+    fmt = FixedPointFormat(max(0, bits - frac_bits), frac_bits)
     return fmt if fmt.width <= MAX_WIDTH else None
 
 
 def fit_format(
     contract: AutocallableContract, grid: GaussianGridSpec, frac_bits: int
 ) -> FixedPointFormat:
-    """Smallest signed format whose accumulator covers every cumulative code.
+    """Smallest signed format whose accumulator covers every cumulative code,
+    fitted from the increment codes :class:`QuantizedModel` holds, read at
+    the grid's two end points only: no grid array is built.
 
     Raises :class:`ConfigError`, naming the largest usable ``frac_bits``, when
     that format is wider than :data:`MAX_WIDTH` bits, and naming ``grid.s_min``

@@ -6,8 +6,9 @@ precision/discretization), ``resources`` (T-depth report), ``validate``
 such as a non-finite number or a grid whose normal pdf is 0 at every point,
 a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
-grid's 2**k points, the circuit's state support bound or the states a closed
-form keeps in one step do not fit in physical memory), 3 numerical, 4
+grid's 2**k points, the circuit's state support bound, the states a closed
+form keeps in one step or one Monte Carlo block's uniforms do not fit in
+physical memory), 3 numerical, 4
 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 ``_SCHEMA`` is the one place config keys are declared, with each key's
@@ -132,7 +133,8 @@ _SCHEMA = {
         "method": (str, None, (lambda v: v in METHODS, f"must be one of {METHODS}")),
         "epsilon": (float, 1e-3, (lambda v: 0 < v < 0.5, "must be in (0, 0.5)")),
         "alpha": (float, 2e-3, _OPEN_UNIT),
-        "shots": (int, 100, _AT_LEAST_1),
+        # the per-round binomial draw takes its count as an int64
+        "shots": (int, 100, (lambda v: 1 <= v < 2**63, "must be in [1, 2**63 - 1]")),
         "paths": (int, 100_000, _AT_LEAST_1),
         "seed": (int, 0, _AT_LEAST_0),
     },

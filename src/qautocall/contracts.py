@@ -89,26 +89,13 @@ class FixedPointFormat:
         return self.int_bits + self.frac_bits + 1
 
     def quantize(self, value: float) -> int:
-        """Nearest code, ties to even. No range check; see covers()."""
+        """Nearest code, ties to even. No range check."""
         return round(value * 2**self.frac_bits)
 
     def decode(self, code: int) -> float:
         return code * 2.0**-self.frac_bits
 
-    def covers(self, code: int) -> bool:
-        return -(2 ** (self.width - 1)) <= code < 2 ** (self.width - 1)
-
     def to_signed(self, raw):
         """Interpret raw register values (an int or an int array) as codes."""
         return raw - (raw >= 2 ** (self.width - 1)) * 2**self.width
 
-
-def int_bits_for(codes: list[int], frac_bits: int) -> int:
-    """Smallest integer-part width whose format covers every code."""
-    lo, hi = min(codes), max(codes)
-    bits = 0
-    while True:
-        fmt = FixedPointFormat(bits, frac_bits)
-        if fmt.covers(lo) and fmt.covers(hi):
-            return bits
-        bits += 1

@@ -16,8 +16,10 @@ the run raises :class:`CapacityError`.
 The two Monte Carlo oracles draw and price their paths in blocks of at most
 ``_MC_BLOCK`` rows and reduce each block's payoffs as soon as it is priced,
 so their memory does not grow with the path count: one block's uniforms and
-payoffs, under 3 MiB at 3 steps. A block is priced step by step over the
-paths still alive: once a path's binary fires it leaves, and its later
+payoffs, under 3 MiB at 3 steps. At ``BYTES_PER_UNIFORM`` bytes each, one
+block's uniforms must fit in physical memory, or the run raises
+:class:`CapacityError` before it draws. A block is priced step by step over
+the paths still alive: once a path's binary fires it leaves, and its later
 uniforms, drawn all the same, are never turned into shocks.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
@@ -57,6 +59,11 @@ _CHUNK = 2**18
 #: binaries 79 at 0.27 million, where one block's ~14 MiB working set weighs more
 BYTES_PER_STATE = 80
 _MC_BLOCK = 2**15
+#: peak bytes per uniform of one Monte Carlo block, temporaries included:
+#: traced with tracemalloc on 2**15-row blocks, 9.7 at 50 steps, 8.6 at 100
+#: and 8.1 at 1000 (the uniforms' own 8 plus a few row-sized arrays a step);
+#: fewer steps cost more per uniform, but their blocks stay under 15 MiB
+BYTES_PER_UNIFORM = 10
 _BUCKET_BITS = 12
 
 # Cephes ndtri: exp(-2), sqrt(2 pi) and the coefficients of its rational
@@ -155,15 +162,25 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     The payoffs are priced with the notional and payouts scaled by 2**-e and
     the mean and stderr scaled back, exactly: e = 0, no scaling, unless a
     block sum or M2 could overflow (:func:`_payoff_exponent`). Raises
+    :class:`CapacityError` before drawing when one block's uniforms, at
+    ``BYTES_PER_UNIFORM`` bytes each, do not fit in physical memory, and
     :class:`NumericalError` when the price itself is not finite.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    rows = min(paths, _MC_BLOCK)
+    memory = physical_memory()
+    if rows * contract.steps * BYTES_PER_UNIFORM > memory:
+        raise CapacityError(
+            f"a Monte Carlo block draws {rows} x {contract.steps} uniforms, "
+            f"{BYTES_PER_UNIFORM} bytes each, more than the {memory} bytes of physical "
+            "memory; reduce steps"
+        )
     e = _payoff_exponent(contract, paths)
     notional = math.ldexp(contract.notional, -e)
     pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
     rng = np.random.default_rng(seed)
-    buffer = np.empty(min(paths, _MC_BLOCK))
+    buffer = np.empty(rows)
     n, mean, m2 = 0, 0.0, 0.0
     # an extreme drift overflows log-returns and levels to +-inf, which
     # classify every path as a finite one would; entered once per call
@@ -195,10 +212,13 @@ def _payoff_exponent(c: AutocallableContract, paths: int) -> int:
     sum nor M2 <= paths * (2 B)**2, B the largest discounted payout or
     discounted notional * strike (a put pays notional * (level - strike), with
     0 <= level < strike): the scaled B stays within 2**((1018 - b) / 2), with b
-    ``paths.bit_length()``, so M2 stays below 2**1020."""
-    log2_b = max([math.log2(c.notional) + math.log2(c.strike) - c.rate * c.maturity / math.log(2)]
+    ``paths.bit_length()``, so M2 stays below 2**1020. Nor may the put
+    overflow before it is discounted: the scaled notional * strike stays
+    within 2**1022."""
+    log2_put = math.log2(c.notional) + math.log2(c.strike)
+    log2_b = max([log2_put - c.rate * c.maturity / math.log(2)]
                  + [math.log2(b.payout) - c.rate * b.step * c.dt / math.log(2) for b in c.binaries])
-    return max(0, math.ceil(log2_b) - (1018 - paths.bit_length()) // 2)
+    return max(0, math.ceil(log2_b) - (1018 - paths.bit_length()) // 2, math.ceil(log2_put) - 1022)
 
 
 def _rational(x: np.ndarray, p, q) -> np.ndarray:

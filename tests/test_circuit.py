@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from dense_state import to_dense
 from test_oracles import mc_contracts
-from qautocall import circuit
 from qautocall.circuit import (
     BYTES_PER_ENTRY,
     QuantizedModel,
     build_pricing_circuit,
     exponential_prep_ops,
     fit_format,
-    log_return_increment,
     plan_layout,
     post_process,
     put_comparator_op,
@@ -71,33 +69,43 @@ class TestMapping:
         assert 0.0 < model.binary_levels[0] < 1.0
 
 
+def reference_increment(g, contract, grid, p):
+    """Increment code of grid index ``g``, one index at a time in Python
+    floats: (mu dt + sigma (g ds - s_min) sqrt(dt)) 2**p, rounded half to even."""
+    value = contract.mu * contract.dt + contract.sigma * (
+        g * grid.ds - grid.s_min
+    ) * math.sqrt(contract.dt)
+    return round(value * 2**p)
+
+
+def _covers(fmt, codes):
+    return all(-(2 ** (fmt.width - 1)) <= c < 2 ** (fmt.width - 1) for c in codes)
+
+
 class TestIncrements:
     def test_flat_volatility_constant_increment(self, table2_flat):
         fmt = fit_format(table2_flat, GRID1, 4)
-        codes = {log_return_increment(g, table2_flat, GRID1, fmt) for g in range(2)}
+        codes = set(QuantizedModel(table2_flat, GRID1, fmt).inc_codes.tolist())
         assert codes == {fmt.quantize(0.1274)}
 
     def test_table2_up_move_frozen(self, table2):
         fmt = FixedPointFormat(2, 2)
         # mu*dt + sigma*3*sqrt(dt) = 0.842 -> 0.842*4 = 3.368 -> code 3
-        assert log_return_increment(1, table2, GRID1, fmt) == 3
+        assert QuantizedModel(table2, GRID1, fmt).inc_codes[1] == 3
 
     def test_symmetry_about_drift(self, table2):
-        fmt = fit_format(table2, GRID2, 16)
+        codes = QuantizedModel(table2, GRID2, fit_format(table2, GRID2, 16)).inc_codes
         step = 2.0**-16
         for g in range(4):
-            lo = log_return_increment(g, table2, GRID2, fmt) * step
-            hi = log_return_increment(3 - g, table2, GRID2, fmt) * step
+            lo = codes[g] * step
+            hi = codes[3 - g] * step
             assert lo + hi == pytest.approx(2 * 0.1274, abs=2 * step)
 
     def test_overflow_names_required_int_bits(self, table2):
-        # up-move 0.842 quantizes to code 1, above the 1-bit format's max of 0
-        with pytest.raises(ValueError, match="int_bits"):
-            log_return_increment(1, table2, GRID1, FixedPointFormat(0, 0))
-
-    def test_grid_index_validated(self, table2):
-        with pytest.raises(ValueError):
-            log_return_increment(2, table2, GRID1, FixedPointFormat(2, 2))
+        # at p = 0 the codes are -1 and 1, so three steps reach -3 and 3: two
+        # integer bits, and the 1-bit format holds only -1 and 0
+        with pytest.raises(ValueError, match="int_bits >= 2 required"):
+            QuantizedModel(table2, GRID1, FixedPointFormat(0, 0))
 
     @pytest.mark.parametrize("contract", ["table2", "table2_flat"])
     def test_model_codes_equal_the_per_index_increments(self, request, contract):
@@ -106,23 +114,38 @@ class TestIncrements:
             grid = GaussianGridSpec(k=k, s_min=3.0)
             for p in (*range(0, 58, 6), 58):
                 fmt = fit_format(contract, grid, p)
-                want = [log_return_increment(g, contract, grid, fmt) for g in range(2**k)]
+                want = [reference_increment(g, contract, grid, p) for g in range(2**k)]
                 assert QuantizedModel(contract, grid, fmt).inc_codes.tolist() == want, (k, p)
 
     def test_format_fitted_from_the_two_end_indices(self, table2, monkeypatch):
         want = fit_format(table2, GRID1, 12)
-        calls = []
 
-        def counted(g, *args):
-            calls.append(g)
-            if len(calls) > 2:
-                raise AssertionError("increment computed per grid index")
-            return log_return_increment(g, *args)
+        def no_grid(self):
+            raise AssertionError("grid array built to fit the format")
 
-        monkeypatch.setattr(circuit, "log_return_increment", counted)
-        fmt = fit_format(table2, GaussianGridSpec(k=40, s_min=3.0), 12)
-        assert calls == [0, 2**40 - 1]
-        assert fmt == want
+        monkeypatch.setattr(GaussianGridSpec, "points", no_grid)
+        assert fit_format(table2, GaussianGridSpec(k=40, s_min=3.0), 12) == want
+
+    @seed(0)
+    @settings(max_examples=200, deadline=None)
+    @given(contract=mc_contracts(), k=st.integers(1, 12), p=st.integers(0, 62))
+    def test_fitted_format_is_the_least_that_covers_the_envelope(self, contract, k, p):
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        T = contract.steps
+        envelope = [T * reference_increment(g, contract, grid, p) for g in (0, 2**k - 1)]
+        try:
+            fmt = fit_format(contract, grid, p)
+        except ConfigError:
+            # refused only when not even the 64-bit format covers the envelope
+            assert not _covers(FixedPointFormat(63 - p, p), envelope)
+            return
+        assert fmt.frac_bits == p
+        assert _covers(fmt, envelope)
+        if fmt.int_bits > 0:
+            smaller = FixedPointFormat(fmt.int_bits - 1, p)
+            assert not _covers(smaller, envelope)
+            with pytest.raises(ValueError, match=f"int_bits >= {fmt.int_bits} required"):
+                QuantizedModel(contract, grid, smaller)
 
 
 class TestFormatFitting:
@@ -138,6 +161,12 @@ class TestFormatFitting:
             smaller = FixedPointFormat(fmt.int_bits - 1, p)
             with pytest.raises(ValueError):
                 QuantizedModel(table2, grid, smaller)
+
+    @pytest.mark.parametrize("steps, mu, p, int_bits", [(1, -1.0, 3, 0), (4, -0.5, 2, 1), (1, -2.0, 0, 1)])
+    def test_envelope_at_a_power_of_two_takes_no_extra_bit(self, table2, steps, mu, p, int_bits):
+        # T * lo = -2**j is the lowest code of a (j + 1)-bit format
+        contract = dataclasses.replace(table2, steps=steps, mu=mu, sigma=0.0, binaries=())
+        assert fit_format(contract, GRID1, p) == FixedPointFormat(int_bits, p)
 
     def test_accumulator_wider_than_int64_refused(self, table2):
         # without binaries the T = 3 envelope fits 64 bits up to p = 61; at

@@ -14,6 +14,7 @@ from qautocall.circuit import BYTES_PER_ENTRY
 from qautocall.cli import main
 from qautocall.errors import PreconditionError, StructuralError
 from qautocall.loading import BYTES_PER_POINT
+from qautocall.oracles import _MC_BLOCK, BYTES_PER_UNIFORM
 
 CONTRACT = """\
 [contract]
@@ -174,6 +175,12 @@ def _rows(path):
             "unknown key 'grid.smin' (did you mean 's_min'?)",
         ),
         ("price", CONTRACT + "[gird]\nk = 1\n", "unknown section '[gird]' (did you mean '[grid]'?)"),
+        (
+            "price",
+            CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n"
+            "[estimation]\nmethod = quantum-iqae\nshots = 100000000000000000000\n",
+            "'estimation.shots' must be in [1, 2**63 - 1], got '100000000000000000000'",
+        ),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -186,7 +193,7 @@ def _rows(path):
         "mu-overflows-every-format-cf-quant", "mu-overflows-every-format-quantum-exact",
         "mu-nan", "rate-inf", "rate-overflows-discount", "binary-payout-nan", "s-min-inf",
         "resources-sigma-max-nan", "resources-dt-inf", "resources-f-max-inf", "resources-mu-inf",
-        "unknown-key-hint", "unknown-section-hint",
+        "unknown-key-hint", "unknown-section-hint", "shots-beyond-int64",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -283,15 +290,40 @@ def test_closed_form_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memor
 
 @pytest.mark.parametrize("method", ["mc", "mc-disc"])
 def test_monte_carlo_paths_beyond_physical_memory_exit_0(tmp_path, fake_memory, method):
-    # the payoffs are reduced block by block, so no path count is refused:
-    # more paths than 8-byte payoffs fit, within a block and across blocks
+    # the payoffs are reduced block by block, so once one block's uniforms
+    # fit no path count is refused: more paths than 8-byte payoffs fit
     text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = {}\npaths = {}\n"
-    fake_memory(4096 * 8)
-    for paths in (4097, 2**16 + 1):
-        code, out = _run(tmp_path, "price", text.format(method, paths))
-        assert code == 0
-        assert _rows(out)[0]["paths_or_shots"] == str(paths)
-        out.unlink()
+    memory = BYTES_PER_UNIFORM * 3 * _MC_BLOCK
+    fake_memory(memory)
+    paths = memory // 8 + 1
+    code, out = _run(tmp_path, "price", text.format(method, paths))
+    assert code == 0
+    assert _rows(out)[0]["paths_or_shots"] == str(paths)
+
+
+@pytest.mark.parametrize("method", ["mc", "mc-disc"])
+def test_monte_carlo_block_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory, method):
+    text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = {}\npaths = {}\n"
+    # 4096 paths of 3 steps: one block of 4096 x 3 uniforms
+    fake_memory(BYTES_PER_UNIFORM * 3 * 4096)
+    code, out = _run(tmp_path, "price", text.format(method, 4096))
+    assert code == 0
+    out.unlink()
+    fake_memory(BYTES_PER_UNIFORM * 3 * 4096 - 4096)
+    code, out = _run(tmp_path, "price", text.format(method, 4096))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "capacity error: a Monte Carlo block draws 4096 x 3 uniforms"
+    )
+    assert not out.exists()
+    # 10**10 steps: refused before any uniform is drawn
+    fake_memory(2**40)
+    code, out = _run(
+        tmp_path, "price", text.replace("steps = 3", "steps = 10000000000").format(method, 1000)
+    )
+    assert code == 2
+    assert "1000 x 10000000000 uniforms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 GRID_METHODS = ("quantum-exact", "quantum-iqae", "cf-quant", "cf-disc", "mc-disc")
@@ -654,7 +686,7 @@ unknown key 'grid.smin' (did you mean 's_min'?)
 'cf-disc', 'cf-quant'), got 'cf-quantum'
 'estimation.epsilon' must be in (0, 0.5), got '0.5'
 'estimation.alpha' must be in (0, 1), got '1'
-'estimation.shots' must be >= 1, got '0'
+'estimation.shots' must be in [1, 2**63 - 1], got '0'
 'estimation.paths' must be >= 1, got '0'
 'estimation.seed' must be >= 0, got '-1'
 'sweep.p_values' must all be in [0, 62], got '2, 99'
@@ -778,6 +810,25 @@ def test_cf_disc_price_beyond_float_range_exits_3(tmp_path, capsys):
     code, out = _run(tmp_path, "price", BEYOND_FLOAT_RANGE + "[estimation]\nmethod = cf-disc\n")
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err == "numerical error: closed-form price is not finite: -inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_put_discounted_below_float_range_prices_without_warnings(tmp_path, capsys):
+    # at rate 300 the undiscounted put, about -1e318, overflows, while its
+    # discount e^-900 underflows to 0: every method prices the binaries alone
+    text = BEYOND_FLOAT_RANGE.replace("rate = 0.04", "rate = 300")
+    rows = {}
+    for method in ("cf-quant", "cf-disc", "mc", "mc-disc"):
+        code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\n")
+        assert code == 0 and capsys.readouterr().err == ""
+        rows[method] = {key: float(_rows(out)[0][key] or "nan") for key in ("value", "stderr")}
+        out.unlink()
+    exact = rows["cf-disc"]["value"]
+    assert exact == rows["cf-quant"]["value"]
+    for method in ("mc", "mc-disc"):
+        assert math.isfinite(rows[method]["value"]) and 0 < rows[method]["stderr"] < math.inf
+    disc = rows["mc-disc"]
+    assert abs(disc["value"] - exact) <= 4 * disc["stderr"]
 
 
 @pytest.mark.filterwarnings("error")
