@@ -146,14 +146,14 @@ class QuantizedModel:
     def _derive_mapping(self) -> AmplitudeMapping:
         c = self.contract
         r_t_min = math.exp(self.fmt.decode(self.l_min_code))
-        discount_T = math.exp(-c.rate * c.maturity)
+        notional, discount = c.put_factors()
         f_max = max(
             (c.discounted_payout(i) for i in range(len(c.binaries))), default=0.0
         )
         # The put leg is worth (r_T - K) V at maturity, so its discounted floor
         # is (r_t_min - K) V e^{-rT}; clamped at zero when the quantized grid
         # cannot reach below the strike (the put then never pays).
-        p_min = min(0.0, (r_t_min - c.strike) * c.notional * discount_T)
+        p_min = min(0.0, (r_t_min - c.strike) * notional * discount)
         if not math.isfinite(p_min):
             raise MappingError(
                 f"the put floor (r_t_min - strike) * notional * e^(-rT) = {p_min} is not finite"
@@ -177,10 +177,8 @@ class QuantizedModel:
             return 0.0
         c = self.contract
         r_top = math.exp(self.fmt.decode(self.put_strike_code - 1))
-        discount_T = math.exp(-c.rate * c.maturity)
-        return (
-            discount_T * c.notional * (r_top - self.mapping.r_t_min) / self.mapping.scale
-        )
+        notional, discount = c.put_factors()
+        return discount * notional * (r_top - self.mapping.r_t_min) / self.mapping.scale
 
     def put_level(self, terminal_code: int) -> float:
         """Amplitude^2 loaded for a put-active path ending at this code."""

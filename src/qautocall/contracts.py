@@ -68,6 +68,19 @@ class AutocallableContract:
         b = self.binaries[i]
         return b.payout * math.exp(-self.rate * b.step * self.dt)
 
+    def put_factors(self, e: int = 0) -> tuple[float, float]:
+        """Factors of the put ``notional * (level - strike) * discount``: the
+        notional scaled by 2**-(e + s) and exp(-rate * T) by 2**s, where s >= 0
+        keeps the scaled notional * strike within 2**1022 and the discount
+        normal. s = 0 unless one would leave the float range."""
+        log2_put = math.log2(self.notional) + math.log2(self.strike)
+        log2_discount = -self.rate * self.maturity / math.log(2)
+        s = max(0, math.ceil(log2_put) - e - 1022, math.ceil(-1021 - log2_discount))
+        return (
+            math.ldexp(self.notional, -e - s),
+            math.exp(-self.rate * self.maturity + s * math.log(2)),
+        )
+
     @property
     def maturity(self) -> float:
         return self.steps * self.dt

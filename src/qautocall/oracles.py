@@ -111,11 +111,12 @@ class McResult:
 
 
 def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.ndarray,
-             notional: float, pays: list[float]) -> None:
+             notional: float, discount: float, pays: list[float]) -> None:
     """Write to ``out`` the discounted payoffs of the paths whose uniforms are
     the rows of the (M, T) block ``u``: the first binary in the money pays
     ``pays[i]``, else a path that crossed the barrier and ends below the
-    strike pays the put on ``notional``, else nothing.
+    strike pays the put on ``notional``, discounted by ``discount``, else
+    nothing.
 
     Prices step by step over the live paths: ``increments`` turns the step's
     uniforms of the live paths (a fresh array it may overwrite) into
@@ -141,11 +142,7 @@ def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.
             logret, crossed = logret[keep], crossed[keep]
     # no binary falls on the last step, so ``level`` is every live path's
     put = np.flatnonzero(crossed & (level < contract.strike))
-    out[put if live is None else live[put]] = (
-        notional
-        * (level[put] - contract.strike)
-        * math.exp(-contract.rate * contract.maturity)
-    )
+    out[put if live is None else live[put]] = notional * (level[put] - contract.strike) * discount
 
 
 def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments) -> McResult:
@@ -177,7 +174,7 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
             "memory; reduce steps"
         )
     e = _payoff_exponent(contract, paths)
-    notional = math.ldexp(contract.notional, -e)
+    notional, discount = contract.put_factors(e)
     pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
     rng = np.random.default_rng(seed)
     buffer = np.empty(rows)
@@ -191,7 +188,7 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
             # ``u`` lives until the next draw replaces it: freed at the heap's top,
             # glibc would trim and refault the heap every block (50 % slower)
             u = rng.random((rows, contract.steps))
-            _payoffs(u, contract, increments, block, notional, pays)
+            _payoffs(u, contract, increments, block, notional, discount, pays)
             block_mean = block.sum() / rows
             block -= block_mean
             block *= block
@@ -212,13 +209,10 @@ def _payoff_exponent(c: AutocallableContract, paths: int) -> int:
     sum nor M2 <= paths * (2 B)**2, B the largest discounted payout or
     discounted notional * strike (a put pays notional * (level - strike), with
     0 <= level < strike): the scaled B stays within 2**((1018 - b) / 2), with b
-    ``paths.bit_length()``, so M2 stays below 2**1020. Nor may the put
-    overflow before it is discounted: the scaled notional * strike stays
-    within 2**1022."""
-    log2_put = math.log2(c.notional) + math.log2(c.strike)
-    log2_b = max([log2_put - c.rate * c.maturity / math.log(2)]
+    ``paths.bit_length()``, so M2 stays below 2**1020."""
+    log2_b = max([math.log2(c.notional) + math.log2(c.strike) - c.rate * c.maturity / math.log(2)]
                  + [math.log2(b.payout) - c.rate * b.step * c.dt / math.log(2) for b in c.binaries])
-    return max(0, math.ceil(log2_b) - (1018 - paths.bit_length()) // 2, math.ceil(log2_put) - 1022)
+    return max(0, math.ceil(log2_b) - (1018 - paths.bit_length()) // 2)
 
 
 def _rational(x: np.ndarray, p, q) -> np.ndarray:
@@ -450,9 +444,9 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     )
     e = _payoff_exponent(contract, 1)  # the masses sum to 1: bounded as one path's payoff
     value = sum(math.ldexp(contract.discounted_payout(i), -e) * m for i, m in enumerate(fired))
-    notional = math.ldexp(contract.notional, -e)
+    notional, discount = contract.put_factors(e)
     put = notional * (np.exp(contract.steps * a + b * keys) - contract.strike)
-    value += float(mass @ (put * math.exp(-contract.rate * contract.maturity)))
+    value += float(mass @ (put * discount))
     with np.errstate(over="ignore"):  # a price beyond the float range is inf, refused below
         value = float(np.ldexp(value, e))
     if not math.isfinite(value):

@@ -814,21 +814,28 @@ def test_cf_disc_price_beyond_float_range_exits_3(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_put_discounted_below_float_range_prices_without_warnings(tmp_path, capsys):
-    # at rate 300 the undiscounted put, about -1e318, overflows, while its
-    # discount e^-900 underflows to 0: every method prices the binaries alone
+    # at rate 300 the undiscounted put, about -1e318, overflows and its
+    # discount e^-900 underflows to 0, while the discounted put, about
+    # -1e-73, is in range: every method prices it
     text = BEYOND_FLOAT_RANGE.replace("rate = 0.04", "rate = 300")
+    fine = text.replace("k = 2", "k = 10").replace("s_min = 3.0", "s_min = 6.0")
     rows = {}
-    for method in ("cf-quant", "cf-disc", "mc", "mc-disc"):
-        code, out = _run(tmp_path, "price", text + f"[estimation]\nmethod = {method}\n")
+    runs = [(method, method, text) for method in ("cf-quant", "quantum-exact", "cf-disc", "mc-disc", "mc")]
+    for name, method, config in runs + [("fine", "cf-disc", fine)]:
+        code, out = _run(tmp_path, "price", config + f"[estimation]\nmethod = {method}\n")
         assert code == 0 and capsys.readouterr().err == ""
-        rows[method] = {key: float(_rows(out)[0][key] or "nan") for key in ("value", "stderr")}
+        rows[name] = {key: float(_rows(out)[0][key] or "nan") for key in ("value", "stderr")}
         out.unlink()
     exact = rows["cf-disc"]["value"]
-    assert exact == rows["cf-quant"]["value"]
-    for method in ("mc", "mc-disc"):
-        assert math.isfinite(rows[method]["value"]) and 0 < rows[method]["stderr"] < math.inf
-    disc = rows["mc-disc"]
-    assert abs(disc["value"] - exact) <= 4 * disc["stderr"]
+    # the expectation over the 64 grid paths in 50-digit arithmetic (mpmath)
+    assert exact == pytest.approx(-2.1143984224387411e-75, rel=1e-12, abs=0)
+    # the put pays about -strike * notional, so quantizing the level moves
+    # the price by about level / strike
+    for method in ("cf-quant", "quantum-exact"):
+        assert rows[method]["value"] == pytest.approx(exact, rel=1e-9, abs=0)
+    # mc draws continuous shocks: compared with the closed form on a fine grid
+    for method, reference in (("mc-disc", exact), ("mc", rows["fine"]["value"])):
+        assert abs(rows[method]["value"] - reference) <= 4 * rows[method]["stderr"]
 
 
 @pytest.mark.filterwarnings("error")
