@@ -1,9 +1,10 @@
 """Full pricing circuit for a single-asset autocallable.
 
-Pipeline: Gaussian loads per timestep and the partial-exponential reference
-state are prepared up front; each timestep then accumulates a quantized
-log-return increment, flags a barrier crossing, and flags/pays any binary leg
-due at that step; finally the knock-in put is valued through the integration
+Pipeline: the partial-exponential reference state is prepared first, while
+its register is the only one in superposition, and the Gaussian loads per
+timestep after it; each timestep then accumulates a quantized log-return
+increment, flags a barrier crossing, and flags/pays any binary leg due at
+that step; finally the knock-in put is valued through the integration
 comparator and every remaining branch gets the zero-payoff rotation.
 
 The quantized semantics (increment codes, thresholds, the payoff-to-amplitude
@@ -429,8 +430,10 @@ class PricingCircuit:
 
 #: peak bytes per stored entry, temporaries included: traced with tracemalloc
 #: op by op along A and a Grover step, Table-2 at (p, k) = (6, 3) and (4, 4)
-#: (the latter at its 2**19 bound) peaked 109.4 bytes per entry in ``Ry``,
-#: 72.0 in ``Add``
+#: (the latter at its 2**19 bound) peaked 77.3/75.4 bytes per entry in A's
+#: ``Ry`` (where a rotation has partners, the state holds at most 128), and
+#: 108.1/108.0 in the Grover step's, which pairs entries on the whole
+#: support; 72.0 in ``Add``
 BYTES_PER_ENTRY = 144
 
 
@@ -472,12 +475,14 @@ def build_pricing_circuit(
     layout = plan_layout(model)
     _check_capacity(layout)
 
-    gauss = gaussian_amplitudes(grid)
+    # the exponential prep first: it commutes with the Gaussian loads, and
+    # its amplification round then runs on at most 2**w entries
     ops: list[PrimitiveOp] = []
-    for reg in layout.gaussians:
-        ops.extend(injection_ops(reg, gauss))
     if model.needs_comparator:
         ops.extend(exponential_prep_ops(model, layout))
+    gauss = gaussian_amplitudes(grid)
+    for reg in layout.gaussians:
+        ops.extend(injection_ops(reg, gauss))
 
     by_step = {b.step: i for i, b in enumerate(contract.binaries)}
     for t in range(1, contract.steps + 1):

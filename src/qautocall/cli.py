@@ -205,7 +205,7 @@ def _read_section(parser, section: str, problems: list[str]) -> dict:
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     problems: list[str] = []
     try:
         parser.read_string(text)

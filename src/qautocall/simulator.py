@@ -205,7 +205,7 @@ class Statevector:
     therefore scales with the support (the number of listed states), not
     with ``2**num_qubits``: a pricing circuit keeps only its Gaussian,
     exponential, payoff-target and scale qubits in superposition, so
-    ``A|0>`` of the 22-qubit Table-2 circuit lists 1018 states, 580 of them
+    ``A|0>`` of the 22-qubit Table-2 circuit lists 1024 states, 580 of them
     above 1e-12 in magnitude.
 
     One kernel per op kind works on the listed entries only. The rotation
@@ -214,11 +214,15 @@ class Statevector:
     entries and their partners, reads a missing partner as 0 and updates the
     pair with the same floating-point operations in the same order as a
     dense 2x2 update, so every amplitude equals the one a dense simulation
-    computes, bit for bit; entries that come out exactly 0 are dropped. The
-    register arithmetic :class:`Add` rewrites its target's bits of each
-    index in place (it permutes basis states, so indices never collide), and
-    the phase :class:`PhaseOracle` multiplies the entries whose value on its
-    register is marked. A register is read with one shift and one mask and
+    computes, bit for bit; entries that come out exactly 0 are dropped. When
+    no matched entry has the target bit set, none has its partner listed: the
+    kernel then scales each matched entry by ``cos`` and appends its partner
+    at ``sin`` times its amplitude, the floats of the same update against a
+    zero partner, with no union to sort. Most rotations of a pricing
+    circuit's loads are of this kind. The register arithmetic :class:`Add`
+    rewrites its target's bits of each index in place (it permutes basis
+    states, so indices never collide), and the phase :class:`PhaseOracle`
+    multiplies the entries whose value on its register is marked. A register is read with one shift and one mask and
     written back with one mask and one shift. :func:`probability` sums the
     entries on which its register reads its value in index order, so its
     float does not depend on the order the entries are stored in.
@@ -261,10 +265,25 @@ class Statevector:
     def _apply_rotation(self, op: Ry):
         bit = 1 << op.target
         matched = _controlled(self.indices, op)
+        c = math.cos(op.angle / 2.0)
+        s = math.sin(op.angle / 2.0)
+        partners = self.indices[matched] ^ bit
+        if (partners & bit).all():
+            # no matched entry has the target bit set, so none has its partner
+            # listed: each pair is (c*a0, s*a0), the dense update against a
+            # zero partner, with no union to sort or search
+            added = self.values[matched] * s
+            self.values[matched] *= c
+            indices = np.concatenate((self.indices, partners))
+            values = np.concatenate((self.values, added))
+            keep = values != 0
+            self.indices, self.values = indices[keep], values[keep]
+            return
         # every matched entry plus its partner, a missing partner holding 0;
         # sorted and deduplicated here because np.union1d's hash-based unique
         # is several times slower
-        indices = np.concatenate((self.indices, self.indices[matched] ^ bit))
+        indices = np.concatenate((self.indices, partners))
+        del partners  # not held while the union's arrays are built
         indices.sort(kind="stable")
         first = np.ones(len(indices), dtype=bool)
         first[1:] = indices[1:] != indices[:-1]
@@ -274,8 +293,6 @@ class Statevector:
         i0 = np.flatnonzero(_controlled(indices, op) & ((indices & bit) == 0))
         i1 = np.searchsorted(indices, indices[i0] | bit)
         v0, v1 = values[i0], values[i1]
-        c = math.cos(op.angle / 2.0)
-        s = math.sin(op.angle / 2.0)
         a0 = v0.copy()
         # (c*a0 - s*v1, s*a0 + c*v1), in the order a dense in-place update uses
         v0 *= c

@@ -181,6 +181,16 @@ def _rows(path):
             "[estimation]\nmethod = quantum-iqae\nshots = 100000000000000000000\n",
             "'estimation.shots' must be in [1, 2**63 - 1], got '100000000000000000000'",
         ),
+        (
+            "price",
+            CONTRACT.replace("notional = 18.0", "notional = 18%") + "[estimation]\nmethod = mc\n",
+            "invalid value for 'contract.notional': '18%'",
+        ),
+        (
+            "price",
+            CONTRACT.replace("strike = 1.0", "strike = %(dt)s") + "[estimation]\nmethod = mc\n",
+            "invalid value for 'contract.strike': '%(dt)s'",
+        ),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -194,6 +204,7 @@ def _rows(path):
         "mu-nan", "rate-inf", "rate-overflows-discount", "binary-payout-nan", "s-min-inf",
         "resources-sigma-max-nan", "resources-dt-inf", "resources-f-max-inf", "resources-mu-inf",
         "unknown-key-hint", "unknown-section-hint", "shots-beyond-int64",
+        "percent-read-literally", "interpolation-read-literally",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):

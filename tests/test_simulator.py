@@ -450,6 +450,103 @@ def test_pricing_state_identical_to_per_qubit_kernels(table2, monkeypatch, p, k)
     assert state.values.tolist() == want.values.tolist()
 
 
+def _sorted_rotation(state, op):
+    """The rotation kernel with no partner-free case: every matched entry is
+    paired with its partner on the sorted union of both, a missing partner
+    reading 0."""
+    bit = 1 << op.target
+    matched = simulator._controlled(state.indices, op)
+    indices = np.concatenate((state.indices, state.indices[matched] ^ bit))
+    indices.sort(kind="stable")
+    first = np.ones(len(indices), dtype=bool)
+    first[1:] = indices[1:] != indices[:-1]
+    indices = indices[first]
+    values = np.zeros(len(indices), dtype=np.complex128)
+    values[np.searchsorted(indices, state.indices)] = state.values
+    i0 = np.flatnonzero(simulator._controlled(indices, op) & ((indices & bit) == 0))
+    i1 = np.searchsorted(indices, indices[i0] | bit)
+    v0, v1 = values[i0], values[i1]
+    c = math.cos(op.angle / 2.0)
+    s = math.sin(op.angle / 2.0)
+    a0 = v0.copy()
+    v0 *= c
+    v0 -= s * v1
+    v1 *= c
+    a0 *= s
+    v1 += a0
+    values[i0] = v0
+    values[i1] = v1
+    keep = values != 0
+    state.indices, state.values = indices[keep], values[keep]
+
+
+def _pairs(state):
+    """The state's (index, amplitude) pairs in index order."""
+    return sorted(zip(state.indices.tolist(), state.values.tolist()))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (4, 3)])
+def test_pricing_state_identical_to_sorted_rotation(table2, monkeypatch, p, k):
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+    state = allocate(pc.layout.num_qubits).apply_all(pc.ops)
+    monkeypatch.setattr(simulator.Statevector, "_apply_rotation", _sorted_rotation)
+    want = allocate(pc.layout.num_qubits).apply_all(pc.ops)
+    assert _pairs(state) == _pairs(want)
+
+
+_AMPLITUDES = st.sampled_from([1.0, -1.0, 0.5, 1j, -0.25j, 5e-324]) | st.complex_numbers(
+    max_magnitude=1.0, allow_nan=False, allow_infinity=False
+).filter(lambda z: z != 0)
+
+
+@st.composite
+def _rotation_on_sparse_state(draw, num_qubits=5):
+    """An ``Ry``, controlled or not, and a sparse state in which the matched
+    entries have no partner listed, all of them, or some."""
+    target = draw(st.integers(0, num_qubits - 1))
+    control, value = None, 0
+    if draw(st.booleans()):
+        offset = draw(st.integers(0, num_qubits - 1))
+        width = draw(st.integers(1, num_qubits - offset))
+        control = QubitRegister(offset, width)
+        if target in control.qubits:
+            control = None
+        else:
+            value = draw(st.integers(0, 2**width - 1))
+    op = Ry(target, draw(st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2])
+                         | st.floats(-2 * math.pi, 2 * math.pi)), control, value)
+    # per pair (i, i | bit): 1 lists i, 2 lists its partner, 3 both
+    partners = draw(st.sampled_from(["none", "full", "mixed"]))
+    listed = {"none": [0, 1], "full": [0, 3], "mixed": [0, 1, 2, 3]}[partners]
+    bit = 1 << target
+    indices = []
+    for low in range(2**num_qubits):
+        if low & bit:
+            continue
+        matched = control is None or _value(low, control.qubits) == value
+        which = draw(st.sampled_from(listed if matched else [0, 1, 2, 3]))
+        indices.extend(i for flag, i in ((1, low), (2, low | bit)) if which & flag)
+    indices = draw(st.permutations(indices or [0]))
+    values = [draw(_AMPLITUDES) for _ in indices]
+    state = simulator.Statevector(
+        num_qubits, np.array(indices, dtype=np.int64), np.array(values, dtype=np.complex128)
+    )
+    return state, op
+
+
+@given(case=_rotation_on_sparse_state())
+@settings(max_examples=300, deadline=None)
+def test_rotation_identical_to_sorted_rotation(case):
+    state, op = case
+    want = simulator.Statevector(state.num_qubits, state.indices.copy(), state.values.copy())
+    _sorted_rotation(want, op)
+    state.apply(op)
+    assert (state.values != 0).all()
+    assert len(np.unique(state.indices)) == len(state.indices)
+    assert _pairs(state) == _pairs(want)
+
+
 def test_probability_basics():
     state = allocate(2)
     assert probability(state, QubitRegister(0, 1), 1) == 0.0
