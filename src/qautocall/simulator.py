@@ -222,10 +222,11 @@ class Statevector:
     circuit's loads are of this kind. The register arithmetic :class:`Add`
     rewrites its target's bits of each index in place (it permutes basis
     states, so indices never collide), and the phase :class:`PhaseOracle`
-    multiplies the entries whose value on its register is marked. A register is read with one shift and one mask and
-    written back with one mask and one shift. :func:`probability` sums the
-    entries on which its register reads its value in index order, so its
-    float does not depend on the order the entries are stored in.
+    multiplies the entries whose value on its register is marked. A register
+    is read with one shift and one mask and written back with one mask and
+    one shift. :func:`probability` sums the entries on which its register
+    reads its value in index order, so its float does not depend on the
+    order the entries are stored in.
     """
 
     __slots__ = ("num_qubits", "indices", "values")
