@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import AutocallableContract, FixedPointFormat
-from .errors import CapacityError, ConfigError, MappingError, physical_memory
+from .errors import CapacityError, ConfigError, MappingError, check_memory
 from .loading import (
     GaussianGridSpec,
     gaussian_amplitudes,
@@ -373,8 +373,10 @@ def put_flag_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
 
 def exponential_prep_ops(model: QuantizedModel, layout: RegisterLayout) -> list[PrimitiveOp]:
     """The exponential over r in [0, x1], loaded as r' = x1 - r at the rate -a
-    (the same weights), so that one amplification round loads it."""
-    return partial_exponential_prep_ops(layout.exponential, -model.rate_step, model.put_x1)
+    (the same weights), so that one amplification round loads it. Its window
+    comparator borrows the put flag, which reads 0 until :func:`put_flag_op`."""
+    flag = QubitRegister(layout.put_flag, 1)
+    return partial_exponential_prep_ops(layout.exponential, -model.rate_step, model.put_x1, flag)
 
 
 def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
@@ -452,13 +454,8 @@ def _check_capacity(layout: RegisterLayout) -> None:
         )
     w = layout.exponential.width if layout.exponential else 0
     bits = len(layout.gaussians) * layout.gaussians[0].width + w + 2
-    memory = physical_memory()
-    if 2**bits * BYTES_PER_ENTRY > memory:
-        raise CapacityError(
-            f"pricing circuit stores up to 2**{bits} = {2**bits} entries (its state "
-            f"support bound), {BYTES_PER_ENTRY} bytes each, more than the {memory} "
-            f"bytes of physical memory ({layout.describe()}); reduce k or p"
-        )
+    check_memory(2**bits, BYTES_PER_ENTRY, f"pricing circuit stores up to 2**{bits} = {2**bits} "
+                 "entries (its state support bound)", f" ({layout.describe()}); reduce k or p")
 
 
 def build_pricing_circuit(

@@ -40,6 +40,7 @@ from .estimation import IqaeConfig, exact_amplitude, iqae_estimate
 from .loading import GaussianGridSpec
 from .oracles import closed_form_discretized, closed_form_quantized, mc_price, mc_price_discretized
 from .resources import QSP_BASELINE_T_DEPTH, ResourceParams, d_total
+from .simulator import MAX_QUBITS
 
 #: the grid inputs each method reads: k (with [grid] s_min) and p
 METHOD_INPUTS = {"quantum-exact": ("k", "p"), "quantum-iqae": ("k", "p"), "mc": (),
@@ -96,20 +97,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-def _frac_bits_ok(p: int) -> bool:
-    return 0 <= p <= MAX_FRAC_BITS
-
-
 _REQUIRED = object()  # the default of a key required when its section is present
 
 # checks: (predicate, what a failed value is told), or no check
 _ANY = (None, "")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
-_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
-_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-_ALL_AT_LEAST_1 = (lambda vs: all(v >= 1 for v in vs), "must all be >= 1")
 _OPEN_UNIT = (lambda v: 0 < v < 1, "must be in (0, 1)")
+
+
+def _ints(lo: int, hi: int = 2**63 - 1, each: bool = False):
+    """The check of an int key (with ``each``, of every int of a list key) in
+    [lo, hi]: int64 by default, and k <= MAX_QUBITS, so 2**k indices are int64."""
+    bound = "2**63 - 1" if hi == 2**63 - 1 else hi
+    if each:
+        return lambda vs: all(lo <= v <= hi for v in vs), f"must all be in [{lo}, {bound}]"
+    return lambda v: lo <= v <= hi, f"must be in [{lo}, {bound}]"
+
 
 _PARAMS = {f.name: f.default for f in fields(ResourceParams)}
 _PARAMS["m_values"] = (_PARAMS["accumulator_width"],)  # accumulator widths, one row each
@@ -119,7 +123,7 @@ _SCHEMA = {
     "contract": {
         "notional": (float, _REQUIRED, _POSITIVE),
         "dt": (float, _REQUIRED, _POSITIVE),
-        "steps": (int, _REQUIRED, _AT_LEAST_1),
+        "steps": (int, _REQUIRED, _ints(1)),
         "sigma": (float, _REQUIRED, _NON_NEGATIVE),
         "mu": (float, _REQUIRED, _ANY),
         "rate": (float, _REQUIRED, _ANY),
@@ -127,33 +131,31 @@ _SCHEMA = {
         "strike": (float, _REQUIRED, _POSITIVE),
         "binaries": (_parse_binaries, (), _ANY),
     },
-    "grid": {"k": (int, None, _AT_LEAST_1), "s_min": (float, None, _POSITIVE)},
-    "fixedpoint": {"p": (int, None, (_frac_bits_ok, f"must be in [0, {MAX_FRAC_BITS}]"))},
+    "grid": {"k": (int, None, _ints(1, MAX_QUBITS)), "s_min": (float, None, _POSITIVE)},
+    "fixedpoint": {"p": (int, None, _ints(0, MAX_FRAC_BITS))},
     "estimation": {
         "method": (str, None, (lambda v: v in METHODS, f"must be one of {METHODS}")),
         "epsilon": (float, 1e-3, (lambda v: 0 < v < 0.5, "must be in (0, 0.5)")),
         "alpha": (float, 2e-3, _OPEN_UNIT),
-        # the per-round binomial draw takes its count as an int64
-        "shots": (int, 100, (lambda v: 1 <= v < 2**63, "must be in [1, 2**63 - 1]")),
-        "paths": (int, 100_000, _AT_LEAST_1),
-        "seed": (int, 0, _AT_LEAST_0),
+        "shots": (int, 100, _ints(1)),
+        "paths": (int, 100_000, _ints(1)),
+        "seed": (int, 0, _ints(0)),
     },
     "sweep": {
-        "p_values": (_parse_int_list, (), (lambda ps: all(map(_frac_bits_ok, ps)),
-                                           f"must all be in [0, {MAX_FRAC_BITS}]")),
-        "k_values": (_parse_int_list, (), _ALL_AT_LEAST_1),
+        "p_values": (_parse_int_list, (), _ints(0, MAX_FRAC_BITS, each=True)),
+        "k_values": (_parse_int_list, (), _ints(1, MAX_QUBITS, each=True)),
         "methods": (lambda t: tuple(m.strip() for m in t.split(",")), (), _ANY),
     },
     "resources": {
         key: (convert, _PARAMS[key], check)
         for key, convert, check in [
-            ("steps", int, _AT_LEAST_1),
-            ("assets", int, _AT_LEAST_1),
+            ("steps", int, _ints(1)),
+            ("assets", int, _ints(1)),
             ("epsilon", float, _OPEN_UNIT),
-            ("layers", int, _AT_LEAST_0),
-            ("gaussian_qubits", int, _AT_LEAST_1),
-            ("binaries", int, _AT_LEAST_0),
-            ("m_values", _parse_int_list, _ALL_AT_LEAST_1),
+            ("layers", int, _ints(0)),
+            ("gaussian_qubits", int, _ints(1)),
+            ("binaries", int, _ints(0)),
+            ("m_values", _parse_int_list, _ints(1, each=True)),
             ("sigma_max", float, _NON_NEGATIVE),
             ("mu", float, _ANY),
             ("dt", float, _POSITIVE),

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the physical-memory limit
-that :class:`CapacityError` reports against."""
+"""Exception types shared across the package, and :func:`check_memory`, the
+one physical-memory rule every method's memory is sized by."""
 
 import os
 
@@ -19,6 +19,15 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_memory(count: int, bytes_each: int, holds: str, remedy: str) -> None:
+    """Raise :class:`CapacityError`, its message ``holds`` then ``remedy``, when
+    ``count`` items of ``bytes_each`` bytes do not fit in physical memory."""
+    memory = physical_memory()
+    if count * bytes_each > memory:
+        raise CapacityError(f"{holds}, {bytes_each} bytes each, more than the {memory} "
+                            f"bytes of physical memory{remedy}")
+
+
 class StructuralError(QAutocallError):
     """An operation is malformed (overlapping qubits, width mismatch, empty target)."""
 
@@ -32,7 +41,7 @@ class MappingError(QAutocallError):
 
 
 class NumericalError(QAutocallError):
-    """An iterative numerical procedure failed to converge."""
+    """A numerical procedure failed: no convergence, no solution, or a price not finite."""
 
 
 class ConfigError(QAutocallError):

@@ -65,8 +65,8 @@ def build_grover(
 ) -> list[PrimitiveOp]:
     """Q = A S_0 A^-1 S_good with pi phase flips on both reflections; S_good
     marks the states on which every qubit of ``good`` reads 1."""
-    s_good = PhaseOracle(good, (2**good.width - 1,), math.pi)
-    s_zero = PhaseOracle(QubitRegister(0, num_qubits), (0,), math.pi)
+    s_good = PhaseOracle(good, 2**good.width - 1, math.pi)
+    s_zero = PhaseOracle(QubitRegister(0, num_qubits), 0, math.pi)
     return [s_good, *invert(a_ops), s_zero, *list(a_ops)]
 
 

@@ -2,7 +2,7 @@
 on [0, x1], and the closed form of the comparator-based integration that
 accumulates that exponential into a target-qubit amplitude.
 
-Every preparation is a pure circuit builder that returns ``Ry`` and
+Every preparation is a pure circuit builder that returns ``Ry``, ``Add`` and
 ``PhaseOracle`` ops for a register in its ground state; nothing here touches
 a statevector. A partial exponential is loaded at a decreasing rate, where
 [0, x1] is the heavy end of its register (a share of at least 1/2), in one
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, NumericalError, StructuralError, physical_memory
-from .simulator import PhaseOracle, PrimitiveOp, QubitRegister, Ry, invert
+from .errors import ConfigError, NumericalError, StructuralError, check_memory
+from .simulator import Add, PhaseOracle, PrimitiveOp, QubitRegister, Ry, invert
 
 #: peak bytes per grid point while a method builds its grid arrays: cf-quant
 #: and mc-disc peaked 32.0 at k = 20 and 22 (a grid array held while the
@@ -48,14 +48,10 @@ class GaussianGridSpec:
         """The grid, the first of its arrays any method builds. Raises
         :class:`CapacityError` first when its points, at ``BYTES_PER_POINT``
         bytes each, do not fit in physical memory."""
-        memory = physical_memory()
-        if 2**self.k * BYTES_PER_POINT > memory:
-            raise CapacityError(
-                f"the grid has 2**{self.k} = {2**self.k} points, {BYTES_PER_POINT} bytes "
-                f"each, more than the {memory} bytes of physical memory; reduce k"
-            )
+        n = 2**self.k
+        check_memory(n, BYTES_PER_POINT, f"the grid has 2**{self.k} = {n} points", "; reduce k")
         with np.errstate(invalid="ignore"):  # an infinite step: nan points, see probabilities()
-            return -self.s_min + self.ds * np.arange(2**self.k)
+            return -self.s_min + self.ds * np.arange(n)
 
     def check_probability(self, mass: float | None = None) -> None:
         """Raise :class:`ConfigError` unless ``mass``, the pdf summed over the grid,
@@ -126,7 +122,8 @@ def amplification_phase(share: float) -> float:
     return 2.0 * math.asin(min(0.5 / s, 1.0))
 
 
-def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[PrimitiveOp]:
+def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int,
+                                 flag: QubitRegister) -> list[PrimitiveOp]:
     """Circuit loading sqrt(e^{a*r}/Z') on [0, x1] and zero elsewhere.
 
     The register must be exactly wide enough for x1: ``max(1, x1.bit_length())``
@@ -135,14 +132,18 @@ def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[
     prepared directly, at any rate. Any other span needs a < 0: it is then
     the heavy end of the whole-register exponential, more than half its
     points, with a share of at least 1/2, and gets the whole-register
-    preparation followed by one round of exact amplitude amplification whose
-    oracle is a phase on the interval's values.
+    preparation followed by one round of exact amplitude amplification. It
+    reflects about the interval with the ``window`` comparator ``flag ^= (r <=
+    x1)``, a phase where ``flag`` reads 1 and the comparator again, which
+    uncomputes it; ``flag``, one qubit, must read 0 whenever the ops run.
     """
     if not (x1 >= 0 and reg.width == max(1, x1.bit_length())):
         raise StructuralError(
             f"register width {reg.width} does not fit the interval [0, {x1}]: "
             f"needs x1 >= 0 and width max(1, x1.bit_length())"
         )
+    if flag.width != 1:  # a wider target would add the comparator twice, not undo it
+        raise StructuralError(f"the window flag must be one qubit, got {flag}")
     span = x1 + 1
     if span & (span - 1) == 0:
         return _power2_prep_ops(reg, a, span)
@@ -155,9 +156,10 @@ def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int) -> list[
     domain_hi = 2**reg.width - 1
     phase = amplification_phase(exp_weight_sum(a, x1) / exp_weight_sum(a, domain_hi))
     prep = _power2_prep_ops(reg, a, domain_hi + 1)
-    in_interval = PhaseOracle(reg, range(x1 + 1), phase)
-    at_zero = PhaseOracle(reg, (0,), phase)
-    return [*prep, in_interval, *invert(prep), at_zero, *prep]
+    window = Add(flag, (reg,), lambda r: (r <= x1).astype(np.int64), name="window")
+    in_window = PhaseOracle(flag, 1, phase)
+    at_zero = PhaseOracle(reg, 0, phase)
+    return [*prep, window, in_window, window, *invert(prep), at_zero, *prep]
 
 
 def _power2_prep_ops(reg: QubitRegister, a: float, span: int) -> list[PrimitiveOp]:

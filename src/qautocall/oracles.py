@@ -49,7 +49,7 @@ import numpy as np
 
 from .circuit import QuantizedModel
 from .contracts import AutocallableContract, FixedPointFormat
-from .errors import CapacityError, NumericalError, physical_memory
+from .errors import NumericalError, check_memory, physical_memory
 from .loading import GaussianGridSpec
 
 _CHUNK = 2**18
@@ -166,13 +166,8 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     rows = min(paths, _MC_BLOCK)
-    memory = physical_memory()
-    if rows * contract.steps * BYTES_PER_UNIFORM > memory:
-        raise CapacityError(
-            f"a Monte Carlo block draws {rows} x {contract.steps} uniforms, "
-            f"{BYTES_PER_UNIFORM} bytes each, more than the {memory} bytes of physical "
-            "memory; reduce steps"
-        )
+    check_memory(rows * contract.steps, BYTES_PER_UNIFORM,
+                 f"a Monte Carlo block draws {rows} x {contract.steps} uniforms", "; reduce steps")
     e = _payoff_exponent(contract, paths)
     notional, discount = contract.put_factors(e)
     pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
@@ -372,12 +367,9 @@ def _fold(blocks, leaves):
         if count * BYTES_PER_STATE > memory:
             kept = [_merge_blocks(kept)]
             count = len(kept[0][0])
-        if count * BYTES_PER_STATE > memory:
-            raise CapacityError(
-                f"the closed form holds {count} (value, crossed) states in one step, "
-                f"{BYTES_PER_STATE} bytes each, more than the {memory} bytes of physical "
-                "memory (reduce k or p, or use the discretized Monte Carlo oracle instead)"
-            )
+            check_memory(count, BYTES_PER_STATE,
+                         f"the closed form holds {count} (value, crossed) states in one step",
+                         " (reduce k or p, or use the discretized Monte Carlo oracle instead)")
     return _merge_blocks(kept), lost
 
 

@@ -186,9 +186,9 @@ def d_arith(params: ResourceParams) -> float:
 
 def d_amplitude_loading(params: ResourceParams) -> tuple[float, float]:
     """(D_AL, D_exp): the controlled integration comparator, and the partial
-    exponential preparation that runs in parallel with everything else. The
-    built preparation has D_exp's shape: 3 Ry layers and 2 reflections, one
-    amplification round."""
+    exponential preparation that runs in parallel with everything else: its 3
+    Ry layers, its reflection about |0> as an MCX, and its ``window``
+    comparator, computed and uncomputed around a phase, as 2 controlled ones."""
     m = params.accumulator_width
     eps = params.epsilon / (m + 1)
     d_al = d_c_comparator(m)

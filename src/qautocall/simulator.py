@@ -12,19 +12,20 @@ Circuits are lists of three invertible primitive op kinds, each inverted by
 one op of its kind. Every operand but a rotation's target qubit is a
 :class:`QubitRegister`, read as one integer with one shift and one mask: the
 rotation :class:`Ry` acts on one target qubit where its control register
-reads one value, and the register arithmetic :class:`Add` and the phase
-:class:`PhaseOracle` act on registers; a bit flip, controlled or not, is an
-``Add`` on a one-qubit target. :func:`probability` reads a register value
-too. Amplitude loading is not a primitive: :func:`injection_ops` expands it
-into ``Ry`` rotations when the circuit is built. No op checks the state it
-is applied to: a circuit is a list of ops built ahead of time and run only
-on a fresh :func:`allocate` state with :meth:`Statevector.apply_all`. No op
-stores anything of size ``2**n``: a :class:`PhaseOracle` lists the values it
-marks and an :class:`Add` computes its sums on the listed entries, so every
+reads one value, the phase :class:`PhaseOracle` acts where its register
+reads one value, and the register arithmetic :class:`Add` rewrites a
+register; a bit flip, controlled or not, is an ``Add`` on a one-qubit
+target. :func:`probability` reads a register value too. Amplitude loading is
+not a primitive: :func:`injection_ops` expands it into ``Ry`` rotations when
+the circuit is built. No op checks the state it is applied to: a circuit is
+a list of ops built ahead of time and run only on a fresh :func:`allocate`
+state with :meth:`Statevector.apply_all`. No op stores anything of size
+``2**n``: an :class:`Ry` and a :class:`PhaseOracle` hold one register value
+each and an :class:`Add` computes its sums on the listed entries, so every
 kernel's memory follows the state's support and nothing here limits the
 qubit count below the 62 that int64 indices hold. How much a circuit may
-store is decided where it is built (:func:`~.circuit.build_pricing_circuit`),
-from the support it can reach.
+store is decided where it is built
+(:func:`~.circuit.build_pricing_circuit`), from the support it can reach.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state
@@ -91,33 +92,26 @@ class Ry:
         return Ry(self.target, -self.angle, self.control, self.value)
 
 
+@dataclass(frozen=True)
 class PhaseOracle:
-    """Diagonal phase: multiply by e^{i*phase} every basis state whose value on
-    ``register`` is one of the ``marked`` values.
+    """Diagonal phase: multiply by e^{i*phase} every basis state on which
+    ``register`` reads ``value``.
 
-    Carries the reflections needed by Grover operators and by exact amplitude
-    amplification; with ``phase=pi`` and the single marked value ``(v,)`` it is
-    the ordinary multi-controlled Z. ``marked`` lists distinct values in
-    ``[0, 2**register.width)``, so the oracle's size does not grow with its width.
+    Carries the reflections of Grover operators and of exact amplitude
+    amplification; with ``phase=pi`` it is the ordinary multi-controlled Z.
+    A reflection about a set of values is this phase on a flag that a
+    comparator ``Add`` computes and uncomputes around it.
     """
 
-    __slots__ = ("register", "marked", "phase")
-
-    def __init__(self, register: QubitRegister, marked: Iterable[int], phase: float):
-        self.register = register
-        self.marked = np.array(list(marked), dtype=np.int64)
-        if len(np.unique(self.marked)) != len(self.marked):
-            raise StructuralError("phase oracle marked values must be distinct")
-        size = 2**register.width
-        if ((self.marked < 0) | (self.marked >= size)).any():
-            raise StructuralError(f"phase oracle marked values must lie in [0, {size})")
-        self.phase = float(phase)
+    register: QubitRegister
+    value: int
+    phase: float
 
     def inverse(self) -> "PhaseOracle":
-        return PhaseOracle(self.register, self.marked, -self.phase)
+        return PhaseOracle(self.register, self.value, -self.phase)
 
     def __repr__(self):
-        return f"PhaseOracle({self.register}, phase={self.phase})"
+        return f"PhaseOracle({self.register}, {self.value}, phase={self.phase})"
 
 
 class Add:
@@ -222,7 +216,7 @@ class Statevector:
     circuit's loads are of this kind. The register arithmetic :class:`Add`
     rewrites its target's bits of each index in place (it permutes basis
     states, so indices never collide), and the phase :class:`PhaseOracle`
-    multiplies the entries whose value on its register is marked. A register
+    multiplies the entries on which its register reads its value. A register
     is read with one shift and one mask and written back with one mask and
     one shift. :func:`probability` sums the entries on which its register
     reads its value in index order, so its float does not depend on the
@@ -307,7 +301,7 @@ class Statevector:
         self.indices, self.values = indices[keep], values[keep]
 
     def _apply_phase(self, op: PhaseOracle):
-        marked = np.isin(_gather(self.indices, op.register), op.marked)
+        marked = _gather(self.indices, op.register) == op.value
         self.values[marked] *= complex(math.cos(op.phase), math.sin(op.phase))
 
     def _apply_add(self, op: Add):

@@ -253,8 +253,10 @@ class TestCircuitAgainstOracle:
         contract = dataclasses.replace(table2, steps=20)
         pc = build_pricing_circuit(contract, GRID1, fit_format(contract, GRID1, p))
         assert sum(isinstance(op, PhaseOracle) for op in pc.ops) == 2
-        first_add = next(i for i, op in enumerate(pc.ops) if isinstance(op, Add))
-        assert first_add == loading_ops
+        # the loads: rotations and phases, and the window comparator twice
+        first = next(i for i, op in enumerate(pc.ops) if getattr(op, "name", "") == "accumulate[1]")
+        windows = [op.name for op in pc.ops[:first] if isinstance(op, Add)]
+        assert windows == ["window", "window"] and first - len(windows) == loading_ops
 
     def test_branch_families_partition_unity(self, table2):
         fmt = fit_format(table2, GRID1, 2)
@@ -501,6 +503,21 @@ def _put_compare_table(model, layout):
     return qubits, vals ^ (flip << (n + m + 1))
 
 
+def _window_table(model, layout):
+    # the put flag flipped where the exponential register reads at most x1
+    n = model.exp_width
+    vals = np.arange(2 ** (n + 1), dtype=np.int64)
+    flip = ((vals & (2**n - 1)) <= model.put_x1).astype(np.int64)
+    return layout.exponential.qubits + (layout.put_flag,), vals ^ (flip << n)
+
+
+def _amplifies(model):
+    """Whether the exponential prep needs its amplification round, and with
+    it the window comparator: a span [0, x1] that is not a power of two."""
+    span = model.put_x1 + 1
+    return model.needs_comparator and span & (span - 1) != 0
+
+
 def _expand(op):
     """An Add as a table over its sources' then its target's qubits, LSB first."""
     regs = (*op.sources, op.target)
@@ -548,9 +565,13 @@ def test_adds_expand_to_the_tables_they_replaced(request, contract, p, k):
         want["put_flag"] = _put_flag_table(model, layout)
     if model.needs_comparator:
         want["put_compare"] = _put_compare_table(model, layout)
+    names = list(want)
+    if _amplifies(model):  # the window comparator, computed and then uncomputed
+        want["window"] = _window_table(model, layout)
+        names += ["window", "window"]
     pc = build_pricing_circuit(contract, grid, model.fmt)
     adds = [op for op in pc.ops if isinstance(op, Add)]
-    assert sorted(op.name for op in adds) == sorted(want)
+    assert sorted(op.name for op in adds) == sorted(names)
     for op in adds:
         _assert_table(op, want[op.name])
 
@@ -558,11 +579,13 @@ def test_adds_expand_to_the_tables_they_replaced(request, contract, p, k):
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (4, 3)])
 def test_add_names_name_the_census_stages(table2, p, k):
     # the stage of every arithmetic op and flag flip, as a gate census reads it
-    # from the name; the exponential prep emits only Ry and PhaseOracle ops
+    # from the name; the exponential prep's one comparator is its window,
+    # computed and uncomputed around a phase
     grid = GaussianGridSpec(k=k, s_min=3.0)
     pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
     names = [op.name for op in pc.ops if isinstance(op, Add)]
     assert names == [
+        "window", "window",
         "accumulate[1]", "barrier[1]", "binary[0]", "binary_scale[0]",
         "accumulate[2]", "barrier[2]", "binary[1]", "binary_scale[1]",
         "accumulate[3]", "barrier[3]", "put_flag", "put_compare", "zero_scale",
@@ -588,6 +611,8 @@ def _stage_registers(layout, name):
     flags = (layout.binary_flags,) if layout.binary_flags else ()
     if stage == "put_flag":
         return one(layout.put_flag), (layout.accumulator, layout.barrier_flags, *flags)
+    if stage == "window":
+        return one(layout.put_flag), (layout.exponential,)
     if stage == "zero_scale":
         qubits = (layout.binary_flags.qubits if layout.binary_flags else ()) + (
             (layout.put_flag,) if layout.put_flag is not None else ()
@@ -621,7 +646,7 @@ def test_register_ops_address_layout_registers(
     names += [f"{stage}[{i}]" for i in range(len(contract.binaries))
               for stage in ("binary", "binary_scale")]
     names += ["put_flag"] * (layout.put_flag is not None)
-    names += ["put_compare"] * (layout.exponential is not None)
+    names += ["put_compare", "window", "window"] * (layout.exponential is not None)
     names += ["zero_scale"]
     assert sorted(op.name for op in adds) == sorted(names)
     for op in adds:
@@ -638,9 +663,11 @@ def test_register_ops_address_layout_registers(
     payoff = [(op.target, op.control, op.value) for op in pc.ops if isinstance(op, Ry)
               and op.target in (layout.payoff_target, layout.scale_indicator)]
     assert payoff == want
-    oracles = [op for op in pc.ops if isinstance(op, PhaseOracle)]
-    assert len(oracles) == (2 if layout.exponential else 0)
-    assert all(op.register == layout.exponential for op in oracles)
+    # the prep's two reflections: about its window, a phase on the borrowed
+    # put flag at 1, and about |0>, a phase on the exponential register at 0
+    oracles = [(op.register, op.value) for op in pc.ops if isinstance(op, PhaseOracle)]
+    assert oracles == ([(QubitRegister(layout.put_flag, 1), 1), (layout.exponential, 0)]
+                       if layout.exponential else [])
 
 
 @pytest.mark.parametrize("case", ["table2", "8-step", "no-binaries", "flat", "no-flags"])

@@ -29,6 +29,9 @@ strike = 1.0
 binaries = 1:1.1:2.0, 2:1.1:5.0
 """
 
+#: an integer no int64 or float holds
+BIG = "1" + "0" * 400
+
 DEGENERATE = """\
 [contract]
 notional = 5.0
@@ -46,7 +49,8 @@ def _run(tmp_path, command, text, *extra):
     config = tmp_path / "run.ini"
     config.write_text(text)
     out = tmp_path / "out.csv"
-    code = main([command, "--config", str(config), "--out", str(out), *extra])
+    outs = () if command == "validate" else ("--out", str(out))
+    code = main([command, "--config", str(config), *outs, *extra])
     return code, out
 
 
@@ -122,7 +126,7 @@ def _rows(path):
         (
             "price",
             CONTRACT + "[estimation]\nmethod = mc\nseed = -5\n",
-            "'estimation.seed' must be >= 0",
+            "'estimation.seed' must be in [0, 2**63 - 1], got '-5'",
         ),
         (
             "price",
@@ -191,6 +195,33 @@ def _rows(path):
             CONTRACT.replace("strike = 1.0", "strike = %(dt)s") + "[estimation]\nmethod = mc\n",
             "invalid value for 'contract.strike': '%(dt)s'",
         ),
+        (
+            "price",
+            CONTRACT + "[grid]\nk = 1024\ns_min = 3.0\n[fixedpoint]\np = 2\n"
+            "[estimation]\nmethod = cf-quant\n",
+            "'grid.k' must be in [1, 62], got '1024'",
+        ),
+        (
+            "sweep",
+            CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n[sweep]\n"
+            "k_values = 1, 1024\nmethods = quantum-exact\n",
+            "'sweep.k_values' must all be in [1, 62], got '1, 1024'",
+        ),
+        ("validate", CONTRACT + f"[grid]\nk = {BIG}\ns_min = 3.0\n", "'grid.k' must be in [1, 62]"),
+        (
+            "validate",
+            CONTRACT.replace("steps = 3", f"steps = {BIG}"),
+            "'contract.steps' must be in [1, 2**63 - 1]",
+        ),
+        *(
+            ("resources", f"[resources]\n{key} = {BIG}\n", f"'resources.{key}' must")
+            for key in ("steps", "assets", "layers", "gaussian_qubits", "binaries", "m_values")
+        ),
+        *(
+            ("validate", f"[estimation]\n{key} = {2**63}\n",
+             f"'estimation.{key}' must be in [{low}, 2**63 - 1], got '{2**63}'")
+            for key, low in (("paths", 1), ("seed", 0))
+        ),
     ],
     ids=[
         "k-values-without-grid", "int-bits-too-small", "p-too-large", "sweep-p-too-large",
@@ -205,6 +236,11 @@ def _rows(path):
         "resources-sigma-max-nan", "resources-dt-inf", "resources-f-max-inf", "resources-mu-inf",
         "unknown-key-hint", "unknown-section-hint", "shots-beyond-int64",
         "percent-read-literally", "interpolation-read-literally",
+        "grid-k-beyond-int64-indices", "sweep-k-beyond-int64-indices", "grid-k-10-to-the-400",
+        "contract-steps-10-to-the-400", "resources-steps-10-to-the-400",
+        "resources-assets-10-to-the-400", "resources-layers-10-to-the-400",
+        "resources-gaussian-qubits-10-to-the-400", "resources-binaries-10-to-the-400",
+        "resources-m-values-10-to-the-400", "paths-beyond-int64", "seed-beyond-int64",
     ],
 )
 def test_config_faults_exit_1_with_message(tmp_path, capsys, command, text, message):
@@ -259,7 +295,7 @@ def test_resource_ranges_reported_together(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     for key in ("assets", "layers", "gaussian_qubits", "binaries"):
-        assert f"config error: 'resources.{key}' must be >= " in err
+        assert f"config error: 'resources.{key}' must be in [" in err
     assert not out.exists()
 
 
@@ -691,26 +727,26 @@ invalid value for 'contract.steps': 'x'
 'contract.mu' must be finite, got 'nan'
 missing required key 'contract.strike'
 unknown key 'grid.smin' (did you mean 's_min'?)
-'grid.k' must be >= 1, got '0'
+'grid.k' must be in [1, 62], got '0'
 'fixedpoint.p' must be in [0, 62], got '99'
 'estimation.method' must be one of ('quantum-exact', 'quantum-iqae', 'mc', 'mc-disc', \
 'cf-disc', 'cf-quant'), got 'cf-quantum'
 'estimation.epsilon' must be in (0, 0.5), got '0.5'
 'estimation.alpha' must be in (0, 1), got '1'
 'estimation.shots' must be in [1, 2**63 - 1], got '0'
-'estimation.paths' must be >= 1, got '0'
-'estimation.seed' must be >= 0, got '-1'
+'estimation.paths' must be in [1, 2**63 - 1], got '0'
+'estimation.seed' must be in [0, 2**63 - 1], got '-1'
 'sweep.p_values' must all be in [0, 62], got '2, 99'
-'sweep.k_values' must all be >= 1, got '0 1'
+'sweep.k_values' must all be in [1, 62], got '0 1'
 unknown sweep method 'qmc'; options: {METHOD_OPTIONS}
 unknown key 'resources.accumulator'
-'resources.steps' must be >= 1, got '0'
-'resources.assets' must be >= 1, got '0'
+'resources.steps' must be in [1, 2**63 - 1], got '0'
+'resources.assets' must be in [1, 2**63 - 1], got '0'
 'resources.epsilon' must be in (0, 1), got '0'
-'resources.layers' must be >= 0, got '-1'
-'resources.gaussian_qubits' must be >= 1, got '0'
-'resources.binaries' must be >= 0, got '-1'
-'resources.m_values' must all be >= 1, got '8 0'
+'resources.layers' must be in [0, 2**63 - 1], got '-1'
+'resources.gaussian_qubits' must be in [1, 2**63 - 1], got '0'
+'resources.binaries' must be in [0, 2**63 - 1], got '-1'
+'resources.m_values' must all be in [1, 2**63 - 1], got '8 0'
 'resources.sigma_max' must be non-negative, got '-1'
 'resources.mu' must be finite, got 'inf'
 'resources.dt' must be positive, got '0'

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_state import to_dense
+from qautocall import simulator
 from qautocall.errors import CapacityError, NumericalError, StructuralError
 from qautocall.loading import (
     BYTES_PER_POINT,
@@ -21,17 +24,23 @@ from qautocall.simulator import (
     QubitRegister,
     Ry,
     allocate,
+    invert,
     probability,
 )
 
 
-def _register_probs(state, width):
-    return np.abs(to_dense(state)[: 2**width]) ** 2
+def _prep_ops(width, a, x1):
+    """The prep of a ``width``-qubit register on qubits 0 .. width-1, its
+    window flag on qubit ``width``."""
+    return partial_exponential_prep_ops(QubitRegister(0, width), a, x1, QubitRegister(width, 1))
 
 
 def _prepared(width, a, x1):
-    """Fresh ``width``-qubit state with the exponential on [0, x1] loaded."""
-    return allocate(width).apply_all(partial_exponential_prep_ops(QubitRegister(0, width), a, x1))
+    """Amplitudes of a fresh ``width``-qubit register with the exponential on
+    [0, x1] loaded; the window flag above it reads 0 again."""
+    amps = to_dense(allocate(width + 1).apply_all(_prep_ops(width, a, x1)))
+    assert not amps[2**width :].any()
+    return amps[: 2**width]
 
 
 class TestGaussianGrid:
@@ -91,20 +100,17 @@ class TestExpAngles:
 
 class TestFullExponential:
     def test_rate_zero_uniform(self):
-        state = _prepared(2, 0.0, 3)
-        assert np.allclose(np.abs(to_dense(state)) ** 2, 0.25)
+        assert np.allclose(np.abs(_prepared(2, 0.0, 3)) ** 2, 0.25)
 
     def test_log2_frozen_distribution(self):
-        state = _prepared(2, math.log(2.0), 3)
         want = np.array([1, 2, 4, 8]) / 15.0
-        assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
+        assert np.abs(np.abs(_prepared(2, math.log(2.0), 3)) ** 2 - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("a", [-1.0, -0.1, 0.1, 1.0])
     def test_exhaustive_against_weights(self, n, a):
-        state = _prepared(n, a, 2**n - 1)
         w = np.exp(a * np.arange(2**n))
-        assert np.abs(np.abs(to_dense(state)) ** 2 - w / w.sum()).max() < 1e-12
+        assert np.abs(np.abs(_prepared(n, a, 2**n - 1)) ** 2 - w / w.sum()).max() < 1e-12
 
 
 def _expected_partial(width, a, x1):
@@ -115,17 +121,15 @@ def _expected_partial(width, a, x1):
 
 class TestPartialExponential:
     def test_full_interval_degenerates_to_full_prep(self):
-        state = _prepared(3, 0.4, 7)
         ref = allocate(3).apply_all(Ry(i, float(t)) for i, t in enumerate(exp_angles(0.4, 3)))
-        assert np.abs(to_dense(state) - to_dense(ref)).max() < 1e-12
+        assert np.abs(_prepared(3, 0.4, 7) - to_dense(ref)).max() < 1e-12
 
     def test_log2_interval_frozen(self):
-        state = _prepared(2, -math.log(2.0), 2)
         want = np.array([4 / 7, 2 / 7, 1 / 7, 0.0])
-        assert np.abs(np.abs(to_dense(state)) ** 2 - want).max() < 1e-12
+        assert np.abs(np.abs(_prepared(2, -math.log(2.0), 2)) ** 2 - want).max() < 1e-12
 
     def test_non_power_of_two_interval(self):
-        probs = _register_probs(_prepared(3, -0.7, 5), 3)
+        probs = np.abs(_prepared(3, -0.7, 5)) ** 2
         assert np.abs(probs - _expected_partial(3, -0.7, 5)).max() < 1e-10
         assert probs[6] < 1e-12 and probs[7] < 1e-12
 
@@ -133,7 +137,7 @@ class TestPartialExponential:
         # at a = 0.7, [0, 5] holds 24 % of the whole-register exponential,
         # less than the 1/4 one amplification round needs
         with pytest.raises(StructuralError, match="decreasing rate"):
-            partial_exponential_prep_ops(QubitRegister(0, 3), 0.7, 5)
+            _prep_ops(3, 0.7, 5)
 
     @pytest.mark.parametrize("a", [-0.8, 0.0, 0.5])
     @pytest.mark.parametrize("x1", [0, 1, 3, 7], ids=lambda x1: f"0-{x1}")
@@ -141,28 +145,34 @@ class TestPartialExponential:
         # power-of-two spans are loaded directly, without amplification:
         # x1 = 0 by no op at all, any other by one RY per qubit
         width = max(1, x1.bit_length())
-        ops = partial_exponential_prep_ops(QubitRegister(0, width), a, x1)
+        ops = _prep_ops(width, a, x1)
         assert len(ops) == x1.bit_length() and all(isinstance(op, Ry) for op in ops)
-        probs = _register_probs(_prepared(width, a, x1), width)
+        probs = np.abs(_prepared(width, a, x1)) ** 2
         assert np.abs(probs - _expected_partial(width, a, x1)).max() < 1e-12
 
     def test_twenty_step_register_loads_in_one_round(self):
         # the register the 20-step Table-2 contract gets at p = 1, loaded
         # reflected at the rate -0.5: [0, 18] holds 99.99 % of the
         # whole-register exponential, and one round loads it exactly
-        ops = partial_exponential_prep_ops(QubitRegister(0, 5), -0.5, 18)
-        assert sum(isinstance(op, PhaseOracle) for op in ops) == 2
-        state = allocate(5).apply_all(ops)
-        assert np.abs(_register_probs(state, 5) - _expected_partial(5, -0.5, 18)).max() < 1e-14
+        # whole-register exponential exactly: 3 Ry layers, the window
+        # comparator twice around a phase on its flag, and a phase on |0>
+        ops = _prep_ops(5, -0.5, 18)
+        assert [type(op) for op in ops] == [Ry] * 5 + [Add, PhaseOracle, Add] + [Ry] * 5 + [
+            PhaseOracle] + [Ry] * 5
+        assert [op.name for op in ops if isinstance(op, Add)] == ["window", "window"]
+        oracles = [(op.register, op.value) for op in ops if isinstance(op, PhaseOracle)]
+        assert oracles == [(QubitRegister(5, 1), 1), (QubitRegister(0, 5), 0)]
+        probs = np.abs(_prepared(5, -0.5, 18)) ** 2
+        assert np.abs(probs - _expected_partial(5, -0.5, 18)).max() < 1e-14
 
     def test_empty_interval_rejected(self):
         with pytest.raises(StructuralError, match=r"\[0, -1\]"):
-            partial_exponential_prep_ops(QubitRegister(0, 1), 0.5, -1)
+            _prep_ops(1, 0.5, -1)
 
     @pytest.mark.parametrize("width,x1", [(3, 3), (1, 2), (2, 0)])
     def test_register_width_must_fit_the_interval(self, width, x1):
         with pytest.raises(StructuralError, match="width max"):
-            partial_exponential_prep_ops(QubitRegister(0, width), 0.5, x1)
+            _prep_ops(width, 0.5, x1)
 
     @pytest.mark.parametrize("share,phase", [(0.25, math.pi), (1.0, math.pi / 3)])
     def test_one_round_exact_from_a_quarter(self, share, phase):
@@ -188,6 +198,63 @@ class TestPartialExponential:
             amplification_phase(share)
 
 
+def _set_marking_prep(width, a, x1):
+    """The prep with its reflection about the window as one phase on the
+    set of values [0, x1]: ops, and (register, marked values, phase) triples
+    for that phase, which no op of the package marks any more."""
+    reg = QubitRegister(0, width)
+    prep = [Ry(i, float(t)) for i, t in enumerate(exp_angles(a, width))]
+    if (x1 + 1) & x1 == 0:
+        return prep
+    phase = amplification_phase(exp_weight_sum(a, x1) / exp_weight_sum(a, 2**width - 1))
+    window = (reg, np.arange(x1 + 1, dtype=np.int64), phase)
+    return [*prep, window, *invert(prep), PhaseOracle(reg, 0, phase), *prep]
+
+
+def _run_marking_sets(state, ops):
+    """Apply ``ops``, each marked-set triple with the set oracle's kernel."""
+    for op in ops:
+        if isinstance(op, tuple):
+            reg, marked, phase = op
+            hit = np.isin(simulator._gather(state.indices, reg), marked)
+            state.values[hit] *= complex(math.cos(phase), math.sin(phase))
+        else:
+            state.apply(op)
+    return state
+
+
+@st.composite
+def _preps(draw, widest=16):
+    """A register of 1 to ``widest`` qubits (the 20-step Table-2 contract's
+    at p = 12), an x1 it fits exactly, and a decreasing rate: a circuit's
+    -2**-p or any other."""
+    width = draw(st.integers(1, widest))
+    x1 = draw(st.integers(2 ** (width - 1), 2**width - 1))
+    a = draw(st.integers(0, 30).map(lambda p: -(2.0**-p)) | st.floats(-8.0, -1e-9))
+    return width, x1, a
+
+
+@given(case=_preps())
+@settings(max_examples=100, deadline=None)
+def test_window_prep_identical_to_set_marking_prep(case):
+    # the window comparator, a phase on its flag and the comparator again
+    # phase the entries the set oracle marked by the same factor, and leave
+    # the borrowed flag at 0 on every listed entry
+    width, x1, a = case
+    flag = QubitRegister(width, 1)
+    got = allocate(width + 1).apply_all(
+        partial_exponential_prep_ops(QubitRegister(0, width), a, x1, flag))
+    want = _run_marking_sets(allocate(width + 1), _set_marking_prep(width, a, x1))
+    assert not simulator._gather(got.indices, flag).any()
+    assert sorted(zip(got.indices.tolist(), got.values.tolist())) == sorted(
+        zip(want.indices.tolist(), want.values.tolist()))
+
+
+def test_window_flag_must_be_one_qubit():
+    with pytest.raises(StructuralError, match="one qubit"):
+        partial_exponential_prep_ops(QubitRegister(0, 3), -0.5, 5, QubitRegister(3, 2))
+
+
 def _compare_op(n):
     """target ^= (r <= x), inclusive, over (r, x, target) on qubits 0 .. 2n."""
     return Add(
@@ -197,10 +264,12 @@ def _compare_op(n):
 
 
 class TestIntegrationComparator:
-    def _amplitudes_for_all_x(self, n, prep_ops):
-        """One simulation: x in uniform superposition, read conditional amplitudes."""
+    def _amplitudes_for_all_x(self, n, a, x1):
+        """One simulation: x in uniform superposition, read conditional amplitudes.
+        The prep runs first, so its window flag borrows the comparator's target."""
         state = allocate(2 * n + 1)
-        state.apply_all(prep_ops)
+        state.apply_all(partial_exponential_prep_ops(
+            QubitRegister(0, n), a, x1, QubitRegister(2 * n, 1)))
         for j in range(n, 2 * n):
             state.apply(Ry(j, math.pi / 2))
         state.apply(_compare_op(n))
@@ -211,8 +280,7 @@ class TestIntegrationComparator:
     @pytest.mark.parametrize("a", [-0.3, 0.6])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_prep_matches_closed_form(self, n, a):
-        ops = partial_exponential_prep_ops(QubitRegister(0, n), a, 2**n - 1)
-        amps = self._amplitudes_for_all_x(n, ops)
+        amps = self._amplitudes_for_all_x(n, a, 2**n - 1)
         for x in range(2**n):
             want = integration_amplitude(a, x, 2**n - 1)
             assert amps[x] == pytest.approx(want, abs=1e-10)
@@ -220,8 +288,7 @@ class TestIntegrationComparator:
 
     def test_partial_prep_matches_piecewise_form(self):
         n, a, x1 = 3, -0.45, 5  # non-power-of-two span
-        ops = partial_exponential_prep_ops(QubitRegister(0, n), a, x1)
-        amps = self._amplitudes_for_all_x(n, ops)
+        amps = self._amplitudes_for_all_x(n, a, x1)
         for x in range(2**n):
             assert amps[x] == pytest.approx(integration_amplitude(a, x, x1), abs=1e-10)
         assert amps[0] == pytest.approx(math.sqrt(_expected_partial(n, a, x1)[0]), abs=1e-10)
@@ -230,8 +297,7 @@ class TestIntegrationComparator:
 
     def test_amplitude_nondecreasing_in_x(self):
         n, a, x1 = 3, -0.6, 6
-        ops = partial_exponential_prep_ops(QubitRegister(0, n), a, x1)
-        amps = self._amplitudes_for_all_x(n, ops)
+        amps = self._amplitudes_for_all_x(n, a, x1)
         assert all(amps[x + 1] >= amps[x] - 1e-12 for x in range(2**n - 1))
 
     def test_closed_form_frozen_example(self):

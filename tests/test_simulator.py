@@ -208,12 +208,11 @@ def test_invert_reverses_order():
 
 def test_each_op_inverts_to_one_op_of_its_kind():
     add = Add(QubitRegister(0, 2), (QubitRegister(2, 1),), lambda v: v + 1, name="inc")
-    oracle = PhaseOracle(QubitRegister(1, 2), (1, 3), 0.4)
+    oracle = PhaseOracle(QubitRegister(1, 2), 3, 0.4)
     undo_oracle, undo_add = invert([add, oracle])
     assert (undo_add.target, undo_add.sources, undo_add.name) == (add.target, add.sources, "inc^-1")
     assert undo_add.f(np.array([0, 1])).tolist() == [-1, -2]
-    assert undo_oracle.register == oracle.register and undo_oracle.phase == -0.4
-    assert undo_oracle.marked.tolist() == [1, 3]
+    assert undo_oracle == PhaseOracle(QubitRegister(1, 2), 3, -0.4)
 
 
 def _lookup(codes, sources):
@@ -260,8 +259,8 @@ def _random_circuit(num_qubits, rng, length=25):
         else:
             width = int(rng.integers(1, 4))
             reg = QubitRegister(int(rng.integers(0, num_qubits - width + 1)), width)
-            marked = np.flatnonzero(rng.integers(2, size=2**width))
-            ops.append(PhaseOracle(reg, marked, float(rng.uniform(-math.pi, math.pi))))
+            value = int(rng.integers(2**width))
+            ops.append(PhaseOracle(reg, value, float(rng.uniform(-math.pi, math.pi))))
     return ops
 
 
@@ -304,7 +303,7 @@ def _reference_apply(op, amps):
             c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
             out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
         elif isinstance(op, PhaseOracle):
-            if _value(i, op.register.qubits) in op.marked:
+            if _value(i, op.register.qubits) == op.value:
                 out[i] = amps[i] * complex(math.cos(op.phase), math.sin(op.phase))
         else:  # Add: target += f(*values on sources) mod 2**target.width
             values = (np.array([_value(i, reg.qubits)], dtype=np.int64) for reg in op.sources)
@@ -317,7 +316,6 @@ def _reference_apply(op, amps):
     return out
 
 
-_MARKED = np.flatnonzero(np.random.default_rng(3).integers(2, size=16))
 _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
 
 
@@ -329,9 +327,9 @@ _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
         Ry(0, 0.4, QubitRegister(1, 4), 0b1010),
         _flip(0),
         _flip(3, QubitRegister(0, 3), 0b011),
-        PhaseOracle(QubitRegister(0, 3), _MARKED[_MARKED < 8], 0.9),
-        PhaseOracle(QubitRegister(1, 4), _MARKED, math.pi),
-        PhaseOracle(QubitRegister(0, 5), np.concatenate([_MARKED, _MARKED + 16]), -0.4),
+        PhaseOracle(QubitRegister(0, 3), 0b101, 0.9),
+        PhaseOracle(QubitRegister(1, 4), 0b1011, math.pi),
+        PhaseOracle(QubitRegister(0, 5), 0, -0.4),
         Add(QubitRegister(2, 3), (QubitRegister(0, 2),), lambda v: _CODES[v], name="codes"),
         Add(QubitRegister(3, 1), (QubitRegister(4, 1), QubitRegister(0, 3)),
             lambda a, b: ((a + 2 * b) % 3 == 1).astype(np.int64), name="flag"),
@@ -560,17 +558,21 @@ def test_probability_basics():
 
 def test_phase_oracle_marks_values():
     state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, math.pi / 2))
-    state.apply(PhaseOracle(QubitRegister(0, 2), (3,), math.pi))
+    state.apply(PhaseOracle(QubitRegister(0, 2), 3, math.pi))
     assert to_dense(state)[3].real == pytest.approx(-0.5, abs=1e-12)
     assert to_dense(state)[0].real == pytest.approx(0.5, abs=1e-12)
 
 
-def test_phase_oracle_stores_only_its_marked_values():
-    # the S_0 reflection on every qubit of the widest state holds one value
-    assert PhaseOracle(QubitRegister(0, MAX_QUBITS), (0,), math.pi).marked.tolist() == [0]
-    for marked in ([1, 1], [4], [-1]):
-        with pytest.raises(StructuralError, match="marked values"):
-            PhaseOracle(QubitRegister(0, 2), marked, math.pi)
+def test_phase_oracle_phases_one_value_of_the_widest_register():
+    # S_0 on every qubit of the widest state, and a phase on its top value:
+    # each op holds one value, whatever the register's width
+    whole = QubitRegister(0, MAX_QUBITS)
+    top = 1 << (MAX_QUBITS - 1)
+    state = allocate(MAX_QUBITS).apply(Ry(MAX_QUBITS - 1, math.pi / 2))
+    state.apply(PhaseOracle(whole, 0, math.pi)).apply(PhaseOracle(whole, top, math.pi / 2))
+    amps = dict(zip(state.indices.tolist(), state.values.tolist()))
+    assert amps[0] == pytest.approx(-math.sqrt(0.5), abs=1e-15)
+    assert amps[top] == pytest.approx(1j * math.sqrt(0.5), abs=1e-15)
 
 
 def test_register_helpers():
