@@ -7,8 +7,8 @@ such as a non-finite number or a grid whose normal pdf is 0 at every point,
 a config file that cannot be read or an output file that cannot be written,
 or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
 grid's 2**k points, the circuit's state support bound, the states a closed
-form keeps in one step or one Monte Carlo block's uniforms do not fit in
-physical memory), 3 numerical, 4
+form keeps in one step, cf-disc's barrier index per step or one Monte Carlo
+block's uniforms do not fit in physical memory), 3 numerical, 4
 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 ``_SCHEMA`` is the one place config keys are declared, with each key's
@@ -16,9 +16,13 @@ converter, default (or that its section needs it) and check: ``parse_config``
 and its unknown-key hints read it. ``[resources]`` defaults are
 ``ResourceParams``' own; ``METHOD_INPUTS`` declares the inputs of each method.
 
+A sweep's Monte Carlo points, mc and mc-disc at every k, are one task that
+prices them all on one uniform draw per block (:func:`_mc_rows`); each gets
+the value a ``price`` of that point alone gives.
+
 Identical config and seed produce byte-identical CSV; the wall_ms column is
 left empty unless --timing is passed, since timings are inherently
-non-reproducible.
+non-reproducible. The Monte Carlo rows of a sweep share their task's wall_ms.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from .errors import (CapacityError, ConfigError, MappingError, NumericalError,
                      PreconditionError, StructuralError)
 from .estimation import IqaeConfig, exact_amplitude, iqae_estimate
 from .loading import GaussianGridSpec
-from .oracles import closed_form_discretized, closed_form_quantized, mc_price, mc_price_discretized
+# mc_price and mc_price_discretized, not called here: perfbench/spans.py wraps them
+from .oracles import (closed_form_discretized, closed_form_quantized, mc_price,  # noqa: F401
+                      mc_price_discretized, mc_prices)
 from .resources import QSP_BASELINE_T_DEPTH, ResourceParams, d_total
 from .simulator import MAX_QUBITS
 
@@ -46,6 +52,7 @@ from .simulator import MAX_QUBITS
 METHOD_INPUTS = {"quantum-exact": ("k", "p"), "quantum-iqae": ("k", "p"), "mc": (),
                  "mc-disc": ("k",), "cf-disc": ("k",), "cf-quant": ("k", "p")}
 METHODS = tuple(METHOD_INPUTS)
+MC_METHODS = ("mc", "mc-disc")
 
 PRICE_COLUMNS = [
     "method", "k", "p", "value", "ci_low", "ci_high", "stderr",
@@ -289,19 +296,12 @@ def _format(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def price_row(
-    config: RunConfig,
-    method: str,
-    k: int | None = None,
-    p: int | None = None,
-    timing: bool = False,
-) -> dict:
-    """Run one (method, k, p) point and return its CSV row values."""
+def _point_row(config: RunConfig, method: str, k: int | None, p: int | None):
+    """One (method, k, p) point's row values before it is priced, its grid and its p."""
     needs = _require(config, method, p)
     contract = config.contract
     grid = GaussianGridSpec(k, config.grid.s_min) if k is not None else config.grid
     p = p if p is not None else config.frac_bits
-    started = time.perf_counter()
 
     row = {c: "" for c in PRICE_COLUMNS}
     row.update(
@@ -315,17 +315,23 @@ def price_row(
         row.update(k=grid.k, s_min=grid.s_min)
     if "p" in needs:
         row.update(p=p)
+    return row, grid, p
 
-    if method in ("mc", "mc-disc"):
-        if method == "mc":
-            result = mc_price(contract, config.paths, config.seed)
-        else:
-            result = mc_price_discretized(contract, grid, config.paths, config.seed)
-        row.update(value=result.mean, stderr=result.stderr,
-                   ci_low=result.mean - 1.96 * result.stderr,
-                   ci_high=result.mean + 1.96 * result.stderr,
-                   paths_or_shots=result.paths)
-    elif method == "cf-disc":
+
+def price_row(
+    config: RunConfig,
+    method: str,
+    k: int | None = None,
+    p: int | None = None,
+    timing: bool = False,
+) -> dict:
+    """Run one (method, k, p) point and return its CSV row values."""
+    if method in MC_METHODS:
+        return _mc_rows(config, [(method, k, p)], timing)[0]
+    started = time.perf_counter()
+    row, grid, p = _point_row(config, method, k, p)
+    contract = config.contract
+    if method == "cf-disc":
         row.update(value=closed_form_discretized(contract, grid))
     elif method == "cf-quant":
         fmt = fit_format(contract, grid, p)
@@ -350,8 +356,31 @@ def price_row(
     return row
 
 
+def _mc_rows(config: RunConfig, points, timing: bool) -> list[dict]:
+    """The rows of Monte Carlo points (mc, or mc-disc at a k), all priced by
+    one :func:`~qautocall.oracles.mc_prices` call on one uniform draw per
+    block; with ``timing``, each row's wall_ms is that whole call's."""
+    started = time.perf_counter()
+    rows, grids = [], []
+    for method, k, p in points:
+        row, grid, _ = _point_row(config, method, k, p)
+        rows.append(row)
+        grids.append(grid if method == "mc-disc" else None)
+    results = mc_prices(config.contract, grids, config.paths, config.seed)
+    wall_ms = round((time.perf_counter() - started) * 1e3, 3)
+    for row, result in zip(rows, results):
+        row.update(value=result.mean, stderr=result.stderr,
+                   ci_low=result.mean - 1.96 * result.stderr,
+                   ci_high=result.mean + 1.96 * result.stderr,
+                   paths_or_shots=result.paths)
+        if timing:
+            row["wall_ms"] = wall_ms
+    return rows
+
+
 def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> list[dict]:
-    """All sweep points, computed possibly in parallel, emitted in sorted order."""
+    """All sweep points, computed possibly in parallel, emitted in sorted order;
+    the Monte Carlo points are one task (:func:`_mc_rows`)."""
     methods = config.sweep_methods or ([config.method] if config.method else [])
     if not methods:
         raise ConfigError(["sweep needs [sweep] methods or an [estimation] method"])
@@ -366,16 +395,20 @@ def sweep_rows(config: RunConfig, threads: int = 1, timing: bool = False) -> lis
         if not found:  # no k or no p: name what is missing
             _require(config, method, None)
         points.extend(found)
+    mc = [pt for pt in points if pt[0] in MC_METHODS]
+    tasks = ([mc] if mc else []) + [pt for pt in points if pt[0] not in MC_METHODS]
 
-    def compute(point):  # (method, k, p)
-        return price_row(config, *point, timing=timing)
+    def compute(task):  # the list of Monte Carlo points, or one other point
+        if task is mc:
+            return _mc_rows(config, mc, timing)
+        return [price_row(config, *task, timing=timing)]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # not at start-up: ~7 ms
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(compute, points))
+            rows = [row for task in pool.map(compute, tasks) for row in task]
     else:
-        rows = [compute(pt) for pt in points]
+        rows = [row for task in tasks for row in compute(task)]
     rows.sort(key=lambda r: (r["method"], r["k"] or -1, r["p"] or -1))
     return rows
 

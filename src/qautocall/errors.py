@@ -10,8 +10,8 @@ class QAutocallError(Exception):
 
 class CapacityError(QAutocallError):
     """A grid's points, a pricing circuit's support bound (in stored entries),
-    the states a closed form keeps in one step, or one Monte Carlo block's
-    uniforms do not fit in physical memory."""
+    the states a closed form keeps in one step, cf-disc's barrier index per
+    step, or one Monte Carlo block's uniforms do not fit in physical memory."""
 
 
 def physical_memory() -> int:

@@ -13,9 +13,11 @@ probability mass, expanding them by every grid shock in blocks of at most
 :func:`~qautocall.errors.physical_memory` that sizes the pricing circuit, or
 the run raises :class:`CapacityError`.
 
-The two Monte Carlo oracles draw and price their paths in blocks of at most
-``_MC_BLOCK`` rows and reduce each block's payoffs as soon as it is priced,
-so their memory does not grow with the path count: one block's uniforms and
+The Monte Carlo oracles (:func:`mc_prices`, one price per kind of shock:
+continuous normals or one grid's) draw their paths in blocks of at most
+``_MC_BLOCK`` rows, price every kind of the call on each block's one draw
+and reduce each kind's payoffs as soon as they are priced, so their memory
+does not grow with the path count or the kinds: one block's uniforms and
 payoffs, under 3 MiB at 3 steps. At ``BYTES_PER_UNIFORM`` bytes each, one
 block's uniforms must fit in physical memory, or the run raises
 :class:`CapacityError` before it draws. A block is priced step by step over
@@ -24,11 +26,13 @@ uniforms, drawn all the same, are never turned into shocks.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform array,
-and the blocks take its rows in order from the one stream, so every path's
-payoff is bit-stable for a fixed seed. The mean and stderr reduce the
-payoffs over consecutive ``_MC_BLOCK`` = 2**15-row blocks, a fixed constant,
-merged in path order (:func:`_mc_blocks`). Standard normals are produced by
-inverse CDF, never rejection, and grid draws by an exact inverse-CDF lookup.
+and the blocks take its rows in order from the one stream, drawn once per
+block for every kind of the call, so every path's payoff is bit-stable for a
+fixed seed whatever other kinds share the call. The mean and stderr reduce
+the payoffs over consecutive ``_MC_BLOCK`` = 2**15-row blocks, a fixed
+constant, merged in path order (:func:`_mc_blocks`). Standard normals are
+produced by inverse CDF, never rejection, and grid draws by an exact
+inverse-CDF lookup.
 
 The normal inverse CDF is :func:`_ndtri`, a numpy port of Cephes ``ndtri``
 (the algorithm ``scipy.special.ndtri`` runs) with its branches, coefficient
@@ -65,6 +69,9 @@ _MC_BLOCK = 2**15
 #: fewer steps cost more per uniform, but their blocks stay under 15 MiB
 BYTES_PER_UNIFORM = 10
 _BUCKET_BITS = 12
+#: bytes per step of cf-disc's barrier list, an 8-byte slot and a 28-byte int:
+#: traced with tracemalloc at 35-36 for 10**4 and 10**5 steps
+BYTES_PER_BARRIER = 36
 
 # Cephes ndtri: exp(-2), sqrt(2 pi) and the coefficients of its rational
 # approximations on the central range and on the tails with
@@ -145,13 +152,15 @@ def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.
     out[put if live is None else live[put]] = notional * (level[put] - contract.strike) * discount
 
 
-def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments) -> McResult:
-    """Price ``paths`` paths in blocks of at most ``_MC_BLOCK`` rows.
+def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, maps) -> list[McResult]:
+    """Price ``paths`` paths under every increment map of ``maps``, in blocks
+    of at most ``_MC_BLOCK`` rows; one :class:`McResult` per map.
 
     Block after block draws the next rows of the one ``(paths, steps)``
-    uniform array from the seeded stream and writes their payoffs
-    (:func:`_payoffs`) into one reused buffer. Each block's count, mean and
-    centred sum of squares merge into running totals in path order (Chan,
+    uniform array from the seeded stream into one reused buffer, and each map
+    writes its payoffs of those rows (:func:`_payoffs`) into one reused
+    payoff buffer. Each map keeps its own running totals: its block's count,
+    mean and centred sum of squares merge into them in path order (Chan,
     Golub and LeVeque): with delta = mean_b - mean and w = n_b / (n + n_b),
     mean += delta w and M2 += M2_b + delta^2 n w. One block gives the floats
     of ``np.mean`` and ``np.std(ddof=1)``.
@@ -161,7 +170,7 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     block sum or M2 could overflow (:func:`_payoff_exponent`). Raises
     :class:`CapacityError` before drawing when one block's uniforms, at
     ``BYTES_PER_UNIFORM`` bytes each, do not fit in physical memory, and
-    :class:`NumericalError` when the price itself is not finite.
+    :class:`NumericalError` when a price itself is not finite.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
@@ -172,31 +181,33 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, increments
     notional, discount = contract.put_factors(e)
     pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
     rng = np.random.default_rng(seed)
-    buffer = np.empty(rows)
-    n, mean, m2 = 0, 0.0, 0.0
+    uniforms, buffer = np.empty((rows, contract.steps)), np.empty(rows)
+    n, means, m2s = 0, [0.0] * len(maps), [0.0] * len(maps)
     # an extreme drift overflows log-returns and levels to +-inf, which
     # classify every path as a finite one would; entered once per call
     with np.errstate(over="ignore"):
         for start in range(0, paths, _MC_BLOCK):
             rows = min(_MC_BLOCK, paths - start)
-            block = buffer[:rows]
-            # ``u`` lives until the next draw replaces it: freed at the heap's top,
-            # glibc would trim and refault the heap every block (50 % slower)
-            u = rng.random((rows, contract.steps))
-            _payoffs(u, contract, increments, block, notional, discount, pays)
-            block_mean = block.sum() / rows
-            block -= block_mean
-            block *= block
-            delta, w = block_mean - mean, rows / (n + rows)
-            mean += delta * w
-            m2 += block.sum() + delta * delta * n * w
+            u, block = uniforms[:rows], buffer[:rows]
+            rng.random(out=u)  # the same stream as rng.random((rows, steps))
+            for j, increments in enumerate(maps):
+                _payoffs(u, contract, increments, block, notional, discount, pays)
+                block_mean = block.sum() / rows
+                block -= block_mean
+                block *= block
+                delta, w = block_mean - means[j], rows / (n + rows)
+                means[j] += delta * w
+                m2s[j] += block.sum() + delta * delta * n * w
             n += rows
-    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    with np.errstate(over="ignore"):  # a price beyond the float range is inf, refused below
-        mean, stderr = (float(x) for x in np.ldexp((mean, stderr), e))
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise NumericalError(f"Monte Carlo price is not finite: mean {mean}, stderr {stderr}")
-    return McResult(mean=mean, stderr=stderr, paths=n, seed=seed)
+    results = []
+    for mean, m2 in zip(means, m2s):
+        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+        with np.errstate(over="ignore"):  # a price beyond the float range is inf, refused below
+            mean, stderr = (float(x) for x in np.ldexp((mean, stderr), e))
+        if not (math.isfinite(mean) and math.isfinite(stderr)):
+            raise NumericalError(f"Monte Carlo price is not finite: mean {mean}, stderr {stderr}")
+        results.append(McResult(mean=mean, stderr=stderr, paths=n, seed=seed))
+    return results
 
 
 def _payoff_exponent(c: AutocallableContract, paths: int) -> int:
@@ -261,10 +272,35 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     return y.reshape(y0.shape)
 
 
+def mc_prices(contract: AutocallableContract, grids, paths: int, seed: int) -> list[McResult]:
+    """Monte Carlo prices of ``contract``, one per entry of ``grids``, all on
+    one uniform draw per block (:func:`_mc_blocks`): a ``None`` entry draws
+    continuous standard normal shocks, a :class:`GaussianGridSpec` its grid's
+    shocks. Each price is the one a call with that entry alone returns."""
+    return _mc_blocks(contract, paths, seed, [_increments(contract, grid) for grid in grids])
+
+
 def mc_price(contract: AutocallableContract, paths: int, seed: int) -> McResult:
     """Plain Monte Carlo with continuous standard normal shocks."""
+    return mc_prices(contract, [None], paths, seed)[0]
+
+
+def mc_price_discretized(
+    contract: AutocallableContract, grid: GaussianGridSpec, paths: int, seed: int
+) -> McResult:
+    """Monte Carlo whose shocks are drawn from the discretized Gaussian grid."""
+    return mc_prices(contract, [grid], paths, seed)[0]
+
+
+def _increments(contract: AutocallableContract, grid: GaussianGridSpec | None):
+    """The map of a step's uniforms to log-return increments: of continuous
+    standard normal shocks when ``grid`` is None, else of ``grid``'s shocks."""
     drift = contract.mu * contract.dt
     scale = contract.sigma * math.sqrt(contract.dt)
+    if grid is not None:
+        incs = drift + scale * grid.points()
+        inverse_cdf = _grid_inverse_cdf(grid)
+        return lambda u: incs[inverse_cdf(u)]
 
     def normal_increments(u: np.ndarray) -> np.ndarray:
         # keep ndtri finite at the (measure-zero) edge draws
@@ -274,16 +310,7 @@ def mc_price(contract: AutocallableContract, paths: int, seed: int) -> McResult:
         z += drift
         return z
 
-    return _mc_blocks(contract, paths, seed, normal_increments)
-
-
-def mc_price_discretized(
-    contract: AutocallableContract, grid: GaussianGridSpec, paths: int, seed: int
-) -> McResult:
-    """Monte Carlo whose shocks are drawn from the discretized Gaussian grid."""
-    incs = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * grid.points()
-    inverse_cdf = _grid_inverse_cdf(grid)
-    return _mc_blocks(contract, paths, seed, lambda u: incs[inverse_cdf(u)])
+    return normal_increments
 
 
 def _grid_inverse_cdf(grid: GaussianGridSpec):
@@ -414,9 +441,14 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
 
     The put and the binaries are priced at the exact scale 2**-e of
     :func:`_payoff_exponent` (e = 0 at ordinary notionals) and the price
-    scaled back. Raises :class:`NumericalError` when the price is not finite.
+    scaled back. Raises :class:`CapacityError` before it bisects when the
+    barrier indices, ``BYTES_PER_BARRIER`` bytes a step, do not fit in
+    physical memory, and :class:`NumericalError` when the price is not finite.
     """
     probs = grid.probabilities()  # raises CapacityError for an oversized grid
+    check_memory(contract.steps, BYTES_PER_BARRIER,
+                 f"the closed form keeps a barrier index for each of {contract.steps} steps",
+                 "; reduce steps")
     scale = contract.sigma * math.sqrt(contract.dt)
     a = contract.mu * contract.dt - scale * grid.s_min
     b = scale * grid.ds

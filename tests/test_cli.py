@@ -373,6 +373,24 @@ def test_monte_carlo_block_beyond_physical_memory_exits_2(tmp_path, capsys, fake
     assert not out.exists()
 
 
+def test_cf_disc_beyond_int64_steps_exits_2(tmp_path):
+    # refused before any step's barrier index is bisected; a separate process
+    # with a timeout, so a run that bisects step after step fails, not hangs
+    config = tmp_path / "run.ini"
+    config.write_text(CONTRACT.replace("steps = 3", f"steps = {2**63 - 1}")
+                      + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = cf-disc\n")
+    src = str(Path(qautocall.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qautocall.cli", "price", "--config", str(config)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(
+        f"capacity error: the closed form keeps a barrier index for each of {2**63 - 1} steps"
+    )
+
+
 GRID_METHODS = ("quantum-exact", "quantum-iqae", "cf-quant", "cf-disc", "mc-disc")
 
 
@@ -484,10 +502,12 @@ def test_quantum_iqae_price_covers_cf_quant(tmp_path):
 
 
 def test_sweep_csv_identical_across_thread_counts(tmp_path):
+    # the Monte Carlo points are one task, which runs beside the closed forms
     text = CONTRACT + (
         "[grid]\nk = 2\ns_min = 3.0\n[fixedpoint]\np = 2\n"
         "[estimation]\npaths = 20000\nseed = 3\n"
-        "[sweep]\nk_values = 2, 3, 4\np_values = 2, 3, 4\nmethods = cf-quant, cf-disc, mc-disc\n"
+        "[sweep]\nk_values = 2, 3, 4\np_values = 2, 3, 4\n"
+        "methods = cf-quant, cf-disc, mc-disc, mc\n"
     )
     code, out = _run(tmp_path, "sweep", text, "--threads", "1")
     assert code == 0
@@ -495,7 +515,28 @@ def test_sweep_csv_identical_across_thread_counts(tmp_path):
     code, out = _run(tmp_path, "sweep", text, "--threads", "2")
     assert code == 0
     assert out.read_bytes() == serial
-    assert len(_rows(out)) == 15
+    assert len(_rows(out)) == 16
+
+
+def test_monte_carlo_sweep_rows_match_price_runs(tmp_path):
+    # mc and mc-disc at every k price on one draw per block, each as a price
+    # run of its point alone does
+    point = CONTRACT + "[grid]\nk = 2\ns_min = 3.0\n"
+    code, out = _run(tmp_path, "sweep", point + (
+        "[estimation]\npaths = 40000\nseed = 6\n[sweep]\nk_values = 2, 3\nmethods = mc, mc-disc\n"
+    ))
+    assert code == 0
+    swept = _rows(out)
+    assert [(row["method"], row["k"]) for row in swept] == [
+        ("mc", ""), ("mc-disc", "2"), ("mc-disc", "3")
+    ]
+    for row in swept:
+        grid = point.replace("k = 2", f"k = {row['k'] or 2}")
+        code, out = _run(tmp_path, "price", grid + (
+            f"[estimation]\nmethod = {row['method']}\npaths = 40000\nseed = 6\n"
+        ))
+        assert code == 0
+        assert _rows(out) == [row]
 
 
 RESOURCES_ONLY = "[resources]\nsigma_max = 0.2\n"

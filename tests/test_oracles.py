@@ -25,6 +25,7 @@ from qautocall.oracles import (
     closed_form_quantized,
     mc_price,
     mc_price_discretized,
+    mc_prices,
 )
 
 GRID1 = GaussianGridSpec(k=1, s_min=3.0)
@@ -316,11 +317,15 @@ class TestBlockedMonteCarlo:
         paths=_MC_BLOCK, k=1, seed=10444,
     )
     def test_step_wise_matches_whole_block(self, contract, paths, k, seed):
-        assert mc_price(contract, paths, seed) == mc_reference.mc_price(contract, paths, seed)
+        plain = mc_reference.mc_price(contract, paths, seed)
+        assert mc_price(contract, paths, seed) == plain
         grid = GaussianGridSpec(k=k, s_min=3.0)
-        assert mc_price_discretized(contract, grid, paths, seed) == (
-            mc_reference.mc_price_discretized(contract, grid, paths, seed)
-        )
+        disc = mc_reference.mc_price_discretized(contract, grid, paths, seed)
+        assert mc_price_discretized(contract, grid, paths, seed) == disc
+        # every kind of one call prices on the same draw, each as if alone
+        assert mc_prices(contract, [None, grid, GRID1], paths, seed) == [
+            plain, disc, mc_reference.mc_price_discretized(contract, GRID1, paths, seed)
+        ]
 
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 4095, 2**15 + 1])
     def test_transforms_do_not_depend_on_array_position(self, size):
@@ -371,12 +376,13 @@ class TestBlockedMonteCarlo:
         got = _grid_inverse_cdf(grid)(u)
         np.testing.assert_array_equal(got, np.searchsorted(cum, u, side="right"))
 
-    @pytest.mark.parametrize("oracle", ["mc", "mc-disc"])
+    @pytest.mark.parametrize("oracle", ["mc", "mc-disc", "both"])
     def test_memory_stays_bounded_at_a_million_paths(self, table2, oracle):
         grid = GaussianGridSpec(k=7, s_min=3.0)
         price = {
             "mc": lambda paths: mc_price(table2, paths, seed=1),
             "mc-disc": lambda paths: mc_price_discretized(table2, grid, paths, 1),
+            "both": lambda paths: mc_prices(table2, [None, grid], paths, 1),
         }[oracle]
         for paths in (10**6, 4 * 10**6):
             tracemalloc.start()
