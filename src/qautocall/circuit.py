@@ -261,20 +261,6 @@ class RegisterLayout:
     put_flag: int | None
     num_qubits: int
 
-    def describe(self) -> str:
-        parts = [
-            f"gaussians: {len(self.gaussians)} x {self.gaussians[0].width}",
-            f"accumulator: {self.accumulator.width}",
-            f"exponential: {self.exponential.width if self.exponential else 0}",
-            f"barrier flags: {self.barrier_flags.width}",
-            f"binary flags: {self.binary_flags.width if self.binary_flags else 0}",
-            f"put flag: {0 if self.put_flag is None else 1}",
-            f"payoff target: 1",
-            f"scale indicator: 1",
-            f"total: {self.num_qubits}",
-        ]
-        return ", ".join(parts)
-
 
 def plan_layout(model: QuantizedModel) -> RegisterLayout:
     T = model.contract.steps
@@ -352,7 +338,7 @@ def constant_payoff_ops(
     level = model.binary_levels[i]
     flag = QubitRegister(layout.binary_flags.qubit(i), 1)
     return [
-        Ry(layout.payoff_target, 2.0 * math.asin(math.sqrt(level)), flag, 1),
+        Ry(layout.payoff_target, (0.0, 2.0 * math.asin(math.sqrt(level))), flag),
         Add(QubitRegister(layout.scale_indicator, 1), (flag,), lambda b: b,
             name=f"binary_scale[{i}]"),
     ]
@@ -395,7 +381,7 @@ def put_comparator_op(model: QuantizedModel, layout: RegisterLayout) -> Add:
 
 def put_scale_op(model: QuantizedModel, layout: RegisterLayout) -> Ry:
     angle = 2.0 * math.asin(math.sqrt(model.put_scale_sq))
-    return Ry(layout.scale_indicator, angle, QubitRegister(layout.put_flag, 1), 1)
+    return Ry(layout.scale_indicator, (0.0, angle), QubitRegister(layout.put_flag, 1))
 
 
 def zero_payoff_ops(model: QuantizedModel, layout: RegisterLayout) -> list[PrimitiveOp]:
@@ -413,7 +399,7 @@ def zero_payoff_ops(model: QuantizedModel, layout: RegisterLayout) -> list[Primi
         return np.equal(value, 0).astype(np.int64)
 
     return [
-        Ry(layout.payoff_target, angle, flags),
+        Ry(layout.payoff_target, (angle,) + (0.0,) * (2**width - 1), flags),
         Add(QubitRegister(layout.scale_indicator, 1), (flags,) if flags else (), unset,
             name="zero_scale"),
     ]
@@ -439,23 +425,29 @@ class PricingCircuit:
 BYTES_PER_ENTRY = 144
 
 
-def _check_capacity(layout: RegisterLayout) -> None:
-    """Raise :class:`CapacityError` unless the state fits in physical memory.
-    Its support stays within ``2**(kT + w + 2)``: only the Gaussian and
-    exponential registers, payoff target and scale qubit are in superposition,
-    and every kernel's arrays follow the support. Runs apply only A; the bound
-    also holds along the Grover iterate, which is where the tests check it
-    (:func:`~.estimation.build_grover`).
+def _check_capacity(model: QuantizedModel) -> None:
+    """Raise :class:`CapacityError` unless the circuit's qubits fit int64
+    indices and its state fits in physical memory, both counted from the
+    register widths before any register is placed. The support stays within
+    ``2**(kT + w + 2)``: only the Gaussian and exponential registers, payoff
+    target and scale qubit are in superposition, and every kernel's arrays
+    follow the support. Runs apply only A; the bound also holds along the
+    Grover iterate, where the tests check it (:func:`~.estimation.build_grover`).
     """
-    if layout.num_qubits > MAX_QUBITS:
+    T, k, w = model.contract.steps, model.grid.k, model.exp_width
+    m, j, put = model.fmt.width, len(model.contract.binaries), int(model.put_reachable)
+    qubits = T * k + m + w + T + j + put + 2  # plan_layout's registers, in its order
+    layout = (f"gaussians: {T} x {k}, accumulator: {m}, exponential: {w}, barrier flags: {T}, "
+              f"binary flags: {j}, put flag: {put}, payoff target: 1, scale indicator: 1, "
+              f"total: {qubits}")
+    if qubits > MAX_QUBITS:
         raise CapacityError(
-            f"pricing circuit needs {layout.num_qubits} qubits, more than the "
-            f"{MAX_QUBITS} that int64 basis indices hold ({layout.describe()}); reduce k or p"
+            f"pricing circuit needs {qubits} qubits, more than the "
+            f"{MAX_QUBITS} that int64 basis indices hold ({layout}); reduce k or p"
         )
-    w = layout.exponential.width if layout.exponential else 0
-    bits = len(layout.gaussians) * layout.gaussians[0].width + w + 2
+    bits = T * k + w + 2
     check_memory(2**bits, BYTES_PER_ENTRY, f"pricing circuit stores up to 2**{bits} = {2**bits} "
-                 "entries (its state support bound)", f" ({layout.describe()}); reduce k or p")
+                 "entries (its state support bound)", f" ({layout}); reduce k or p")
 
 
 def build_pricing_circuit(
@@ -466,11 +458,11 @@ def build_pricing_circuit(
     """Assemble the full pricing circuit; see the module docstring for the
     pipeline. The good state is ``good`` reading all ones: target = 1 and
     scale = 1.
-    Raises :class:`CapacityError`, before any op is built, when the
+    Raises :class:`CapacityError`, before any register is placed, when the
     circuit's state cannot fit (:func:`_check_capacity`)."""
     model = QuantizedModel(contract, grid, fmt)
+    _check_capacity(model)
     layout = plan_layout(model)
-    _check_capacity(layout)
 
     # the exponential prep first: it commutes with the Gaussian loads, and
     # its amplification round then runs on at most 2**w entries

@@ -5,10 +5,10 @@ precision/discretization), ``resources`` (T-depth report), ``validate``
 (config check only). Exit codes: 0 success, 1 validation (a config error,
 such as a non-finite number or a grid whose normal pdf is 0 at every point,
 a config file that cannot be read or an output file that cannot be written,
-or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (the
-grid's 2**k points, the circuit's state support bound, the states a closed
-form keeps in one step, cf-disc's barrier index per step or one Monte Carlo
-block's uniforms do not fit in physical memory), 3 numerical, 4
+or a contract whose payoffs cannot be mapped to amplitudes), 2 capacity (more
+qubits than int64 indices hold, or the grid's 2**k points, the circuit's state
+support bound, a closed form's states in one step or barrier entry per step,
+or one Monte Carlo block's uniforms exceed physical memory), 3 numerical, 4
 internal (a malformed op or unnormalized amplitudes: a fault in the package).
 
 ``_SCHEMA`` is the one place config keys are declared, with each key's

@@ -9,9 +9,9 @@ class QAutocallError(Exception):
 
 
 class CapacityError(QAutocallError):
-    """A grid's points, a pricing circuit's support bound (in stored entries),
-    the states a closed form keeps in one step, cf-disc's barrier index per
-    step, or one Monte Carlo block's uniforms do not fit in physical memory."""
+    """A circuit needs more qubits than int64 indices hold, or a grid's points,
+    a circuit's support bound, a closed form's states in one step or barrier
+    entry per step, or one Monte Carlo block's uniforms exceed physical memory."""
 
 
 def physical_memory() -> int:

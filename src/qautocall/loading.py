@@ -165,4 +165,4 @@ def partial_exponential_prep_ops(reg: QubitRegister, a: float, x1: int,
 def _power2_prep_ops(reg: QubitRegister, a: float, span: int) -> list[PrimitiveOp]:
     """Exponential weights on [0, span-1], span a power of two."""
     angles = exp_angles(a, span.bit_length() - 1) if span > 1 else ()
-    return [Ry(reg.qubit(i), float(t)) for i, t in enumerate(angles)]
+    return [Ry(reg.qubit(i), (float(t),)) for i, t in enumerate(angles)]

@@ -69,8 +69,8 @@ _MC_BLOCK = 2**15
 #: fewer steps cost more per uniform, but their blocks stay under 15 MiB
 BYTES_PER_UNIFORM = 10
 _BUCKET_BITS = 12
-#: bytes per step of cf-disc's barrier list, an 8-byte slot and a 28-byte int:
-#: traced with tracemalloc at 35-36 for 10**4 and 10**5 steps
+#: bytes per step of a closed form's barrier list, an 8-byte slot and a 28-byte
+#: int: cf-disc's traced with tracemalloc at 35-36 for 10**4 and 10**5 steps
 BYTES_PER_BARRIER = 36
 
 # Cephes ndtri: exp(-2), sqrt(2 pi) and the coefficients of its rational
@@ -489,11 +489,14 @@ def closed_form_quantized(
     the recursion (see :func:`_recursion`) are accumulator codes, so paths
     are classified on the same int64 codes the circuit's accumulator holds.
     The put level is evaluated once per distinct put-active terminal code.
+    Its barrier list is checked against physical memory as cf-disc's is.
     """
     model = QuantizedModel(contract, grid, fmt)
     # grid shocks that quantize to the same code are one shock of their summed mass
     shocks, code_of = np.unique(model.inc_codes, return_inverse=True)
     probs = np.bincount(code_of, weights=grid.probabilities())
+    check_memory(contract.steps, BYTES_PER_BARRIER, "the closed form keeps a barrier code for "
+                 f"each of {contract.steps} steps", "; reduce steps")
     barriers = [model.barrier_code] * contract.steps
     fired, lost, (codes, mass) = _recursion(
         contract, shocks, probs, barriers, model.strike_codes, model.put_strike_code

@@ -11,20 +11,21 @@ Its kernels compute the same amplitudes as a dense simulation, bit for bit.
 Circuits are lists of three invertible primitive op kinds, each inverted by
 one op of its kind. Every operand but a rotation's target qubit is a
 :class:`QubitRegister`, read as one integer with one shift and one mask: the
-rotation :class:`Ry` acts on one target qubit where its control register
-reads one value, the phase :class:`PhaseOracle` acts where its register
-reads one value, and the register arithmetic :class:`Add` rewrites a
-register; a bit flip, controlled or not, is an ``Add`` on a one-qubit
+rotation :class:`Ry` turns one target qubit by an angle per value its
+control register reads, the phase :class:`PhaseOracle` acts where its
+register reads one value, and the register arithmetic :class:`Add` rewrites
+a register; a bit flip, controlled or not, is an ``Add`` on a one-qubit
 target. :func:`probability` reads a register value too. Amplitude loading is
-not a primitive: :func:`injection_ops` expands it into ``Ry`` rotations when
-the circuit is built. No op checks the state it is applied to: a circuit is
-a list of ops built ahead of time and run only on a fresh :func:`allocate`
-state with :meth:`Statevector.apply_all`. No op stores anything of size
-``2**n``: an :class:`Ry` and a :class:`PhaseOracle` hold one register value
-each and an :class:`Add` computes its sums on the listed entries, so every
-kernel's memory follows the state's support and nothing here limits the
-qubit count below the 62 that int64 indices hold. How much a circuit may
-store is decided where it is built
+not a primitive: :func:`injection_ops` expands it into one ``Ry`` per bit
+when the circuit is built. No op checks the state it is applied to: a
+circuit is a list of ops built ahead of time and run only on a fresh
+:func:`allocate` state with :meth:`Statevector.apply_all`. No op stores
+anything of size ``2**n``: an :class:`Ry` holds one angle per value of its
+control register, a :class:`PhaseOracle` one register value, and an
+:class:`Add` computes its sums on the listed entries, so every kernel's
+memory follows the state's support and its controls' widths, and nothing
+here limits the qubit count below the 62 that int64 indices hold. How much
+a circuit may store is decided where it is built
 (:func:`~.circuit.build_pricing_circuit`), from the support it can reach.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
@@ -73,23 +74,30 @@ class QubitRegister:
 
 @dataclass(frozen=True)
 class Ry:
-    """Y-rotation on ``target``; with a ``control`` register, only on the basis
-    states where it reads ``value`` (a CRY on a one-qubit control at value 1)."""
+    """Uniformly controlled Y-rotation on ``target``: by ``angles[v]`` where
+    ``control`` reads ``v``, one angle without a control; a CRY on a one-qubit
+    control is ``Ry(target, (0.0, angle), control)``."""
 
     target: int
-    angle: float
+    angles: tuple[float, ...]
     control: QubitRegister | None = None
-    value: int = 0
 
     def __post_init__(self):
         if self.control is not None and self.target in self.control.qubits:
             raise StructuralError(f"qubit {self.target} used as both control and target")
         size = 2 ** (self.control.width if self.control else 0)
-        if not 0 <= self.value < size:
-            raise StructuralError(f"control value {self.value} outside [0, {size})")
+        if len(self.angles) != size:
+            raise StructuralError(f"{len(self.angles)} angles for {size} control values")
+        # per control value, once per op: is its angle nonzero, and cos and sin of its half
+        if self.control is not None:
+            object.__setattr__(self, "_table", (
+                np.array([a != 0 for a in self.angles]),
+                np.array([math.cos(a / 2.0) for a in self.angles]),
+                np.array([math.sin(a / 2.0) for a in self.angles]),
+            ))
 
     def inverse(self) -> "Ry":
-        return Ry(self.target, -self.angle, self.control, self.value)
+        return Ry(self.target, tuple(-a for a in self.angles), self.control)
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,9 @@ def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> lis
     """Rotations loading a real non-negative amplitude vector into ``reg``
     from its ground state.
 
-    Binary-tree decomposition into uniformly controlled Y rotations, one
-    layer per bit, MSB first; being plain rotations, the ops invert and
-    repeat like any other gate.
+    Binary-tree decomposition, one uniformly controlled ``Ry`` per bit, MSB
+    first, with an angle per value of the bits above it: ``reg.width`` plain
+    rotations, which invert and repeat like any other gate.
     """
     amps = np.asarray(amps, dtype=float)
     if amps.shape != (2**reg.width,):
@@ -175,17 +183,11 @@ def injection_ops(reg: QubitRegister, amps: np.ndarray | Sequence[float]) -> lis
     k = reg.width
     ops: list[Ry] = []
     for t in range(k - 1, -1, -1):
-        # the bits above t, which hold hi
+        # the masses of each value hi of the bits above t, with bit t at 0 and at 1
+        masses = probs.reshape(-1, 2, 2**t).sum(axis=2).tolist()
+        angles = tuple(2.0 * math.atan2(math.sqrt(m1), math.sqrt(m0)) for m0, m1 in masses)
         high = QubitRegister(reg.offset + t + 1, k - 1 - t) if t < k - 1 else None
-        for hi in range(2 ** (k - 1 - t)):
-            base0 = (hi << 1) << t
-            base1 = ((hi << 1) | 1) << t
-            m0 = float(probs[base0 : base0 + 2**t].sum())
-            m1 = float(probs[base1 : base1 + 2**t].sum())
-            if m0 + m1 <= 0.0:
-                continue
-            angle = 2.0 * math.atan2(math.sqrt(m1), math.sqrt(m0))
-            ops.append(Ry(reg.qubit(t), angle, high, hi))
+        ops.append(Ry(reg.qubit(t), angles, high))
     return ops
 
 
@@ -203,24 +205,24 @@ class Statevector:
     above 1e-12 in magnitude.
 
     One kernel per op kind works on the listed entries only. The rotation
-    :class:`Ry` pairs every entry on which its control register reads its
-    value with its partner ``i ^ (1 << target)`` on the sorted union of the
-    entries and their partners, reads a missing partner as 0 and updates the
-    pair with the same floating-point operations in the same order as a
-    dense 2x2 update, so every amplitude equals the one a dense simulation
-    computes, bit for bit; entries that come out exactly 0 are dropped. When
-    no matched entry has the target bit set, none has its partner listed: the
-    kernel then scales each matched entry by ``cos`` and appends its partner
-    at ``sin`` times its amplitude, the floats of the same update against a
-    zero partner, with no union to sort. Most rotations of a pricing
-    circuit's loads are of this kind. The register arithmetic :class:`Add`
-    rewrites its target's bits of each index in place (it permutes basis
-    states, so indices never collide), and the phase :class:`PhaseOracle`
-    multiplies the entries on which its register reads its value. A register
-    is read with one shift and one mask and written back with one mask and
-    one shift. :func:`probability` sums the entries on which its register
-    reads its value in index order, so its float does not depend on the
-    order the entries are stored in.
+    :class:`Ry` pairs every entry on which its control reads a value whose
+    angle is nonzero (0 is the identity) with its partner ``i ^ (1 <<
+    target)`` on the sorted union of the entries and their partners, reads a
+    missing partner as 0 and updates the pair by that angle, with the same
+    floating-point operations in the same order as a dense 2x2 update, so
+    every amplitude equals the one a dense simulation computes, bit for bit;
+    entries that come out exactly 0 are dropped. When no matched entry has the
+    target bit set, none has its partner listed: the kernel then scales each
+    matched entry by ``cos`` and appends its partner at ``sin`` times its
+    amplitude, the floats of the same update against a zero partner, with no
+    union to sort. Most rotations of a pricing circuit's loads are of this
+    kind. The register arithmetic :class:`Add` rewrites its target's bits of
+    each index in place (it permutes basis states, so indices never collide),
+    and the phase :class:`PhaseOracle` multiplies the entries on which its
+    register reads its value. A register is read with one shift and one mask
+    and written back with one mask and one shift. :func:`probability` sums the
+    entries on which its register reads its value in index order, so its float
+    does not depend on the order the entries are stored in.
     """
 
     __slots__ = ("num_qubits", "indices", "values")
@@ -259,44 +261,42 @@ class Statevector:
 
     def _apply_rotation(self, op: Ry):
         bit = 1 << op.target
-        matched = _controlled(self.indices, op)
-        c = math.cos(op.angle / 2.0)
-        s = math.sin(op.angle / 2.0)
+        matched = _matched(self.indices, op)
         partners = self.indices[matched] ^ bit
         if (partners & bit).all():
             # no matched entry has the target bit set, so none has its partner
             # listed: each pair is (c*a0, s*a0), the dense update against a
             # zero partner, with no union to sort or search
+            c, s = _half_angle(partners, op)  # a partner's control reads as its entry's
             added = self.values[matched] * s
             self.values[matched] *= c
             indices = np.concatenate((self.indices, partners))
             values = np.concatenate((self.values, added))
-            keep = values != 0
-            self.indices, self.values = indices[keep], values[keep]
-            return
-        # every matched entry plus its partner, a missing partner holding 0;
-        # sorted and deduplicated here because np.union1d's hash-based unique
-        # is several times slower
-        indices = np.concatenate((self.indices, partners))
-        del partners  # not held while the union's arrays are built
-        indices.sort(kind="stable")
-        first = np.ones(len(indices), dtype=bool)
-        first[1:] = indices[1:] != indices[:-1]
-        indices = indices[first]
-        values = np.zeros(len(indices), dtype=np.complex128)
-        values[np.searchsorted(indices, self.indices)] = self.values
-        i0 = np.flatnonzero(_controlled(indices, op) & ((indices & bit) == 0))
-        i1 = np.searchsorted(indices, indices[i0] | bit)
-        v0, v1 = values[i0], values[i1]
-        a0 = v0.copy()
-        # (c*a0 - s*v1, s*a0 + c*v1), in the order a dense in-place update uses
-        v0 *= c
-        v0 -= s * v1
-        v1 *= c
-        a0 *= s
-        v1 += a0
-        values[i0] = v0
-        values[i1] = v1
+        else:
+            # every matched entry plus its partner, a missing partner holding 0;
+            # sorted and deduplicated here because np.union1d's hash-based
+            # unique is several times slower
+            indices = np.concatenate((self.indices, partners))
+            del partners  # not held while the union's arrays are built
+            indices.sort(kind="stable")
+            first = np.ones(len(indices), dtype=bool)
+            first[1:] = indices[1:] != indices[:-1]
+            indices = indices[first]
+            values = np.zeros(len(indices), dtype=np.complex128)
+            values[np.searchsorted(indices, self.indices)] = self.values
+            i0 = np.flatnonzero(_matched(indices, op) & ((indices & bit) == 0))
+            i1 = np.searchsorted(indices, indices[i0] | bit)
+            c, s = _half_angle(indices[i0], op)
+            v0, v1 = values[i0], values[i1]
+            a0 = v0.copy()
+            # (c*a0 - s*v1, s*a0 + c*v1), in the order a dense in-place update uses
+            v0 *= c
+            v0 -= s * v1
+            v1 *= c
+            a0 *= s
+            v1 += a0
+            values[i0] = v0
+            values[i1] = v1
         keep = values != 0
         self.indices, self.values = indices[keep], values[keep]
 
@@ -312,11 +312,19 @@ class Statevector:
         self.indices |= _scatter(target, op.target)
 
 
-def _controlled(indices: np.ndarray, op: Ry) -> np.ndarray:
-    """Boolean mask of the indices on which ``op``'s control reads its value."""
+def _matched(indices: np.ndarray, op: Ry) -> np.ndarray:
+    """Mask of the indices ``op`` rotates: where its angle is nonzero."""
     if op.control is None:
-        return np.ones(len(indices), dtype=bool)
-    return _gather(indices, op.control) == op.value
+        return np.full(len(indices), op.angles[0] != 0)
+    return op._table[0][_gather(indices, op.control)]
+
+
+def _half_angle(indices: np.ndarray, op: Ry):
+    """cos and sin of half each index's angle: scalars without a control."""
+    if op.control is None:
+        return math.cos(op.angles[0] / 2.0), math.sin(op.angles[0] / 2.0)
+    v = _gather(indices, op.control)
+    return op._table[1][v], op._table[2][v]
 
 
 def _gather(indices: np.ndarray, reg: QubitRegister) -> np.ndarray:

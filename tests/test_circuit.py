@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dense_state import to_dense
 from test_oracles import mc_contracts
+from qautocall import circuit
 from qautocall.circuit import (
     BYTES_PER_ENTRY,
     QuantizedModel,
@@ -332,6 +333,27 @@ class TestCircuitAgainstOracle:
         with pytest.raises(CapacityError, match=r"2\*\*12 = 4096 entries.*exponential: 1"):
             build_pricing_circuit(table2, grid, fmt)
 
+    @pytest.mark.parametrize("case", ["table2", "8-step", "no-binaries", "flat", "no-flags"])
+    def test_qubit_count_checked_before_layout_is_the_layouts(
+        self, table2, table2_flat, monkeypatch, case
+    ):
+        # the count the capacity check makes from the register widths, before
+        # any register is placed, is the layout's: its bound is met at the
+        # layout's qubit count and missed one below it
+        contract = {
+            "table2": table2,
+            "8-step": dataclasses.replace(table2, steps=8),
+            "no-binaries": dataclasses.replace(table2, binaries=()),
+            "flat": table2_flat,
+            "no-flags": dataclasses.replace(table2, binaries=(), barrier=0.2,
+                                            strike=math.exp(-1.45)),
+        }[case]
+        fmt = fit_format(contract, GRID1, 2)
+        qubits = build_pricing_circuit(contract, GRID1, fmt).layout.num_qubits
+        monkeypatch.setattr(circuit, "MAX_QUBITS", qubits - 1)
+        with pytest.raises(CapacityError, match=f"needs {qubits} qubits.*total: {qubits}\\)"):
+            build_pricing_circuit(contract, GRID1, fmt)
+
     def test_layout_beyond_int64_indices_is_capacity_error(self, table2):
         fmt = fit_format(table2, GRID1, 40)
         with pytest.raises(CapacityError, match="more than the 62 that int64"):
@@ -382,6 +404,17 @@ def test_table2_good_probability_is_pinned(table2, p, k, want):
     grid = GaussianGridSpec(k=k, s_min=3.0)
     pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
     assert exact_amplitude(pc.ops, pc.layout.num_qubits, pc.good).hex() == want
+
+
+@pytest.mark.parametrize("p,k,ops,rotations", [(2, 2, 36, 19), (4, 3, 45, 28), (6, 4, 54, 37)])
+def test_table2_op_counts_are_pinned(table2, p, k, ops, rotations):
+    # one uniformly controlled Ry per loading layer: each Gaussian register
+    # of k qubits loads in k rotations, on its own qubits
+    grid = GaussianGridSpec(k=k, s_min=3.0)
+    pc = build_pricing_circuit(table2, grid, fit_format(table2, grid, p))
+    assert (len(pc.ops), sum(isinstance(op, Ry) for op in pc.ops)) == (ops, rotations)
+    for reg in pc.layout.gaussians:
+        assert sum(isinstance(op, Ry) and op.target in reg.qubits for op in pc.ops) == k
 
 
 @pytest.mark.parametrize("p,k,stored", [(2, 1, 128), (3, 1, 256), (2, 2, 1024), (4, 3, 32768)])
@@ -652,15 +685,18 @@ def test_register_ops_address_layout_registers(
     for op in adds:
         assert (op.target, op.sources) == _stage_registers(layout, op.name), op
     # the payoff rotations, as a census reads their control widths: each
-    # binary's on its flag at 1, the put scale on the put flag at 1 and the
-    # zero payoff on the zero_scale flags at 0
-    want = [(layout.payoff_target, QubitRegister(q, 1), 1) for q in
+    # binary's on its flag, nonzero at 1, the put scale on the put flag,
+    # nonzero at 1, and the zero payoff on the zero_scale flags, nonzero at 0
+    # unless the zero level is 0
+    want = [(layout.payoff_target, QubitRegister(q, 1), (1,)) for q in
             (layout.binary_flags.qubits if layout.binary_flags else ())]
     if layout.exponential:
-        want.append((layout.scale_indicator, QubitRegister(layout.put_flag, 1), 1))
+        want.append((layout.scale_indicator, QubitRegister(layout.put_flag, 1), (1,)))
     flags = _stage_registers(layout, "zero_scale")[1]
-    want.append((layout.payoff_target, flags[0] if flags else None, 0))
-    payoff = [(op.target, op.control, op.value) for op in pc.ops if isinstance(op, Ry)
+    want.append((layout.payoff_target, flags[0] if flags else None,
+                 (0,) if pc.mapping.zero_level else ()))
+    payoff = [(op.target, op.control, tuple(v for v, a in enumerate(op.angles) if a))
+              for op in pc.ops if isinstance(op, Ry)
               and op.target in (layout.payoff_target, layout.scale_indicator)]
     assert payoff == want
     # the prep's two reflections: about its window, a phase on the borrowed

@@ -373,22 +373,42 @@ def test_monte_carlo_block_beyond_physical_memory_exits_2(tmp_path, capsys, fake
     assert not out.exists()
 
 
-def test_cf_disc_beyond_int64_steps_exits_2(tmp_path):
-    # refused before any step's barrier index is bisected; a separate process
-    # with a timeout, so a run that bisects step after step fails, not hangs
+def _price_beyond_int64_steps(tmp_path, settings):
+    """Run ``price`` on the contract at 2**63 - 1 steps, with ``settings``
+    appended, in a separate process with a timeout: a run that works step
+    after step fails, not hangs."""
     config = tmp_path / "run.ini"
-    config.write_text(CONTRACT.replace("steps = 3", f"steps = {2**63 - 1}")
-                      + "[grid]\nk = 1\ns_min = 3.0\n[estimation]\nmethod = cf-disc\n")
+    config.write_text(CONTRACT.replace("steps = 3", f"steps = {2**63 - 1}") + settings)
     src = str(Path(qautocall.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "qautocall.cli", "price", "--config", str(config)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=30,
     )
+
+
+def test_cf_disc_beyond_int64_steps_exits_2(tmp_path):
+    # refused before any step's barrier index is bisected
+    done = _price_beyond_int64_steps(tmp_path, "[grid]\nk = 1\ns_min = 3.0\n"
+                                     "[estimation]\nmethod = cf-disc\n")
     assert done.returncode == 2
     assert done.stderr.startswith(
         f"capacity error: the closed form keeps a barrier index for each of {2**63 - 1} steps"
     )
+
+
+@pytest.mark.parametrize("method, error", [
+    ("cf-quant", f"the closed form keeps a barrier code for each of {2**63 - 1} steps"),
+    ("quantum-exact", f"pricing circuit needs {2 * (2**63 - 1) + 132} qubits"),
+], ids=["cf-quant", "quantum-exact"])
+def test_quantized_methods_beyond_int64_steps_exit_2(tmp_path, method, error):
+    # at p = 0 the accumulator fits 64 bits, so cf-quant reaches its
+    # per-step barrier list and quantum-exact its layout of 2**63 registers:
+    # both are refused before either is built
+    done = _price_beyond_int64_steps(tmp_path, "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\n"
+                                     f"p = 0\n[estimation]\nmethod = {method}\n")
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"capacity error: {error}")
 
 
 GRID_METHODS = ("quantum-exact", "quantum-iqae", "cf-quant", "cf-disc", "mc-disc")

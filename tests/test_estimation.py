@@ -19,7 +19,7 @@ from qautocall.simulator import PhaseOracle, QubitRegister, Ry, allocate, probab
 
 def bernoulli_circuit(a):
     """One-qubit circuit with good-state probability exactly ``a``."""
-    return [Ry(0, 2.0 * math.asin(math.sqrt(a)))], 1, QubitRegister(0, 1)
+    return [Ry(0, (2.0 * math.asin(math.sqrt(a)),))], 1, QubitRegister(0, 1)
 
 
 def table2_circuit(contract, p, k):
@@ -80,15 +80,15 @@ class TestGrover:
 
     def test_good_qubits_form_one_register(self):
         # S_good marks one value of the good register: every qubit reads 1
-        ops = [Ry(1, 0.3), Ry(2, 0.7)]
+        ops = [Ry(1, (0.3,)), Ry(2, (0.7,))]
         s_good = build_grover(ops, 4, QubitRegister(1, 2))[0]
         assert isinstance(s_good, PhaseOracle)
         assert s_good == PhaseOracle(QubitRegister(1, 2), 3, math.pi)
 
     def test_works_on_wider_registers(self):
         # same Bernoulli amplitude embedded in a 3-qubit circuit with bystanders
-        ops = [Ry(1, 2 * math.asin(math.sqrt(0.3))), Ry(0, 1.1),
-               Ry(2, 0.4, QubitRegister(0, 1), 1)]
+        ops = [Ry(1, (2 * math.asin(math.sqrt(0.3)),)), Ry(0, (1.1,)),
+               Ry(2, (0.0, 0.4), QubitRegister(0, 1))]
         good = QubitRegister(1, 1)
         grover = build_grover(ops, 3, good)
         state = allocate(3)
@@ -216,7 +216,7 @@ class TestExactAmplitude:
     def test_every_qubit_of_good_must_read_one(self):
         # the Bernoulli qubit and a bystander at 1/2: both read 1 with probability 1/8
         ops, _, _ = bernoulli_circuit(0.25)
-        ops = [*ops, Ry(1, math.pi / 2)]
+        ops = [*ops, Ry(1, (math.pi / 2,))]
         assert exact_amplitude(ops, 2, QubitRegister(0, 2)) == pytest.approx(0.125, abs=1e-12)
         assert exact_amplitude(ops, 2, QubitRegister(1, 1)) == pytest.approx(0.5, abs=1e-12)
 

@@ -121,7 +121,7 @@ def _expected_partial(width, a, x1):
 
 class TestPartialExponential:
     def test_full_interval_degenerates_to_full_prep(self):
-        ref = allocate(3).apply_all(Ry(i, float(t)) for i, t in enumerate(exp_angles(0.4, 3)))
+        ref = allocate(3).apply_all(Ry(i, (float(t),)) for i, t in enumerate(exp_angles(0.4, 3)))
         assert np.abs(_prepared(3, 0.4, 7) - to_dense(ref)).max() < 1e-12
 
     def test_log2_interval_frozen(self):
@@ -203,7 +203,7 @@ def _set_marking_prep(width, a, x1):
     set of values [0, x1]: ops, and (register, marked values, phase) triples
     for that phase, which no op of the package marks any more."""
     reg = QubitRegister(0, width)
-    prep = [Ry(i, float(t)) for i, t in enumerate(exp_angles(a, width))]
+    prep = [Ry(i, (float(t),)) for i, t in enumerate(exp_angles(a, width))]
     if (x1 + 1) & x1 == 0:
         return prep
     phase = amplification_phase(exp_weight_sum(a, x1) / exp_weight_sum(a, 2**width - 1))
@@ -271,7 +271,7 @@ class TestIntegrationComparator:
         state.apply_all(partial_exponential_prep_ops(
             QubitRegister(0, n), a, x1, QubitRegister(2 * n, 1)))
         for j in range(n, 2 * n):
-            state.apply(Ry(j, math.pi / 2))
+            state.apply(Ry(j, (math.pi / 2,)))
         state.apply(_compare_op(n))
         x_and_target = QubitRegister(n, n + 1)  # x, then the target at 1
         return [math.sqrt(probability(state, x_and_target, x | 1 << n) * 2**n)

@@ -50,12 +50,12 @@ def test_allocate_stores_one_entry_up_to_int64_limit():
 
 
 def test_ry_pi_flips():
-    state = allocate(1).apply(Ry(0, math.pi))
+    state = allocate(1).apply(Ry(0, (math.pi,)))
     assert abs(to_dense(state)[1]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ry_half_pi_uniform():
-    state = allocate(1).apply(Ry(0, math.pi / 2))
+    state = allocate(1).apply(Ry(0, (math.pi / 2,)))
     assert np.allclose(np.abs(to_dense(state)) ** 2, [0.5, 0.5])
 
 
@@ -72,15 +72,15 @@ def test_toffoli_truth_table():
 
 def test_controlled_ry_acts_only_when_controls_match():
     angle = 2 * math.asin(math.sqrt(0.25))
-    state = allocate(2).apply(Ry(1, angle, QubitRegister(0, 1), 1))
+    state = allocate(2).apply(Ry(1, (0.0, angle), QubitRegister(0, 1)))
     assert probability(state, QubitRegister(1, 1), 1) == pytest.approx(0.0, abs=1e-15)
-    state = allocate(2).apply(_flip(0)).apply(Ry(1, angle, QubitRegister(0, 1), 1))
+    state = allocate(2).apply(_flip(0)).apply(Ry(1, (0.0, angle), QubitRegister(0, 1)))
     assert probability(state, QubitRegister(1, 1), 1) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_rotation_lists_no_exact_zeros():
     # a zero-angle rotation pairs |01> with |11> but leaves |11> exactly 0
-    state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, 0.0))
+    state = allocate(2).apply(Ry(0, (math.pi / 2,))).apply(Ry(1, (0.0,)))
     assert state.indices.tolist() == [0, 1]
 
 
@@ -90,16 +90,16 @@ def test_control_target_overlap_rejected():
     for control in (QubitRegister(1, 2), QubitRegister(2, 2), QubitRegister(2, 1),
                     QubitRegister(1, 3)):
         with pytest.raises(StructuralError, match="both control and target"):
-            Ry(2, 0.3, control, 0)
-    # a value the control register cannot read; without a control, only 0
-    for control, value in ((QubitRegister(0, 2), 4), (QubitRegister(0, 2), -1), (None, 1)):
-        with pytest.raises(StructuralError, match="control value"):
-            Ry(2, 0.3, control, value)
+            Ry(2, (0.3,) * 2**control.width, control)
+    # one angle per value the control register reads; without a control, one
+    for control, size in ((QubitRegister(0, 2), 3), (QubitRegister(0, 2), 5), (None, 0), (None, 2)):
+        with pytest.raises(StructuralError, match=f"{size} angles for"):
+            Ry(2, (0.3,) * size, control)
 
 
 def test_classical_identity_noop():
     reg = QubitRegister(0, 2)
-    state = allocate(3).apply(Ry(0, 0.7)).apply(Ry(2, 1.1))
+    state = allocate(3).apply(Ry(0, (0.7,))).apply(Ry(2, (1.1,)))
     before = to_dense(state)
     state.apply(Add(reg, (QubitRegister(2, 1),), lambda v: 0 * v, name="add_0"))
     assert np.array_equal(to_dense(state), before)
@@ -116,7 +116,7 @@ def test_add_on_one_qubit_is_an_involution():
     # a one-qubit target XORs a flag, so adding 1 or -1 undoes itself
     flag = Add(QubitRegister(2, 1), (QubitRegister(0, 2),), lambda v: (v == 3).astype(np.int64),
                name="and")
-    state = allocate(3).apply(Ry(0, 0.4)).apply(Ry(1, 1.3, QubitRegister(0, 1), 1))
+    state = allocate(3).apply(Ry(0, (0.4,))).apply(Ry(1, (0.0, 1.3), QubitRegister(0, 1)))
     before = to_dense(state)
     state.apply(flag)
     assert probability(state, QubitRegister(2, 1), 1) == pytest.approx(abs(before[3]) ** 2)
@@ -137,7 +137,7 @@ def test_add_rejects_overlap_and_empty_target():
 
 
 def test_register_ops_beyond_the_state_rejected():
-    for op in (Ry(3, 0.1), Ry(0, 0.1, QubitRegister(2, 2), 0),
+    for op in (Ry(3, (0.1,)), Ry(0, (0.1, 0.0, 0.0, 0.0), QubitRegister(2, 2)),
                PhaseOracle(QubitRegister(2, 2), (0,), 0.1),
                Add(QubitRegister(0, 1), (QubitRegister(1, 3),), lambda v: v),
                Add(QubitRegister(3, 1), (), lambda: 1)):
@@ -196,14 +196,31 @@ def test_inject_reproduces_arbitrary_nonnegative_vectors(raw):
     assert np.abs(np.abs(to_dense(state)) ** 2 - amps**2).max() < 1e-12
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_injection_emits_one_rotation_per_bit(width):
+    # MSB first, each layer controlled by the bits above it with one angle
+    # per value they read; a pair of halves holding no mass gets angle 0
+    reg = QubitRegister(2, width)
+    probs = np.random.default_rng(width).random(2**width)
+    probs[: 2 ** (width - 1)] = 0.0
+    ops = injection_ops(reg, np.sqrt(probs / probs.sum()))
+    assert len(ops) == reg.width
+    for op, t in zip(ops, range(width - 1, -1, -1)):
+        high = QubitRegister(reg.offset + t + 1, width - 1 - t) if t < width - 1 else None
+        assert (op.target, op.control, len(op.angles)) == (reg.qubit(t), high, 2 ** (width - 1 - t))
+        assert all(a == 0.0 for a in op.angles[: len(op.angles) // 2])
+    state = allocate(width + 2).apply_all(ops)
+    assert np.abs(np.abs(to_dense(state)[::4]) ** 2 - probs / probs.sum()).max() < 1e-12
+
+
 def test_invert_single_rotation():
-    ops = invert([Ry(0, 0.8)])
-    assert ops == [Ry(0, -0.8)]
+    ops = invert([Ry(0, (0.8,))])
+    assert ops == [Ry(0, (-0.8,))]
 
 
 def test_invert_reverses_order():
-    a, b = Ry(0, 0.3), Ry(1, 0.5, QubitRegister(0, 1), 1)
-    assert invert([a, b]) == [Ry(1, -0.5, QubitRegister(0, 1), 1), Ry(0, -0.3)]
+    a, b = Ry(0, (0.3,)), Ry(1, (0.0, 0.5), QubitRegister(0, 1))
+    assert invert([a, b]) == [Ry(1, (-0.0, -0.5), QubitRegister(0, 1)), Ry(0, (-0.3,))]
 
 
 def test_each_op_inverts_to_one_op_of_its_kind():
@@ -244,7 +261,10 @@ def _random_circuit(num_qubits, rng, length=25):
         target = int(rng.integers(num_qubits))
         control, value = _control(num_qubits, target, rng)
         if kind == 0:
-            ops.append(Ry(target, float(rng.uniform(-math.pi, math.pi)), control, value))
+            # an angle per control value, some of them 0
+            size = 2 ** (control.width if control else 0)
+            angles = rng.uniform(-math.pi, math.pi, size) * (rng.random(size) < 0.7)
+            ops.append(Ry(target, tuple(angles.tolist()), control))
         elif kind == 1:
             ops.append(_flip(target, control, value))
         elif kind == 2:
@@ -297,10 +317,11 @@ def _reference_apply(op, amps):
     out = amps.copy()
     for i in range(len(amps)):
         if isinstance(op, Ry):
-            if _bit(i, op.target) or (op.control and _value(i, op.control.qubits) != op.value):
+            if _bit(i, op.target):
                 continue
+            angle = op.angles[_value(i, op.control.qubits) if op.control else 0]
             j = i | (1 << op.target)
-            c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
+            c, s = math.cos(angle / 2), math.sin(angle / 2)
             out[i], out[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
         elif isinstance(op, PhaseOracle):
             if _value(i, op.register.qubits) == op.value:
@@ -322,9 +343,9 @@ _CODES = np.random.default_rng(4).integers(-20, 20, size=4)
 @pytest.mark.parametrize(
     "op",
     [
-        Ry(1, -1.3),
-        Ry(2, 0.7, QubitRegister(3, 2), 1),
-        Ry(0, 0.4, QubitRegister(1, 4), 0b1010),
+        Ry(1, (-1.3,)),
+        Ry(2, (0.0, 0.7, -2.2, 0.0), QubitRegister(3, 2)),
+        Ry(0, tuple(0.25 * v - 2.0 if v % 3 else 0.0 for v in range(16)), QubitRegister(1, 4)),
         _flip(0),
         _flip(3, QubitRegister(0, 3), 0b011),
         PhaseOracle(QubitRegister(0, 3), 0b101, 0.9),
@@ -448,12 +469,20 @@ def test_pricing_state_identical_to_per_qubit_kernels(table2, monkeypatch, p, k)
     assert state.values.tolist() == want.values.tolist()
 
 
+def _control_values(indices, op):
+    """The value ``op``'s control reads on each index, 0 without a control."""
+    if op.control is None:
+        return np.zeros(len(indices), dtype=np.int64)
+    return _gather_per_qubit(indices, op.control.qubits)
+
+
 def _sorted_rotation(state, op):
-    """The rotation kernel with no partner-free case: every matched entry is
-    paired with its partner on the sorted union of both, a missing partner
-    reading 0."""
+    """The rotation kernel with no partner-free case: every entry whose
+    control value has a nonzero angle in ``op.angles`` is paired with its
+    partner on the sorted union of both, a missing partner reading 0."""
     bit = 1 << op.target
-    matched = simulator._controlled(state.indices, op)
+    angles = np.array(op.angles)
+    matched = angles[_control_values(state.indices, op)] != 0
     indices = np.concatenate((state.indices, state.indices[matched] ^ bit))
     indices.sort(kind="stable")
     first = np.ones(len(indices), dtype=bool)
@@ -461,11 +490,12 @@ def _sorted_rotation(state, op):
     indices = indices[first]
     values = np.zeros(len(indices), dtype=np.complex128)
     values[np.searchsorted(indices, state.indices)] = state.values
-    i0 = np.flatnonzero(simulator._controlled(indices, op) & ((indices & bit) == 0))
+    i0 = np.flatnonzero((angles[_control_values(indices, op)] != 0) & ((indices & bit) == 0))
     i1 = np.searchsorted(indices, indices[i0] | bit)
     v0, v1 = values[i0], values[i1]
-    c = math.cos(op.angle / 2.0)
-    s = math.sin(op.angle / 2.0)
+    half = [op.angles[v] / 2.0 for v in _control_values(indices[i0], op).tolist()]
+    c = np.array([math.cos(h) for h in half])
+    s = np.array([math.sin(h) for h in half])
     a0 = v0.copy()
     v0 *= c
     v0 -= s * v1
@@ -498,22 +528,25 @@ _AMPLITUDES = st.sampled_from([1.0, -1.0, 0.5, 1j, -0.25j, 5e-324]) | st.complex
 ).filter(lambda z: z != 0)
 
 
+_ANGLES = st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2]) | st.floats(
+    -2 * math.pi, 2 * math.pi
+)
+
+
 @st.composite
 def _rotation_on_sparse_state(draw, num_qubits=5):
-    """An ``Ry``, controlled or not, and a sparse state in which the matched
-    entries have no partner listed, all of them, or some."""
+    """An ``Ry``, controlled or not, with an angle table that may hold zeros,
+    and a sparse state in which the matched entries, those whose control
+    value has a nonzero angle, have no partner listed, all of them, or some."""
     target = draw(st.integers(0, num_qubits - 1))
-    control, value = None, 0
+    control = None
     if draw(st.booleans()):
         offset = draw(st.integers(0, num_qubits - 1))
         width = draw(st.integers(1, num_qubits - offset))
-        control = QubitRegister(offset, width)
-        if target in control.qubits:
-            control = None
-        else:
-            value = draw(st.integers(0, 2**width - 1))
-    op = Ry(target, draw(st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2])
-                         | st.floats(-2 * math.pi, 2 * math.pi)), control, value)
+        if target not in range(offset, offset + width):
+            control = QubitRegister(offset, width)
+    size = 2 ** (control.width if control else 0)
+    op = Ry(target, tuple(draw(st.lists(_ANGLES, min_size=size, max_size=size))), control)
     # per pair (i, i | bit): 1 lists i, 2 lists its partner, 3 both
     partners = draw(st.sampled_from(["none", "full", "mixed"]))
     listed = {"none": [0, 1], "full": [0, 3], "mixed": [0, 1, 2, 3]}[partners]
@@ -522,7 +555,7 @@ def _rotation_on_sparse_state(draw, num_qubits=5):
     for low in range(2**num_qubits):
         if low & bit:
             continue
-        matched = control is None or _value(low, control.qubits) == value
+        matched = op.angles[_value(low, control.qubits) if control else 0] != 0
         which = draw(st.sampled_from(listed if matched else [0, 1, 2, 3]))
         indices.extend(i for flag, i in ((1, low), (2, low | bit)) if which & flag)
     indices = draw(st.permutations(indices or [0]))
@@ -533,11 +566,15 @@ def _rotation_on_sparse_state(draw, num_qubits=5):
     return state, op
 
 
+def _copy(state):
+    return simulator.Statevector(state.num_qubits, state.indices.copy(), state.values.copy())
+
+
 @given(case=_rotation_on_sparse_state())
 @settings(max_examples=300, deadline=None)
 def test_rotation_identical_to_sorted_rotation(case):
     state, op = case
-    want = simulator.Statevector(state.num_qubits, state.indices.copy(), state.values.copy())
+    want = _copy(state)
     _sorted_rotation(want, op)
     state.apply(op)
     assert (state.values != 0).all()
@@ -545,10 +582,29 @@ def test_rotation_identical_to_sorted_rotation(case):
     assert _pairs(state) == _pairs(want)
 
 
+def _expansion(op):
+    """``op`` as one ``Ry`` per nonzero angle, each table holding that angle
+    alone and 0 at every other control value."""
+    return [Ry(op.target, tuple(a if u == v else 0.0 for u in range(len(op.angles))), op.control)
+            for v, a in enumerate(op.angles) if a != 0]
+
+
+@given(case=_rotation_on_sparse_state())
+@settings(max_examples=300, deadline=None)
+def test_rotation_table_identical_to_its_expansion(case):
+    # every (index, amplitude) pair equal, float for float; the sign of a zero
+    # real or imaginary part is not compared, because the partner-free case
+    # and the sorted case can give that zero opposite signs
+    state, op = case
+    want = _copy(state).apply_all(_expansion(op))
+    state.apply(op)
+    assert _pairs(state) == _pairs(want)
+
+
 def test_probability_basics():
     state = allocate(2)
     assert probability(state, QubitRegister(0, 1), 1) == 0.0
-    state.apply(Ry(0, math.pi / 2))
+    state.apply(Ry(0, (math.pi / 2,)))
     assert probability(state, QubitRegister(0, 1), 1) == pytest.approx(0.5, abs=1e-12)
     whole = QubitRegister(0, 2)
     assert sum(probability(state, whole, v) for v in range(4)) == pytest.approx(1.0, abs=1e-12)
@@ -557,7 +613,7 @@ def test_probability_basics():
 
 
 def test_phase_oracle_marks_values():
-    state = allocate(2).apply(Ry(0, math.pi / 2)).apply(Ry(1, math.pi / 2))
+    state = allocate(2).apply(Ry(0, (math.pi / 2,))).apply(Ry(1, (math.pi / 2,)))
     state.apply(PhaseOracle(QubitRegister(0, 2), 3, math.pi))
     assert to_dense(state)[3].real == pytest.approx(-0.5, abs=1e-12)
     assert to_dense(state)[0].real == pytest.approx(0.5, abs=1e-12)
@@ -568,7 +624,7 @@ def test_phase_oracle_phases_one_value_of_the_widest_register():
     # each op holds one value, whatever the register's width
     whole = QubitRegister(0, MAX_QUBITS)
     top = 1 << (MAX_QUBITS - 1)
-    state = allocate(MAX_QUBITS).apply(Ry(MAX_QUBITS - 1, math.pi / 2))
+    state = allocate(MAX_QUBITS).apply(Ry(MAX_QUBITS - 1, (math.pi / 2,)))
     state.apply(PhaseOracle(whole, 0, math.pi)).apply(PhaseOracle(whole, top, math.pi / 2))
     amps = dict(zip(state.indices.tolist(), state.values.tolist()))
     assert amps[0] == pytest.approx(-math.sqrt(0.5), abs=1e-15)
