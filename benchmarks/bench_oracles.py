@@ -6,9 +6,13 @@ Run from the root of a checkout, with the installed pytest-benchmark::
 
 The file sits outside ``testpaths``, so the tier-1 run does not collect it.
 On Table-2 it times ``mc`` and ``mc-disc`` (k = 7) at 10**6 paths, alone and
-both through one ``mc_prices`` call on one draw per block; ``cf-quant``
-(p = 12) and ``cf-disc`` at k = 7; and ``d_total`` at its default parameters.
+both through one ``mc_prices`` call on one draw per block, and both on its
+20-step variant at 2 * 10**5 paths, where a block's bucket screen settles the
+most steps; ``cf-quant`` (p = 12) and ``cf-disc`` at k = 7; and ``d_total`` at
+its default parameters.
 """
+
+import dataclasses
 
 import pytest
 
@@ -29,6 +33,7 @@ TABLE2 = AutocallableContract(
     strike=1.0,
     binaries=(BinaryOption(1, 1.1, 2.0), BinaryOption(2, 1.1, 5.0)),
 )
+TABLE2_20 = dataclasses.replace(TABLE2, steps=20)
 GRID = GaussianGridSpec(k=7, s_min=3.0)
 PATHS = 10**6
 
@@ -38,6 +43,12 @@ def test_monte_carlo(benchmark, kinds):
     grids = {"mc": [None], "mc-disc": [GRID], "both": [None, GRID]}[kinds]
     results = benchmark(mc_prices, TABLE2, grids, PATHS, 1)
     benchmark.extra_info.update(paths=PATHS, means=[r.mean for r in results])
+
+
+def test_monte_carlo_20_steps(benchmark):
+    paths = 2 * 10**5
+    results = benchmark(mc_prices, TABLE2_20, [None, GRID], paths, 1)
+    benchmark.extra_info.update(paths=paths, means=[r.mean for r in results])
 
 
 def test_cf_quant(benchmark):

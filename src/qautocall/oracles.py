@@ -20,9 +20,9 @@ and reduce each kind's payoffs as soon as they are priced, so their memory
 does not grow with the path count or the kinds: one block's uniforms and
 payoffs, under 3 MiB at 3 steps. At ``BYTES_PER_UNIFORM`` bytes each, one
 block's uniforms must fit in physical memory, or the run raises
-:class:`CapacityError` before it draws. A block is priced step by step over
-the paths still alive: once a path's binary fires it leaves, and its later
-uniforms, drawn all the same, are never turned into shocks.
+:class:`CapacityError` before it draws. A block is screened on the bounds of
+its draws' lookup buckets, which settles most paths; only the undecided
+rows, about 5 % on Table-2, are turned into shocks, step by step.
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform array,
@@ -64,9 +64,9 @@ _CHUNK = 2**18
 BYTES_PER_STATE = 80
 _MC_BLOCK = 2**15
 #: peak bytes per uniform of one Monte Carlo block, temporaries included:
-#: traced with tracemalloc on 2**15-row blocks, 9.7 at 50 steps, 8.6 at 100
-#: and 8.1 at 1000 (the uniforms' own 8 plus a few row-sized arrays a step);
-#: fewer steps cost more per uniform, but their blocks stay under 15 MiB
+#: traced with tracemalloc on 2**15-row blocks of either kind, 9.2 at 50 steps
+#: (9.8 if the screen decides no row), 8.6 at 100 and 8.1 at 1000; fewer steps
+#: cost more per uniform, but their blocks stay under 15 MiB
 BYTES_PER_UNIFORM = 10
 _BUCKET_BITS = 12
 #: bytes per step of a closed form's barrier list, an 8-byte slot and a 28-byte
@@ -117,53 +117,100 @@ class McResult:
     seed: int
 
 
-def _payoffs(u: np.ndarray, contract: AutocallableContract, increments, out: np.ndarray,
-             notional: float, discount: float, pays: list[float]) -> None:
-    """Write to ``out`` the discounted payoffs of the paths whose uniforms are
-    the rows of the (M, T) block ``u``: the first binary in the money pays
-    ``pays[i]``, else a path that crossed the barrier and ends below the
-    strike pays the put on ``notional``, discounted by ``discount``, else
-    nothing.
+def _brackets(increments, contract: AutocallableContract):
+    """``increments`` at b / N and at the float below (b + 1) / N, the least
+    and greatest uniform of each of the N = ``2**_BUCKET_BITS`` buckets, and
+    :func:`_screen`'s margin: 2**-30 (1 + T**2 B), B the largest |bound|, plus
+    2**-1064 over the least threshold, for ``np.exp``'s ulp of a subnormal."""
+    edges = np.arange(2**_BUCKET_BITS + 1) / 2**_BUCKET_BITS
+    lo, hi = increments(edges[:-1].copy()), increments(np.nextafter(edges[1:], 0.0))
+    least = min([contract.barrier] + [b.strike for b in contract.binaries])
+    return lo, hi, 2.0**-30 * (1 + contract.steps**2 * np.abs([lo, hi]).max()) + 2.0**-1064 / least
 
-    Prices step by step over the live paths: ``increments`` turns the step's
-    uniforms of the live paths (a fresh array it may overwrite) into
-    log-return increments, which are added onto each path's running
-    log-return, the same sequential additions as ``np.cumsum`` along the path
-    (starting from 0.0 changes at most the sign of a zero, which ``exp``
-    ignores). A path whose binary fires leaves the live set.
-    """
+
+def _screen(u: np.ndarray, contract: AutocallableContract, brackets, out, pays, work) -> np.ndarray:
+    """Write to ``out`` the payoffs of the rows of the (M, T) block ``u`` that
+    the bucket bounds ``brackets`` (:func:`_brackets`) decide, 0 elsewhere, and
+    return the undecided rows; ``work`` is (3, M) scratch. A live row sums its
+    bounds into a lower and, up to the last binary, an upper log-return, which
+    hold its own sum within the margin: both maps are non-decreasing in u
+    (``_ndtri`` to a few ulps) and float sums are monotone. Paid clear above a
+    due binary's log strike and going on clear below it, a row is otherwise
+    undecided, as is one whose lower sums may cross the barrier and end below
+    the strike. A margin that is not finite leaves every row undecided."""
     out.fill(0.0)
+    lo_incs, hi_incs, margin = brackets
+    if not math.isfinite(margin):
+        return np.arange(len(u))
     due = {b.step: i for i, b in enumerate(contract.binaries)}
-    live = None  # every row, until a binary fires
-    logret, crossed = 0.0, False
+    last = max(due, default=0)
+    live, undecided, n = None, [], len(u)  # every row, until a binary fires
     for t in range(contract.steps):
-        logret = logret + increments(u[:, t].copy() if live is None else u[:, t][live])
-        level = np.exp(logret)
-        crossed = crossed | (level < contract.barrier)
+        lo, hi, least = work[:, :n]
+        b = ((u[:, t] if live is None else u[:, t][live]) * 2**_BUCKET_BITS).astype(np.intp)
+        for bound, table in ((lo, lo_incs), (hi, hi_incs))[:1 + (t < last)]:
+            np.add(bound if t else 0.0, table.take(b), out=bound)
+        np.minimum(least if t else lo, lo, out=least)
+        i = due.get(t + 1)
+        if i is not None:
+            strike = math.log(contract.binaries[i].strike)
+            above, below = lo > strike + margin, hi < strike - margin
+            hit, keep, open_ = (np.flatnonzero(x) for x in (above, below, ~(above | below)))
+            out[hit if live is None else live[hit]] = pays[i]
+            undecided.append(open_ if live is None else live[open_])
+            live, n = (keep if live is None else live[keep]), len(keep)
+            for x in (lo, hi, least):
+                x[:n] = x[keep]
+    open_ = np.flatnonzero((least <= math.log(contract.barrier) + margin)
+                           & (lo <= math.log(contract.strike) + margin))
+    undecided.append(open_ if live is None else live[open_])
+    return np.concatenate(undecided)
+
+
+def _exact(u: np.ndarray, rows: np.ndarray, contract: AutocallableContract, increments,
+           out: np.ndarray, notional: float, discount: float, pays: list[float], work) -> None:
+    """Write to ``out`` the discounted payoffs of the paths in ``rows`` of the
+    (M, T) block ``u``: the first binary in the money pays ``pays[i]``, else
+    a path that crossed the barrier and ends below the strike pays the put on
+    ``notional``, discounted by ``discount``, else nothing. Step by step over
+    the live rows, whose log-returns, levels and crossed flags sit in ``work``,
+    ``increments`` turns the step's uniforms (a fresh array it may overwrite)
+    into increments, added on as ``np.cumsum`` adds them along a path (starting
+    from 0.0 changes at most the sign of a zero, which ``exp`` ignores)."""
+    due = {b.step: i for i, b in enumerate(contract.binaries)}
+    n = len(rows)
+    work[0, :n], work[2].view(np.bool_)[:n] = 0.0, False
+    for t in range(contract.steps):
+        if not n:
+            return
+        logret, level, crossed = work[0, :n], work[1, :n], work[2].view(np.bool_)[:n]
+        logret += increments(u[:, t][rows])
+        np.exp(logret, out=level)
+        crossed |= level < contract.barrier
         i = due.get(t + 1)
         if i is not None:
             fired = level > contract.binaries[i].strike
             hit, keep = np.flatnonzero(fired), np.flatnonzero(~fired)
-            out[hit if live is None else live[hit]] = pays[i]
-            live = keep if live is None else live[keep]
-            logret, crossed = logret[keep], crossed[keep]
-    # no binary falls on the last step, so ``level`` is every live path's
+            out[rows[hit]] = pays[i]
+            rows, n = rows[keep], len(keep)
+            logret[:n], crossed[:n] = logret[keep], crossed[keep]
+    # no binary falls on the last step, so ``level`` is every live row's
     put = np.flatnonzero(crossed & (level < contract.strike))
-    out[put if live is None else live[put]] = notional * (level[put] - contract.strike) * discount
+    out[rows[put]] = notional * (level[put] - contract.strike) * discount
 
 
 def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, maps) -> list[McResult]:
     """Price ``paths`` paths under every increment map of ``maps``, in blocks
     of at most ``_MC_BLOCK`` rows; one :class:`McResult` per map.
 
-    Block after block draws the next rows of the one ``(paths, steps)``
-    uniform array from the seeded stream into one reused buffer, and each map
-    writes its payoffs of those rows (:func:`_payoffs`) into one reused
-    payoff buffer. Each map keeps its own running totals: its block's count,
-    mean and centred sum of squares merge into them in path order (Chan,
+    Block after block draws the next rows of the one ``(paths, steps)`` uniform
+    array from the seeded stream into one reused buffer, and each map writes
+    its payoffs of those rows (:func:`_screen`, then :func:`_exact`) into one
+    reused payoff buffer. Each map keeps its own running totals: its block's
+    count, mean and centred sum of squares merge into them in path order (Chan,
     Golub and LeVeque): with delta = mean_b - mean and w = n_b / (n + n_b),
-    mean += delta w and M2 += M2_b + delta^2 n w. One block gives the floats
-    of ``np.mean`` and ``np.std(ddof=1)``.
+    mean += delta w and M2 += M2_b + delta^2 n w. One block gives the floats of
+    ``np.mean`` and ``np.std(ddof=1)``.
 
     The payoffs are priced with the notional and payouts scaled by 2**-e and
     the mean and stderr scaled back, exactly: e = 0, no scaling, unless a
@@ -181,17 +228,19 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, maps) -> l
     notional, discount = contract.put_factors(e)
     pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
     rng = np.random.default_rng(seed)
-    uniforms, buffer = np.empty((rows, contract.steps)), np.empty(rows)
+    uniforms, buffer, work = np.empty((rows, contract.steps)), np.empty(rows), np.empty((3, rows))
     n, means, m2s = 0, [0.0] * len(maps), [0.0] * len(maps)
     # an extreme drift overflows log-returns and levels to +-inf, which
     # classify every path as a finite one would; entered once per call
     with np.errstate(over="ignore"):
+        kinds = [(increments, _brackets(increments, contract)) for increments in maps]
         for start in range(0, paths, _MC_BLOCK):
             rows = min(_MC_BLOCK, paths - start)
             u, block = uniforms[:rows], buffer[:rows]
             rng.random(out=u)  # the same stream as rng.random((rows, steps))
-            for j, increments in enumerate(maps):
-                _payoffs(u, contract, increments, block, notional, discount, pays)
+            for j, (increments, brackets) in enumerate(kinds):
+                undecided = _screen(u, contract, brackets, block, pays, work)
+                _exact(u, undecided, contract, increments, block, notional, discount, pays, work)
                 block_mean = block.sum() / rows
                 block -= block_mean
                 block *= block
@@ -436,7 +485,7 @@ def closed_form_discretized(contract: AutocallableContract, grid: GaussianGridSp
     ``t * a + b * G`` is non-decreasing in G (b >= 0, and IEEE rounding is
     monotone), and so is its exp, the level, so bisection over G finds where
     the level first reaches each threshold. Paths are thus classified on
-    exp(t a + b G), not on the running sums :func:`_payoffs` compares: the
+    exp(t a + b G), not on the running sums the Monte Carlo paths add up: the
     two can disagree only on lattice points within a few ulp of a threshold.
 
     The put and the binaries are priced at the exact scale 2**-e of

@@ -6,7 +6,8 @@ of the basis-state index (LSB-first), and a register occupying qubits
 A :class:`Statevector` stores only the basis states it holds: their distinct
 indices, in any order, and their nonzero amplitudes, so its memory scales
 with the support of the state, not with ``2**n`` (see :class:`Statevector`).
-Its kernels compute the same amplitudes as a dense simulation, bit for bit.
+Its kernels compute a dense simulation's amplitudes: equal amplitudes, bit
+for bit up to the sign of a zero.
 
 Circuits are lists of three invertible primitive op kinds, each inverted by
 one op of its kind. Every operand but a rotation's target qubit is a
@@ -214,8 +215,8 @@ class Statevector:
     entries that come out exactly 0 are dropped. When no matched entry has the
     target bit set, none has its partner listed: the kernel then scales each
     matched entry by ``cos`` and appends its partner at ``sin`` times its
-    amplitude, the floats of the same update against a zero partner, with no
-    union to sort. Most rotations of a pricing circuit's loads are of this
+    amplitude, with no union to sort: equal amplitudes, bit for bit up to the
+    sign of a zero. Most rotations of a pricing circuit's loads are of this
     kind. The register arithmetic :class:`Add` rewrites its target's bits of
     each index in place (it permutes basis states, so indices never collide),
     and the phase :class:`PhaseOracle` multiplies the entries on which its
@@ -266,7 +267,7 @@ class Statevector:
         if (partners & bit).all():
             # no matched entry has the target bit set, so none has its partner
             # listed: each pair is (c*a0, s*a0), the dense update against a
-            # zero partner, with no union to sort or search
+            # zero partner up to the sign of a zero, with no union to sort
             c, s = _half_angle(partners, op)  # a partner's control reads as its entry's
             added = self.values[matched] * s
             self.values[matched] *= c

@@ -2,7 +2,9 @@
 ``(paths, steps)`` array, a ``searchsorted`` grid lookup per draw, and the
 row-wise ``cumsum`` payoff, reduced over consecutive ``_MC_BLOCK``-row chunks
 by the blocked oracles' merge. Tests compare the blocked oracles in
-``qautocall.oracles`` with these bit for bit.
+``qautocall.oracles`` with these bit for bit. Those screen each block on
+bucket bounds and transform only the rows the bounds leave undecided, step by
+step: a row's ``cumsum`` here is the same sequence of additions.
 
 The plain oracle transforms with the package's ``_ndtri``, not scipy's
 ``ndtri``: in the tails the two differ by up to 8 ulp (``TestNdtri`` holds
@@ -59,19 +61,27 @@ def _result(values, seed):
     return McResult(mean=float(mean), stderr=stderr, paths=n, seed=seed)
 
 
+def normal_increments(contract, u):
+    """Log-return increments of continuous normal shocks drawn from the uniforms ``u``."""
+    z = _ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    return contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * z
+
+
+def grid_increments(contract, grid, u):
+    """Log-return increments of ``grid``'s shocks drawn from the uniforms ``u``."""
+    shocks = grid.points()[np.searchsorted(grid_cdf(grid), u, side="right")]
+    return contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * shocks
+
+
 def mc_payoffs(contract, paths, seed):
     rng = np.random.default_rng(seed)
-    u = np.clip(rng.random((paths, contract.steps)), 1e-300, 1.0 - 1e-16)
-    incs = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * _ndtri(u)
-    return payoffs(incs, contract)
+    return payoffs(normal_increments(contract, rng.random((paths, contract.steps))), contract)
 
 
 def mc_disc_payoffs(contract, grid, paths, seed):
     rng = np.random.default_rng(seed)
-    g = np.searchsorted(grid_cdf(grid), rng.random((paths, contract.steps)), side="right")
-    shocks = grid.points()[g]
-    incs = contract.mu * contract.dt + contract.sigma * math.sqrt(contract.dt) * shocks
-    return payoffs(incs, contract)
+    u = rng.random((paths, contract.steps))
+    return payoffs(grid_increments(contract, grid, u), contract)
 
 
 def mc_price(contract, paths, seed):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from qautocall.oracles import (
     _EXPM2,
     _MC_BLOCK,
     BYTES_PER_STATE,
+    _brackets,
+    _exact,
     _grid_inverse_cdf,
+    _increments,
     _ndtri,
+    _screen,
     closed_form_discretized,
     closed_form_quantized,
     mc_price,
@@ -267,6 +272,76 @@ class TestNdtri:
         ]))
 
 
+def _screened(u, contract, grid):
+    """The payoffs of the rows of ``u`` as a Monte Carlo block prices them
+    (unscaled, e = 0): screened on bucket bounds, the undecided rows priced
+    exactly; and the undecided rows."""
+    increments = _increments(contract, grid)
+    out = np.empty(len(u))
+    pays = [contract.discounted_payout(i) for i in range(len(contract.binaries))]
+    with np.errstate(over="ignore"):
+        brackets = _brackets(increments, contract)
+        work = np.empty((3, len(u)))
+        undecided = _screen(u, contract, brackets, out, pays, work)
+        _exact(u, undecided, contract, increments, out, *contract.put_factors(0), pays, work)
+    return out, undecided
+
+
+def _crossings(contract, grid):
+    """``(t, u)`` for each threshold a path meets after t steps (the barrier
+    at every step, a binary's strike at its step, the strike at the last):
+    the least uniform u at which a path drawing u on each of its first t
+    steps ends above the threshold, found by bisection on the float's bits."""
+    thresholds = [(t, contract.barrier) for t in range(1, contract.steps + 1)]
+    thresholds += [(b.step, b.strike) for b in contract.binaries]
+    thresholds.append((contract.steps, contract.strike))
+    found = []
+    for t, threshold in thresholds:
+        def above(bits, t=t, threshold=threshold):
+            u = np.full((1, t), np.int64(bits).view(np.float64))
+            with np.errstate(over="ignore"):
+                return np.exp(np.cumsum(_reference_increments(u, contract, grid))[-1]) > threshold
+
+        lo, hi = 0, int(np.nextafter(1.0, 0.0).view(np.int64))
+        if above(lo) or not above(hi):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        found.append((t, np.int64(hi).view(np.float64)))
+    return found
+
+
+def _reference_increments(u, contract, grid):
+    if grid is None:
+        return mc_reference.normal_increments(contract, u)
+    return mc_reference.grid_increments(contract, grid, u)
+
+
+def _reference_payoffs(u, contract, grid):
+    with np.errstate(over="ignore"):
+        return mc_reference.payoffs(_reference_increments(u, contract, grid), contract)
+
+
+def _edge_uniforms(contract, grid, seed):
+    """Rows whose every column holds each bucket edge and its two float
+    neighbours once, and, for each threshold crossing (:func:`_crossings`),
+    rows whose first t columns hold the crossing uniform give or take up to
+    4 ulps, the rest drawn from those edges."""
+    edges = np.arange(2**_BUCKET_BITS) / 2**_BUCKET_BITS
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    values = values[(values >= 0.0) & (values < 1.0)]
+    rng = np.random.default_rng(seed)
+    blocks = [rng.permuted(np.tile(values, (contract.steps, 1)), axis=1).T]
+    for t, u in _crossings(contract, grid):
+        near = (np.int64(u.view(np.int64)) + np.arange(-4, 5)).view(np.float64)
+        block = rng.choice(values, (len(near), contract.steps))
+        block[:, :t] = near[:, None]
+        blocks.append(block)
+    u = np.ascontiguousarray(np.concatenate(blocks))
+    return u[(u < 1.0).all(axis=1)]
+
+
 # path counts within one block, at 2**13 +- 1, and across block edges
 PATH_COUNTS = [1, 2, 2**13 - 1, 2**13, 2**13 + 1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 10**5]
 
@@ -326,6 +401,93 @@ class TestBlockedMonteCarlo:
         assert mc_prices(contract, [None, grid, GRID1], paths, seed) == [
             plain, disc, mc_reference.mc_price_discretized(contract, GRID1, paths, seed)
         ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(contract=mc_contracts(), k=st.sampled_from([None, 1, 3, 7]), seed=st.integers(0, 2**31))
+    @example(contract=AutocallableContract(
+        notional=18.0, dt=1.0, steps=3, mu=0.1274, sigma=0.2382, rate=0.04, barrier=0.7,
+        strike=1.0, binaries=(BinaryOption(1, 1.1, 2.0), BinaryOption(2, 1.1, 5.0)),
+    ), k=None, seed=0)
+    # the flat contract: sigma = 0, so both bounds of every bucket are equal
+    @example(contract=AutocallableContract(
+        notional=18.0, dt=1.0, steps=3, mu=0.1274, sigma=0.0, rate=0.04, barrier=0.7,
+        strike=1.0, binaries=(BinaryOption(1, 1.1, 2.0), BinaryOption(2, 1.1, 5.0)),
+    ), k=None, seed=0)
+    # a binary at every step but the last
+    @example(contract=AutocallableContract(
+        notional=18.0, dt=1.0, steps=6, mu=0.05, sigma=0.2, rate=0.04, barrier=0.7, strike=1.0,
+        binaries=tuple(BinaryOption(i, 1.2, float(i)) for i in range(1, 6)),
+    ), k=None, seed=0)
+    def test_screen_matches_reference_at_edges(self, contract, k, seed):
+        # bucket edges and threshold crossings are where a screen that
+        # misplaces a path would show: every payoff must equal the whole-row
+        # reference bit for bit, for either kind of shock
+        grid = None if k is None else GaussianGridSpec(k=k, s_min=3.0)
+        u = _edge_uniforms(contract, grid, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, undecided = _screened(u, contract, grid)
+        want = _reference_payoffs(u, contract, grid)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(np.unique(undecided)) == len(undecided)
+
+    @pytest.mark.parametrize("mu", [1e308, -1e308])
+    @pytest.mark.parametrize("grid", [None, GRID2])
+    def test_screen_leaves_every_row_undecided_at_extreme_drift(self, table2, mu, grid):
+        contract = dataclasses.replace(table2, mu=mu)
+        u = _edge_uniforms(contract, grid, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, undecided = _screened(u, contract, grid)
+            mc_prices(contract, [grid], 1000, 0)
+        np.testing.assert_array_equal(np.sort(undecided), np.arange(len(u)))
+        want = _reference_payoffs(u, contract, grid)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("grid", [None, GRID2])
+    def test_screen_with_thresholds_on_the_flat_path(self, table2_flat, grid):
+        # at sigma = 0 every path's level after t steps is exp of the summed
+        # drifts, and each threshold below sits exactly there (no payoff):
+        # for some drifts log and exp round apart by an ulp, so only the
+        # margin keeps the screen from paying the binary
+        u = np.random.default_rng(0).random((64, table2_flat.steps))
+        for mu in np.linspace(0.01, 0.3, 50):
+            levels = np.exp(np.cumsum(np.full(3, mu * table2_flat.dt)))
+            contract = dataclasses.replace(
+                table2_flat, mu=mu, barrier=levels[0], strike=levels[2],
+                binaries=(BinaryOption(2, levels[1], 5.0),),
+            )
+            got, _ = _screened(u, contract, grid)
+            np.testing.assert_array_equal(got, np.zeros(len(u)))
+            np.testing.assert_array_equal(got, _reference_payoffs(u, contract, grid))
+
+    @pytest.mark.parametrize("grid", [None, GRID2])
+    @pytest.mark.parametrize("threshold", ["barrier", "binary"])
+    def test_screen_at_a_subnormal_threshold(self, table2, grid, threshold):
+        # a level near a subnormal threshold rounds to a multiple of 2**-1074,
+        # far coarser than the margin's 2**-30 relative: u = 0.5 gives a
+        # one-step log-return 1e-5 above log(2**-1060), a level 0.16 ulp above
+        # the threshold, which rounds onto it (not above, not below)
+        tiny = 2.0**-1060
+        contract = dataclasses.replace(
+            table2, steps=2, mu=math.log(tiny) + 1e-5, sigma=0.1,
+            barrier=tiny if threshold == "barrier" else 0.7,
+            binaries=(BinaryOption(1, tiny, 2.0),) if threshold == "binary" else (),
+        )
+        u = _edge_uniforms(contract, grid, 0)
+        got, _ = _screened(u, contract, grid)
+        want = _reference_payoffs(u, contract, grid)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("grid", [None, GaussianGridSpec(k=7, s_min=3.0)])
+    def test_screen_decides_most_table2_rows(self, table2, grid):
+        # on Table-2 about 95 % of paths autocall or pay nothing, which their
+        # buckets decide; a screen that decides nothing would still be exact
+        u = np.random.default_rng(3).random((10**5, table2.steps))
+        got, undecided = _screened(u, table2, grid)
+        assert len(undecided) < 0.1 * len(u)
+        want = _reference_payoffs(u, table2, grid)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 4095, 2**15 + 1])
     def test_transforms_do_not_depend_on_array_position(self, size):
@@ -391,7 +553,7 @@ class TestBlockedMonteCarlo:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # one block's working set: peaks of 2.0-2.9 MiB at either path count
+            # one block's working set: peaks of 2.6-3.4 MiB at either path count
             assert peak < 4 * 2**20
 
 
