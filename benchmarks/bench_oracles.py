@@ -6,12 +6,12 @@ Run from the root of a checkout, with the installed pytest-benchmark::
 
 The file sits outside ``testpaths``, so the tier-1 run does not collect it.
 On Table-2 it times ``mc`` and ``mc-disc`` (k = 7) at 10**6 paths, alone and
-both through one ``mc_prices`` call on one draw per block, where they share a
-screen per block; both at k = 1, whose wide shared bounds make each kind
-screen alone; ``mc`` with ``mc-disc`` at k = 7, 9 and 11 in one call; and both
-on its 20-step variant at 2 * 10**5 paths, where a block's bucket screen
-settles the most steps; ``cf-quant`` (p = 12) and ``cf-disc`` at k = 7; and
-``d_total`` at its default parameters.
+both through one ``mc_prices`` call on one draw and one shared screen per
+block; both at k = 1, whose two-point grid makes the shared bounds wide;
+``mc`` with ``mc-disc`` at k = 7, 9 and 11, and at k = 1 to 7, in one call;
+and both on its 20-step variant at 2 * 10**5 paths, where a block's bucket
+screen settles the most steps; ``cf-quant`` (p = 12) and ``cf-disc`` at
+k = 7; and ``d_total`` at its default parameters.
 """
 
 import dataclasses
@@ -40,7 +40,7 @@ GRID = GaussianGridSpec(k=7, s_min=3.0)
 PATHS = 10**6
 
 
-@pytest.mark.parametrize("kinds", ["mc", "mc-disc", "both", "both-k1", "k7-9-11"])
+@pytest.mark.parametrize("kinds", ["mc", "mc-disc", "both", "both-k1", "k7-9-11", "k1-to-7"])
 def test_monte_carlo(benchmark, kinds):
     grids = {
         "mc": [None],
@@ -48,6 +48,7 @@ def test_monte_carlo(benchmark, kinds):
         "both": [None, GRID],
         "both-k1": [None, GaussianGridSpec(k=1, s_min=3.0)],
         "k7-9-11": [None] + [GaussianGridSpec(k=k, s_min=3.0) for k in (7, 9, 11)],
+        "k1-to-7": [None] + [GaussianGridSpec(k=k, s_min=3.0) for k in range(1, 8)],
     }[kinds]
     results = benchmark(mc_prices, TABLE2, grids, PATHS, 1)
     benchmark.extra_info.update(paths=PATHS, means=[r.mean for r in results])

@@ -100,8 +100,13 @@ def _parse_binaries(text: str) -> tuple[BinaryOption, ...]:
     return tuple(legs)
 
 
+def _parse_list(text: str) -> tuple[str, ...]:
+    """The items of ``text`` split at commas and whitespace: none when empty."""
+    return tuple(text.replace(",", " ").split())
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.replace(",", " ").split())
+    return tuple(int(p) for p in _parse_list(text))
 
 
 _REQUIRED = object()  # the default of a key required when its section is present
@@ -151,7 +156,7 @@ _SCHEMA = {
     "sweep": {
         "p_values": (_parse_int_list, (), _ints(0, MAX_FRAC_BITS, each=True)),
         "k_values": (_parse_int_list, (), _ints(1, MAX_QUBITS, each=True)),
-        "methods": (lambda t: tuple(m.strip() for m in t.split(",")), (), _ANY),
+        "methods": (_parse_list, (), _ANY),
     },
     "resources": {
         key: (convert, _PARAMS[key], check)

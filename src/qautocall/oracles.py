@@ -22,11 +22,9 @@ payoffs, under 4 MiB at 3 steps. At ``BYTES_PER_UNIFORM`` bytes each, one
 block's uniforms must fit in physical memory, or the run raises
 :class:`CapacityError` before it draws. A block is screened on the bounds of
 its draws' lookup buckets, which settles most paths; only the undecided
-rows, about 5 % on Table-2, are turned into shocks, step by step. The kinds
-of a call share one screen per block, on bounds that hold for every kind,
-unless its undecided rows cost more than the screens it saves: the first
-block screens each kind alone and the second all kinds at once, and their
-counts of undecided rows decide the rest (:func:`_mc_blocks`).
+rows, about 5 % on Table-2, are turned into shocks, step by step. One
+screen per block serves every kind of the call, on bounds that hold for each
+(:func:`_mc_blocks`).
 
 Reproducibility contract: all randomness comes from numpy's PCG64 seeded
 generator; path p consumes row p of a single (paths, steps) uniform array,
@@ -76,15 +74,6 @@ _MC_BLOCK = 2**15
 #: per uniform, but their blocks stay under 15 MiB
 BYTES_PER_UNIFORM = 10
 _BUCKET_BITS = 12
-#: the cost of pricing one more row exactly (:func:`_exact`) in rows screened
-#: (:func:`_screen`), which decides whether the kinds of a call share a screen
-#: (:func:`_mc_blocks`). On Table-2 blocks (2-core Xeon, numpy 2.4) a screened
-#: row took 19-22 ns and one more exact row 47-52 ns for normal shocks and
-#: 24-25 ns for a grid's, ratios of about 2.4 and 1.2; normals and a k = 2 grid
-#: cost the same either way, where the shared screen leaves 0.44 of a block more
-#: undecided (a break-even ratio of 2.3). 3 keeps a screen per kind there and
-#: shares it from k = 3 (0.28), which measured 5-12 % faster.
-_EXACT_COST = 3
 #: bytes per step of a closed form's barrier list, an 8-byte slot and a 28-byte
 #: int: cf-disc's traced with tracemalloc at 35-36 for 10**4 and 10**5 steps
 BYTES_PER_BARRIER = 36
@@ -133,21 +122,19 @@ class McResult:
     seed: int
 
 
-def _bounds(increments):
-    """``increments`` at b / N and at the float below (b + 1) / N, the least
-    and greatest uniform of each of the N = ``2**_BUCKET_BITS`` buckets."""
+def _brackets(maps, contract: AutocallableContract):
+    """The bucket bounds that hold for every increment map of ``maps``: the
+    least and the greatest increment of each of the N = ``2**_BUCKET_BITS``
+    buckets, over every map at b / N and at the float below (b + 1) / N, the
+    least and greatest uniform of bucket b; and :func:`_screen`'s margin:
+    2**-30 (1 + T**2 B), B the largest |bound|, plus 2**-1064 over the least
+    threshold, for ``np.exp``'s ulp of a subnormal. A row these bounds decide
+    pays the same under every map."""
     edges = np.arange(2**_BUCKET_BITS + 1) / 2**_BUCKET_BITS
-    return increments(edges[:-1].copy()), increments(np.nextafter(edges[1:], 0.0))
-
-
-def _brackets(bounds, contract: AutocallableContract):
-    """The bucket bounds that hold for every kind of ``bounds`` (a list of
-    :func:`_bounds`), the least lower and the greatest upper bound of each
-    bucket, and :func:`_screen`'s margin: 2**-30 (1 + T**2 B), B the largest
-    |bound|, plus 2**-1064 over the least threshold, for ``np.exp``'s ulp of a
-    subnormal. A row these bounds decide pays the same under every kind."""
-    lo = functools.reduce(np.minimum, [kind[0] for kind in bounds])  # one kind: its own, not a copy
-    hi = functools.reduce(np.maximum, [kind[1] for kind in bounds])
+    least_u, greatest_u = edges[:-1], np.nextafter(edges[1:], 0.0)
+    # a map may overwrite its uniforms; one map's bounds are its own, not copies
+    lo = functools.reduce(np.minimum, [increments(least_u.copy()) for increments in maps])
+    hi = functools.reduce(np.maximum, [increments(greatest_u.copy()) for increments in maps])
     least = min([contract.barrier] + [b.strike for b in contract.binaries])
     return lo, hi, 2.0**-30 * (1 + contract.steps**2 * np.abs([lo, hi]).max()) + 2.0**-1064 / least
 
@@ -229,24 +216,16 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, maps) -> l
     of at most ``_MC_BLOCK`` rows; one :class:`McResult` per map.
 
     Block after block draws the next rows of the one ``(paths, steps)`` uniform
-    array from the seeded stream into one reused buffer, and each map writes
-    its payoffs of those rows into one reused payoff buffer: the rows a
-    :func:`_screen` decides, then the rest priced by the map's :func:`_exact`.
-    Each map keeps its own running totals: its block's count, mean and centred
-    sum of squares merge into them in path order (Chan, Golub and LeVeque):
-    with delta = mean_b - mean and w = n_b / (n + n_b), mean += delta w and M2
-    += M2_b + delta^2 n w. One block gives the floats of ``np.mean`` and
-    ``np.std(ddof=1)``.
-
-    The screen runs once per group of maps, on bounds that hold for every map
-    of the group (:func:`_brackets`), so a row it decides pays the same under
-    each: a group of several writes its decided payoffs once, into a second
-    buffer that each map copies. Block 1 screens each map alone, leaving
-    sum(U_k) rows undecided over the K maps, and block 2 all K as one group,
-    leaving U. One group prices K U rows exactly where K groups price sum(U_k)
-    but screen K - 1 more blocks, so the remaining blocks keep one group while
-    K U - sum(U_k) <= (K - 1) rows / ``_EXACT_COST``, and screen each map alone
-    otherwise. Either way every row's payoff is the same float.
+    array from the seeded stream into one reused buffer and screens them once
+    (:func:`_screen`) on bounds that hold for every map (:func:`_brackets`), so
+    a row it decides pays the same under each. Each map copies the decided
+    payoffs into one reused payoff buffer (a lone map's screen writes there)
+    and prices the other rows with its :func:`_exact`, so every payoff is the
+    float a call with that map alone gives. Each map keeps its own running
+    totals: its block's count, mean and centred sum of squares merge into them
+    in path order (Chan, Golub and LeVeque): with delta = mean_b - mean and w
+    = n_b / (n + n_b), mean += delta w and M2 += M2_b + delta^2 n w. One block
+    gives the floats of ``np.mean`` and ``np.std(ddof=1)``.
 
     The payoffs are priced with the notional and payouts scaled by 2**-e and
     the mean and stderr scaled back, exactly: e = 0, no scaling, unless a
@@ -265,42 +244,28 @@ def _mc_blocks(contract: AutocallableContract, paths: int, seed: int, maps) -> l
     pays = [math.ldexp(contract.discounted_payout(i), -e) for i in range(len(contract.binaries))]
     rng = np.random.default_rng(seed)
     uniforms, buffer, work = np.empty((rows, contract.steps)), np.empty(rows), np.empty((3, rows))
-    shared = np.empty(rows) if len(maps) > 1 else None  # a shared screen's payoffs
+    screened = np.empty(rows) if len(maps) > 1 else buffer  # the screen's payoffs
     n, means, m2s = 0, [0.0] * len(maps), [0.0] * len(maps)
     # an extreme drift overflows log-returns and levels to +-inf, which
     # classify every path as a finite one would; entered once per call
     with np.errstate(over="ignore"):
-        bounds = [_bounds(increments) for increments in maps]
-        own = [(_brackets([kind], contract), [j]) for j, kind in enumerate(bounds)]
-        union = [(_brackets(bounds, contract), range(len(maps)))] if len(maps) > 1 else own
-        groups = own
-        for b, start in enumerate(range(0, paths, _MC_BLOCK)):
+        brackets = _brackets(maps, contract)
+        for start in range(0, paths, _MC_BLOCK):
             rows = min(_MC_BLOCK, paths - start)
             u, block = uniforms[:rows], buffer[:rows]
             rng.random(out=u)  # the same stream as rng.random((rows, steps))
-            left = 0  # the rows the block's screens leave undecided
-            for brackets, members in groups:
-                screened = block if len(members) == 1 else shared[:rows]
-                undecided = _screen(u, contract, brackets, screened, pays, work)
-                left += len(undecided)
-                for j in members:
-                    if screened is not block:
-                        np.copyto(block, screened)
-                    _exact(u, undecided, contract, maps[j], block, notional, discount, pays, work)
-                    block_mean = block.sum() / rows
-                    block -= block_mean
-                    block *= block
-                    delta, w = block_mean - means[j], rows / (n + rows)
-                    means[j] += delta * w
-                    m2s[j] += block.sum() + delta * delta * n * w
+            undecided = _screen(u, contract, brackets, screened[:rows], pays, work)
+            for j, increments in enumerate(maps):
+                if screened is not buffer:
+                    np.copyto(block, screened[:rows])
+                _exact(u, undecided, contract, increments, block, notional, discount, pays, work)
+                block_mean = block.sum() / rows
+                block -= block_mean
+                block *= block
+                delta, w = block_mean - means[j], rows / (n + rows)
+                means[j] += delta * w
+                m2s[j] += block.sum() + delta * delta * n * w
             n += rows
-            # block 1 screens each kind alone, block 2 all kinds at once; the
-            # rest keep one screen unless the rows it adds to the exact passes
-            # cost more than the screens it saves
-            if b == 0:
-                groups, own_left = union, left
-            elif b == 1 and len(maps) * left - own_left > (len(maps) - 1) * rows / _EXACT_COST:
-                groups = own
     results = []
     for mean, m2 in zip(means, m2s):
         stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
@@ -378,9 +343,8 @@ def mc_prices(contract: AutocallableContract, grids, paths: int, seed: int) -> l
     """Monte Carlo prices of ``contract``, one per entry of ``grids``, all on
     one uniform draw per block (:func:`_mc_blocks`): a ``None`` entry draws
     continuous standard normal shocks, a :class:`GaussianGridSpec` its grid's
-    shocks. The entries share one bucket screen per block where that costs
-    less than one each. Each price is the one a call with that entry alone
-    returns, float for float."""
+    shocks. The entries share one bucket screen per block. Each price is the
+    one a call with that entry alone returns, float for float."""
     return _mc_blocks(contract, paths, seed, [_increments(contract, grid) for grid in grids])
 
 

@@ -559,6 +559,18 @@ def test_monte_carlo_sweep_rows_match_price_runs(tmp_path):
         assert _rows(out) == [row]
 
 
+@pytest.mark.parametrize("methods", ["", "cf-disc,"], ids=["empty", "trailing-comma"])
+def test_sweep_methods_split_as_the_int_lists(tmp_path, methods):
+    # an empty list is unset and falls back to the [estimation] method, and a
+    # trailing comma adds no item, for methods as for k_values and p_values
+    code, out = _run(tmp_path, "sweep", CONTRACT + (
+        "[grid]\nk = 2\ns_min = 3.0\n[estimation]\nmethod = cf-disc\n"
+        f"[sweep]\nk_values = 2, 3,\np_values =\nmethods = {methods}\n"
+    ))
+    assert code == 0
+    assert [(row["method"], row["k"]) for row in _rows(out)] == [("cf-disc", "2"), ("cf-disc", "3")]
+
+
 RESOURCES_ONLY = "[resources]\nsigma_max = 0.2\n"
 
 

@@ -21,7 +21,6 @@ from qautocall.oracles import (
     _EXPM2,
     _MC_BLOCK,
     BYTES_PER_STATE,
-    _bounds,
     _brackets,
     _exact,
     _grid_inverse_cdf,
@@ -282,7 +281,7 @@ def _screened(u, contract, grid):
     out = np.empty(len(u))
     pays = [contract.discounted_payout(i) for i in range(len(contract.binaries))]
     with np.errstate(over="ignore"):
-        brackets = _brackets([_bounds(increments)], contract)
+        brackets = _brackets([increments], contract)
         work = np.empty((3, len(u)))
         undecided = _screen(u, contract, brackets, out, pays, work)
         _exact(u, undecided, contract, increments, out, *contract.put_factors(0), pays, work)
@@ -366,7 +365,7 @@ class TestBlockedMonteCarlo:
     @settings(max_examples=25, deadline=None)
     @given(
         contract=mc_contracts(),
-        # three blocks: the blocks after the first two keep or drop the shared screen
+        # one to three blocks, the last one full or partial
         paths=st.sampled_from([_MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 1]),
         k=st.sampled_from([1, 3, 7]),
         seed=st.integers(0, 2**31),
@@ -400,9 +399,8 @@ class TestBlockedMonteCarlo:
         grid = GaussianGridSpec(k=k, s_min=3.0)
         disc = mc_reference.mc_price_discretized(contract, grid, paths, seed)
         assert mc_price_discretized(contract, grid, paths, seed) == disc
-        # every kind of one call prices on the same draw, each as if alone,
-        # whether the kinds share a screen (often two of them) or screen
-        # alone (often with GRID1's wide union bounds)
+        # every kind of one call prices on the same draw and one screen per
+        # block, each as if alone, also on GRID1's wide union bounds
         assert mc_prices(contract, [None, grid], paths, seed) == [plain, disc]
         assert mc_prices(contract, [None, grid, GRID1], paths, seed) == [
             plain, disc, mc_reference.mc_price_discretized(contract, GRID1, paths, seed)
@@ -410,24 +408,26 @@ class TestBlockedMonteCarlo:
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**31))
-    @pytest.mark.parametrize("k, calls", [(7, 5), (1, 7)])
-    def test_screen_calls_follow_the_undecided_rows(self, table2, k, calls, seed):
-        # block 1 screens each kind, block 2 both on the union bounds; at k = 7
-        # the union leaves few more rows undecided, so blocks 3 and 4 keep one
-        # screen (2 + 1 + 1 + 1 calls), while at k = 1 it leaves about half of
-        # them, so they screen each kind again (2 + 1 + 2 + 2)
+    @pytest.mark.parametrize(
+        "ks", [[None], [None, 7], [None, 1], [None, *range(1, 8)]],
+        ids=["mc", "mc-k7", "mc-k1", "mc-k1-to-7"],
+    )
+    def test_screen_runs_once_per_block(self, table2, ks, seed):
+        # three blocks, the last one partial, screen three times whatever
+        # kinds the call prices, and each kind prices as if alone
         screens = []
 
         def counted(*args):
             screens.append(1)
             return _screen(*args)
 
-        grid = GaussianGridSpec(k=k, s_min=3.0)
-        alone = [mc_prices(table2, [g], 4 * _MC_BLOCK, seed)[0] for g in (None, grid)]
+        grids = [None if k is None else GaussianGridSpec(k=k, s_min=3.0) for k in ks]
+        paths = 2 * _MC_BLOCK + 1
+        alone = [mc_prices(table2, [grid], paths, seed)[0] for grid in grids]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "_screen", counted)
-            assert mc_prices(table2, [None, grid], 4 * _MC_BLOCK, seed) == alone
-        assert len(screens) == calls
+            assert mc_prices(table2, grids, paths, seed) == alone
+        assert len(screens) == 3
 
     @settings(max_examples=25, deadline=None)
     @given(contract=mc_contracts(), k=st.sampled_from([None, 1, 3, 7]), seed=st.integers(0, 2**31))
