@@ -18,6 +18,7 @@ grid's two end points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -262,36 +263,55 @@ class RegisterLayout:
     num_qubits: int
 
 
+#: peak bytes per stored entry, temporaries included: traced with tracemalloc
+#: op by op along A, on the larger of the state before and after each op that
+#: holds 2**16 entries or more, Table-2 at (p, k) = (4, 4), (6, 4), (6, 5) and
+#: (8, 5), its 8-step, no-binary and binary-at-every-step variants at (2, 2),
+#: (6, 4) and (3, 2), read at most 81.6 in the ``Ry`` that doubles a Gaussian
+#: register's support (81.55 at (8, 5)), and 72.0 in ``Add``
+BYTES_PER_ENTRY = 82
+
+
 def plan_layout(model: QuantizedModel) -> RegisterLayout:
-    T = model.contract.steps
-    k = model.grid.k
-    j = len(model.contract.binaries)
-    cursor = 0
+    """Place the registers listed here, in their order. First, from their
+    widths alone, raise :class:`CapacityError` when the qubits do not fit
+    int64 indices or A's state does not fit in physical memory. Every other
+    register is a function of the Gaussian and exponential values, and at
+    most one ``Ry`` turns the payoff target or scale qubit on each branch, so
+    A stores at most two entries per such value: ``2**(kT + w + 1)``. Runs
+    apply only A (:mod:`~qautocall.estimation`)."""
+    T, k, w = model.contract.steps, model.grid.k, model.exp_width
+    widths = {"gaussians": T * k, "accumulator": model.fmt.width, "exponential": w,
+              "barrier flags": T, "binary flags": len(model.contract.binaries),
+              "put flag": int(model.put_reachable), "payoff target": 1, "scale indicator": 1}
+    qubits = sum(widths.values())
+    try:
+        if qubits > MAX_QUBITS:
+            raise CapacityError(f"pricing circuit needs {qubits} qubits, more than the "
+                                f"{MAX_QUBITS} that int64 basis indices hold")
+        bits = T * k + w + 1
+        check_memory(2**bits, BYTES_PER_ENTRY, f"pricing circuit stores up to 2**{bits} = "
+                     f"{2**bits} entries (its state support bound)", "")
+    except CapacityError as refused:  # a build that fits skips the breakdown
+        shown = [f"{name}: {width}" for name, width in widths.items()]
+        layout = ", ".join([f"gaussians: {T} x {k}", *shown[1:], f"total: {qubits}"])
+        raise CapacityError(f"{refused} ({layout}); reduce k or p") from None
 
-    def take(width: int) -> QubitRegister:
-        nonlocal cursor
-        reg = QubitRegister(cursor, width)
-        cursor += width
-        return reg
+    offsets = dict(zip(widths, itertools.accumulate(widths.values(), initial=0)))
 
-    gaussians = tuple(take(k) for _ in range(T))
-    accumulator = take(model.fmt.width)
-    exponential = take(model.exp_width) if model.needs_comparator else None
-    barrier_flags = take(T)
-    binary_flags = take(j) if j else None
-    put_flag = take(1).offset if model.put_reachable else None
-    payoff_target = take(1).offset
-    scale_indicator = take(1).offset
+    def placed(name: str) -> QubitRegister | None:
+        return QubitRegister(offsets[name], widths[name]) if widths[name] else None
+
     return RegisterLayout(
-        gaussians=gaussians,
-        accumulator=accumulator,
-        exponential=exponential,
-        barrier_flags=barrier_flags,
-        binary_flags=binary_flags,
-        payoff_target=payoff_target,
-        scale_indicator=scale_indicator,
-        put_flag=put_flag,
-        num_qubits=cursor,
+        gaussians=tuple(QubitRegister(offsets["gaussians"] + t * k, k) for t in range(T)),
+        accumulator=placed("accumulator"),
+        exponential=placed("exponential"),
+        barrier_flags=placed("barrier flags"),
+        binary_flags=placed("binary flags"),
+        payoff_target=offsets["payoff target"],
+        scale_indicator=offsets["scale indicator"],
+        put_flag=offsets["put flag"] if widths["put flag"] else None,
+        num_qubits=qubits,
     )
 
 
@@ -416,40 +436,6 @@ class PricingCircuit:
     model: QuantizedModel
 
 
-#: peak bytes per stored entry, temporaries included: traced with tracemalloc
-#: op by op along A and a Grover step, Table-2 at (p, k) = (6, 3) and (4, 4)
-#: (the latter at its 2**19 bound) peaked 77.3/75.4 bytes per entry in A's
-#: ``Ry`` (where a rotation has partners, the state holds at most 128), and
-#: 108.1/108.0 in the Grover step's, which pairs entries on the whole
-#: support; 72.0 in ``Add``
-BYTES_PER_ENTRY = 144
-
-
-def _check_capacity(model: QuantizedModel) -> None:
-    """Raise :class:`CapacityError` unless the circuit's qubits fit int64
-    indices and its state fits in physical memory, both counted from the
-    register widths before any register is placed. The support stays within
-    ``2**(kT + w + 2)``: only the Gaussian and exponential registers, payoff
-    target and scale qubit are in superposition, and every kernel's arrays
-    follow the support. Runs apply only A; the bound also holds along the
-    Grover iterate, where the tests check it (:func:`~.estimation.build_grover`).
-    """
-    T, k, w = model.contract.steps, model.grid.k, model.exp_width
-    m, j, put = model.fmt.width, len(model.contract.binaries), int(model.put_reachable)
-    qubits = T * k + m + w + T + j + put + 2  # plan_layout's registers, in its order
-    layout = (f"gaussians: {T} x {k}, accumulator: {m}, exponential: {w}, barrier flags: {T}, "
-              f"binary flags: {j}, put flag: {put}, payoff target: 1, scale indicator: 1, "
-              f"total: {qubits}")
-    if qubits > MAX_QUBITS:
-        raise CapacityError(
-            f"pricing circuit needs {qubits} qubits, more than the "
-            f"{MAX_QUBITS} that int64 basis indices hold ({layout}); reduce k or p"
-        )
-    bits = T * k + w + 2
-    check_memory(2**bits, BYTES_PER_ENTRY, f"pricing circuit stores up to 2**{bits} = {2**bits} "
-                 "entries (its state support bound)", f" ({layout}); reduce k or p")
-
-
 def build_pricing_circuit(
     contract: AutocallableContract,
     grid: GaussianGridSpec,
@@ -459,9 +445,8 @@ def build_pricing_circuit(
     pipeline. The good state is ``good`` reading all ones: target = 1 and
     scale = 1.
     Raises :class:`CapacityError`, before any register is placed, when the
-    circuit's state cannot fit (:func:`_check_capacity`)."""
+    circuit's qubits or A's state cannot fit (:func:`plan_layout`)."""
     model = QuantizedModel(contract, grid, fmt)
-    _check_capacity(model)
     layout = plan_layout(model)
 
     # the exponential prep first: it commutes with the Gaussian loads, and

@@ -101,12 +101,15 @@ def _parse_binaries(text: str) -> tuple[BinaryOption, ...]:
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
-    """The items of ``text`` split at commas and whitespace: none when empty."""
-    return tuple(text.replace(",", " ").split())
+    """The items of ``text`` split at commas and whitespace, each repeat
+    dropped after its first occurrence: none when empty."""
+    return tuple(dict.fromkeys(text.replace(",", " ").split()))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in _parse_list(text))
+    """The ints of ``text``, as :func:`_parse_list` splits it, each repeat
+    dropped after conversion, so ``3 03`` is one value."""
+    return tuple(dict.fromkeys(int(p) for p in _parse_list(text)))
 
 
 _REQUIRED = object()  # the default of a key required when its section is present

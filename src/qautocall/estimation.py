@@ -7,8 +7,9 @@ the good state is therefore measured with probability sin^2((2k + 1) theta)
 exactly (Brassard, Hoyer, Mosca and Tapp, quant-ph/0005055; Grinko, Gacon,
 Zoufal and Woerner, arXiv:1912.05559, Sec. 2). So A is simulated once, by
 :func:`exact_amplitude`, and every round draws its shots from that
-probability; :func:`build_grover` builds Q gate by gate as the reference the
-tests hold this identity to.
+probability: a run applies only A, and the circuit is sized on A's support
+(:func:`~.circuit.plan_layout`). :func:`build_grover` builds Q gate by gate
+as the reference the tests hold this identity to.
 
 The round schedule follows the iterative scheme of Grinko et al.: grow the
 Grover power k whenever the scaled angle interval fits in a half-circle, and
@@ -60,6 +61,8 @@ class EstimateResult:
     shots_total: int
 
 
+# only tests call it, yet it stays here: perfbench/spans.py wraps it by this
+# module's name, and its traced runs would fail with AttributeError without it
 def build_grover(
     a_ops: Sequence[PrimitiveOp], num_qubits: int, good: QubitRegister
 ) -> list[PrimitiveOp]:

@@ -26,8 +26,8 @@ control register, a :class:`PhaseOracle` one register value, and an
 :class:`Add` computes its sums on the listed entries, so every kernel's
 memory follows the state's support and its controls' widths, and nothing
 here limits the qubit count below the 62 that int64 indices hold. How much
-a circuit may store is decided where it is built
-(:func:`~.circuit.build_pricing_circuit`), from the support it can reach.
+a circuit may store is decided where its registers are placed
+(:func:`~.circuit.plan_layout`), from the support A can reach.
 
 A :class:`Statevector` is mutated in place by :meth:`Statevector.apply`; it is
 exclusively owned by its caller during mutation. No module-level mutable state

@@ -309,37 +309,38 @@ class TestCircuitAgainstOracle:
         assert probability(state, b1, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_error_reports_register_breakdown(self, table2, fake_memory):
-        # (p, k) = (4, 2): the support bound 2**(2*3 + 5 + 2) = 2**13 is the
+        # (p, k) = (4, 2): A's support bound 2**(2*3 + 5 + 1) = 2**12 is the
         # largest array; no op stores more than the state, so the put
         # comparator's 14 qubits do not count
         grid = GaussianGridSpec(k=2, s_min=3.0)
         fmt = fit_format(table2, grid, 4)
-        fake_memory(BYTES_PER_ENTRY * 2**13)
-        build_pricing_circuit(table2, grid, fmt)
-        fake_memory(BYTES_PER_ENTRY * 2**13 - 4096)
-        with pytest.raises(CapacityError) as err:
-            build_pricing_circuit(table2, grid, fmt)
-        message = str(err.value)
-        assert "accumulator" in message and "gaussians" in message
-        assert "2**13 = 8192 entries" in message and "total: 26" in message
-
-    def test_capacity_error_counts_the_support_bound(self, table2, fake_memory):
-        # (p, k) = (1, 3): the support bound 2**(3*3 + 1 + 2)
-        grid = GaussianGridSpec(k=3, s_min=3.0)
-        fmt = fit_format(table2, grid, 1)
         fake_memory(BYTES_PER_ENTRY * 2**12)
         build_pricing_circuit(table2, grid, fmt)
         fake_memory(BYTES_PER_ENTRY * 2**12 - 4096)
-        with pytest.raises(CapacityError, match=r"2\*\*12 = 4096 entries.*exponential: 1"):
+        with pytest.raises(CapacityError) as err:
+            build_pricing_circuit(table2, grid, fmt)
+        message = str(err.value)
+        assert "accumulator" in message and "gaussians: 3 x 2" in message
+        assert "2**12 = 4096 entries" in message and "total: 26" in message
+
+    def test_capacity_error_counts_the_support_bound(self, table2, fake_memory):
+        # (p, k) = (1, 3): A's support bound 2**(3*3 + 1 + 1), whose bytes
+        # fill whole pages, so one page less is short
+        grid = GaussianGridSpec(k=3, s_min=3.0)
+        fmt = fit_format(table2, grid, 1)
+        fake_memory(BYTES_PER_ENTRY * 2**11)
+        build_pricing_circuit(table2, grid, fmt)
+        fake_memory(BYTES_PER_ENTRY * 2**11 - 4096)
+        with pytest.raises(CapacityError, match=r"2\*\*11 = 2048 entries.*exponential: 1"):
             build_pricing_circuit(table2, grid, fmt)
 
     @pytest.mark.parametrize("case", ["table2", "8-step", "no-binaries", "flat", "no-flags"])
     def test_qubit_count_checked_before_layout_is_the_layouts(
         self, table2, table2_flat, monkeypatch, case
     ):
-        # the count the capacity check makes from the register widths, before
-        # any register is placed, is the layout's: its bound is met at the
-        # layout's qubit count and missed one below it
+        # plan_layout checks the qubit count of the widths it then places:
+        # the bound is met at the layout's qubit count and missed one below
+        # it, and the error's breakdown totals that count
         contract = {
             "table2": table2,
             "8-step": dataclasses.replace(table2, steps=8),
@@ -374,6 +375,31 @@ class TestCircuitAgainstOracle:
         state = allocate(n)
         for op in pc.ops + 2 * build_grover(pc.ops, n, pc.good):
             assert len(state.apply(op).indices) <= bound
+
+    @pytest.mark.parametrize("case,p,k,met", [
+        ("table2", 2, 1, True), ("table2", 3, 1, True), ("table2", 2, 2, True),
+        ("no-binaries", 2, 2, True), ("8-step", 2, 1, True), ("every-step", 2, 1, False),
+    ])
+    def test_support_of_a_within_its_bound(self, table2, case, p, k, met):
+        # after every op of A the state lists at most 2**(kT + w + 1)
+        # entries, the bound plan_layout sizes memory on; where ``met``, A
+        # reaches it
+        contract = {
+            "table2": table2,
+            "no-binaries": dataclasses.replace(table2, binaries=()),
+            "8-step": dataclasses.replace(table2, steps=8),
+            "every-step": AutocallableContract(
+                notional=18.0, dt=1.0, steps=6, mu=0.05, sigma=0.2, rate=0.04, barrier=0.7,
+                strike=1.0, binaries=tuple(BinaryOption(i, 1.2, float(i)) for i in range(1, 6)),
+            ),
+        }[case]
+        grid = GaussianGridSpec(k=k, s_min=3.0)
+        pc = build_pricing_circuit(contract, grid, fit_format(contract, grid, p))
+        bound = 2 ** (k * contract.steps + pc.layout.exponential.width + 1)
+        state = allocate(pc.layout.num_qubits)
+        stored = [len(state.apply(op).indices) for op in pc.ops]
+        assert max(stored) <= bound
+        assert (max(stored) == bound) == met
 
 
 class TestPutBranchValue:

@@ -309,19 +309,21 @@ def test_degenerate_contract_exits_1_with_message(tmp_path, capsys):
 
 
 def test_circuit_beyond_physical_memory_exits_2(tmp_path, capsys, fake_memory):
-    # (p, k) = (2, 1): the support bound 2**(3 + 3 + 2) is the largest array;
-    # no op stores more than the state, so memory for 2**8 entries suffices
+    # (p, k) = (2, 1): A's support bound 2**(3 + 3 + 1) is the largest array;
+    # no op stores more than the state, so memory for 2**7 entries, rounded
+    # up to whole pages, suffices and one page less does not
     text = CONTRACT + "[grid]\nk = 1\ns_min = 3.0\n[fixedpoint]\np = 2\n" \
         "[estimation]\nmethod = quantum-exact\n"
-    fake_memory(BYTES_PER_ENTRY * 2**8)
+    pages = -(-BYTES_PER_ENTRY * 2**7 // 4096)
+    fake_memory(4096 * pages)
     code, out = _run(tmp_path, "price", text)
     assert code == 0
     out.unlink()
-    fake_memory(BYTES_PER_ENTRY * 2**8 - 4096)
+    fake_memory(4096 * (pages - 1))
     code, out = _run(tmp_path, "price", text)
     assert code == 2
     err = capsys.readouterr().err
-    assert "2**8 = 256 entries" in err and "total: 19" in err
+    assert "2**7 = 128 entries" in err and "total: 19" in err
     assert not out.exists()
 
 
@@ -569,6 +571,31 @@ def test_sweep_methods_split_as_the_int_lists(tmp_path, methods):
     ))
     assert code == 0
     assert [(row["method"], row["k"]) for row in _rows(out)] == [("cf-disc", "2"), ("cf-disc", "3")]
+
+
+def test_sweep_prices_each_repeated_value_once(tmp_path, monkeypatch):
+    # repeats in methods, k_values and p_values, "3 03" among them, are
+    # dropped after parsing: one row per distinct point, and one grid per
+    # distinct k passed to mc_prices
+    calls = []
+
+    def mc_prices(contract, grids, paths, seed):
+        calls.append([grid and grid.k for grid in grids])
+        return real(contract, grids, paths, seed)
+
+    real = cli.mc_prices
+    monkeypatch.setattr(cli, "mc_prices", mc_prices)
+    code, out = _run(tmp_path, "sweep", CONTRACT + (
+        "[grid]\nk = 2\ns_min = 3.0\n[estimation]\npaths = 2000\nseed = 3\n"
+        "[sweep]\nk_values = 3 03, 1 3\np_values = 2, 2\n"
+        "methods = mc, mc, mc-disc, cf-quant, mc-disc\n"
+    ))
+    assert code == 0
+    assert [(row["method"], row["k"], row["p"]) for row in _rows(out)] == [
+        ("cf-quant", "1", "2"), ("cf-quant", "3", "2"),
+        ("mc", "", ""), ("mc-disc", "1", ""), ("mc-disc", "3", ""),
+    ]
+    assert calls == [[None, 3, 1]]
 
 
 RESOURCES_ONLY = "[resources]\nsigma_max = 0.2\n"
